@@ -33,6 +33,19 @@ __all__ = [
     "empirical_power_profile",
 ]
 
+# trials per batch in empirical_power_profile; keeps its arrays at a few MB
+_TRIAL_BLOCK = 64
+
+
+def _integer(name: str, value) -> int:
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if as_int != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
 
 @dataclass(frozen=True)
 class OfdmConfig:
@@ -43,6 +56,10 @@ class OfdmConfig:
     used: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "n_cp", _integer("n_cp", self.n_cp))
+        object.__setattr__(self, "used",
+                           tuple(sorted(_integer("subcarrier", k) for k in self.used)))
         if self.n <= 0 or self.n_cp <= 0:
             raise ValueError("n and n_cp must be positive")
         if self.n_cp >= self.n:
@@ -54,7 +71,6 @@ class OfdmConfig:
         for k in self.used:
             if not -self.n // 2 <= k < self.n // 2:
                 raise ValueError(f"subcarrier {k} outside [-{self.n // 2}, {self.n // 2})")
-        object.__setattr__(self, "used", tuple(sorted(self.used)))
 
     @classmethod
     def centered(cls, n: int, n_cp: int, lo: int, hi: int) -> "OfdmConfig":
@@ -95,64 +111,82 @@ class SymbolStream:
         return grid
 
 
+_QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
+
+
+def _qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
+    return _QPSK[rng.integers(0, 4, size=shape)]
+
+
+def _gaussian_symbols(rng: np.random.Generator, shape) -> np.ndarray:
+    z = rng.standard_normal((*shape[:-1], 2, shape[-1]))
+    return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+
+
+def _stream(draw, config: OfdmConfig, symbol_indices, rng: np.random.Generator,
+            energy_per_sample: float) -> SymbolStream:
+    # one draw of shape (symbols, subcarriers) consumes the generator exactly
+    # as one draw per symbol, in order, would
+    indices = list(symbol_indices)
+    syms = draw(rng, (len(indices), len(config.used)))
+    return SymbolStream(config.used, dict(zip(indices, syms)), energy_per_sample)
+
+
 def qpsk_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator,
                 energy_per_sample: float = 1.0) -> SymbolStream:
     """Unit-modulus QPSK symbols, i.i.d. per (subcarrier, symbol)."""
-    k = len(config.used)
-    syms = {}
-    for m in symbol_indices:
-        q = rng.integers(0, 4, size=k)
-        syms[m] = np.exp(1j * (np.pi / 4 + np.pi / 2 * q))
-    return SymbolStream(config.used, syms, energy_per_sample)
+    return _stream(_qpsk_symbols, config, symbol_indices, rng, energy_per_sample)
 
 
 def gaussian_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator,
                     energy_per_sample: float = 1.0) -> SymbolStream:
     """Circularly-symmetric complex Gaussian symbols with unit variance."""
-    k = len(config.used)
-    syms = {}
-    for m in symbol_indices:
-        syms[m] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-    return SymbolStream(config.used, syms, energy_per_sample)
+    return _stream(_gaussian_symbols, config, symbol_indices, rng, energy_per_sample)
+
+
+def _with_prefix(config: OfdmConfig, grid: np.ndarray) -> np.ndarray:
+    """Time samples -n_cp .. n-1 of the spectra along the last axis of grid."""
+    body = np.fft.ifft(grid, axis=-1)
+    return np.concatenate([body[..., -config.n_cp:], body], axis=-1)
 
 
 def modulate_symbol(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndarray:
     """Time samples of OFDM symbol m, indices -n_cp .. n-1 (array index 0 is -n_cp)."""
-    grid = stream.spectrum(config.n, m)
     # sample[t] = (sqrt(E)/N) sum_k S[k] e^{j 2 pi k t / N}  ==  sqrt(E) * ifft
-    body = np.sqrt(stream.energy_per_sample) * np.fft.ifft(grid)
-    return np.concatenate([body[-config.n_cp:], body])
+    return np.sqrt(stream.energy_per_sample) * _with_prefix(config, stream.spectrum(config.n, m))
+
+
+def _sample_offset(config: OfdmConfig, d) -> int:
+    if d != int(d):
+        raise ValueError(f"timing offset {d} is not an integer number of samples")
+    d = int(d)
+    config.check_offset(d)
+    return d
+
+
+def _window_pieces(config: OfdmConfig, d: int) -> list[tuple[int, slice]]:
+    """The receive window at offset d as (symbol offset from m, slice) pieces.
+
+    Each slice indexes that symbol's samples as returned by modulate_symbol;
+    the pieces concatenated in order are the n samples entering the FFT.
+    """
+    n, ncp = config.n, config.n_cp
+    if d < -n:  # regime 1: entirely next symbol
+        pieces = [(1, -d - n, n)]
+    elif d < 0:  # regime 2: current + next
+        pieces = [(0, ncp - d, n + d), (1, 0, -d)]
+    elif d < ncp:  # regime 3: cyclic shift of current symbol
+        pieces = [(0, ncp - d, n)]
+    else:  # regime 4: previous + current
+        pieces = [(-1, n + 2 * ncp - d, d - ncp), (0, 0, n + ncp - d)]
+    return [(s, slice(start, start + size)) for s, start, size in pieces if size > 0]
 
 
 def receive_window(config: OfdmConfig, stream: SymbolStream, d: int, m: int) -> np.ndarray:
     """The n samples entering the FFT when the window is offset by d samples."""
-    if d != int(d):
-        raise ValueError("receive_window takes integer sample offsets")
-    d = int(d)
-    config.check_offset(d)
-    n, ncp = config.n, config.n_cp
-
-    def samples(mm: int) -> np.ndarray:
-        return modulate_symbol(config, stream, mm)
-
-    def tap(arr: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return arr[t + ncp]  # array index 0 holds time sample -ncp
-
-    t = np.arange(n)
-    if d < -n:  # regime 1: entirely next symbol
-        return tap(samples(m + 1), t - d - n - ncp)
-    if d < 0:  # regime 2: current + next
-        split = n + d
-        cur = tap(samples(m), t[:split] - d)
-        nxt = tap(samples(m + 1), t[split:] - split - ncp)
-        return np.concatenate([cur, nxt])
-    if d < ncp:  # regime 3: cyclic shift of current symbol
-        return tap(samples(m), t - d)
-    # regime 4: previous + current
-    split = d - ncp
-    prev = tap(samples(m - 1), t[:split] + n + ncp - d)
-    cur = tap(samples(m), t[split:] - d)
-    return np.concatenate([prev, cur])
+    d = _sample_offset(config, d)
+    return np.concatenate([modulate_symbol(config, stream, m + s)[piece]
+                           for s, piece in _window_pieces(config, d)])
 
 
 def demodulate_window(window: np.ndarray) -> np.ndarray:
@@ -176,16 +210,12 @@ def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int
     Returns the full length-n array (index l mod n), for comparison against
     demodulate_window(receive_window(...)).
     """
-    if d != int(d):
-        raise ValueError("integer offsets only")
-    d = int(d)
-    config.check_offset(d)
+    d = _sample_offset(config, d)
     n, ncp = config.n, config.n_cp
     if d >= 0:
         raise ValueError("closed forms implemented for offsets in [-(n+n_cp), 0) only")
     root_e = np.sqrt(stream.energy_per_sample)
     used = config.used_array()
-    ell = np.arange(n)
 
     if d < -n:  # regime 1: phase-rotated copy of symbol m+1
         out = np.zeros(n, dtype=complex)
@@ -199,15 +229,19 @@ def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int
     rot_cur = s_cur * np.exp(-1j * 2 * np.pi * used * d / n)
     rot_nxt = s_nxt * np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
 
-    out = np.zeros(n, dtype=complex)
-    out[used % n] = root_e * ((n + d) / n * rot_cur - d / n * rot_nxt)
-
-    # inter-carrier terms: geometric-sum kernel over k != l
-    j = used[None, :] - ell[:, None]  # (n, used)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kernel = (1.0 - np.exp(1j * 2 * np.pi * j * (n + d) / n)) / (1.0 - np.exp(1j * 2 * np.pi * j / n))
-    kernel = np.where(j % n == 0, 0.0, kernel)
-    out += root_e / n * kernel @ (rot_cur - rot_nxt)
+    # inter-carrier terms: out[l] += (root_e/n) sum_{used k != l} f((k - l) mod n) v[k]
+    # with the geometric-sum kernel f(j) = (1 - e^{j 2 pi j (n+d)/n}) / (1 - e^{j 2 pi j/n})
+    # and f(0) = 0.  This is a length-n circular correlation of v with f, whose
+    # DFT form is n * ifft(fft(v) * ifft(f)).  j (n+d) is reduced mod n first
+    # so the phase stays exact.
+    j = np.arange(1, n)
+    kernel = np.zeros(n, dtype=complex)
+    kernel[1:] = ((1.0 - np.exp(1j * 2 * np.pi * (j * (n + d) % n) / n))
+                  / (1.0 - np.exp(1j * 2 * np.pi * j / n)))
+    v = np.zeros(n, dtype=complex)
+    v[used % n] = rot_cur - rot_nxt
+    out = root_e * np.fft.ifft(np.fft.fft(v) * np.fft.ifft(kernel))
+    out[used % n] += root_e * ((n + d) / n * rot_cur - d / n * rot_nxt)
     return out
 
 
@@ -233,26 +267,31 @@ class PowerProfile:
 
     def sir_db(self, subcarrier: int) -> float:
         """Useful-to-self-interference ratio on one subcarrier, in dB."""
-        i = int(np.nonzero(self.subcarriers == subcarrier)[0][0])
+        hits = np.flatnonzero(self.subcarriers == subcarrier)
+        if hits.size == 0:
+            raise ValueError(f"subcarrier {subcarrier} is not in the profile")
+        i = int(hits[0])
         return 10.0 * np.log10(self.useful[i] / (self.total[i] - self.useful[i]))
 
 
 def _ici_sum(config: OfdmConfig, width: float) -> np.ndarray:
     """sum over used k != l of sin^2(pi*width*(k-l)/n) / sin^2(pi*(k-l)/n), per used l."""
     used = config.used_array()
-    j = used[None, :] - used[:, None]
+    offset = used - used[0]
+    span = offset[-1] + 1
+    # the terms depend only on j = k - l, |j| < span <= n, and are even in j
+    j = np.arange(1 - span, span)
     with np.errstate(invalid="ignore", divide="ignore"):
         terms = np.sin(np.pi * width * j / config.n) ** 2 / np.sin(np.pi * j / config.n) ** 2
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
+    terms[span - 1] = 0.0  # j = 0
+    occupied = np.zeros(span)
+    occupied[offset] = 1.0
+    return np.convolve(occupied, terms, mode="valid")[offset]
 
 
 def analytic_power_profile(config: OfdmConfig, d: int) -> PowerProfile:
     """Expected per-subcarrier powers at offset d, unit channel gain and energy."""
-    if d != int(d):
-        raise ValueError("integer offsets only")
-    d = int(d)
-    config.check_offset(d)
+    d = _sample_offset(config, d)
     n, ncp = config.n, config.n_cp
     used = config.used_array()
     k = len(used)
@@ -284,23 +323,30 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     if alphabet not in ("qpsk", "gaussian"):
         raise ValueError(f"unknown alphabet {alphabet!r}")
-    gen = qpsk_stream if alphabet == "qpsk" else gaussian_stream
+    d = _sample_offset(config, d)
+    draw = _qpsk_symbols if alphabet == "qpsk" else _gaussian_symbols
+    pieces = _window_pieces(config, d)
+    read = [1 + s for s, _ in pieces]  # rows of the drawn symbols m-1, m, m+1
     used_mod = config.used_array() % config.n
     k = len(config.used)
     total_sum = np.zeros(k)
     total_sq = np.zeros(k)
     cross = np.zeros(k, dtype=complex)
-    m = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        stream = gen(config, (m - 1, m, m + 1), rng)
-        y = demodulate_window(receive_window(config, stream, d, m))[used_mod]
+    for first in range(0, trials, _TRIAL_BLOCK):
+        block = range(first, min(first + _TRIAL_BLOCK, trials))
+        syms = np.stack([draw(np.random.default_rng([seed, t]), (3, k)) for t in block])
+        grid = np.zeros((len(block), len(pieces), config.n), dtype=complex)
+        grid[..., used_mod] = syms[:, read]
+        samples = _with_prefix(config, grid)
+        window = np.concatenate([samples[:, i, piece] for i, (_, piece) in enumerate(pieces)],
+                                axis=-1)
+        y = np.fft.fft(window, axis=-1)[:, used_mod]
         p = np.abs(y) ** 2
-        total_sum += p
-        total_sq += p ** 2
-        cross += y * np.conj(stream.get(m))
+        total_sum += p.sum(axis=0)
+        total_sq += (p ** 2).sum(axis=0)
+        cross += (y * np.conj(syms[:, 1])).sum(axis=0)
     total = total_sum / trials
     var = np.maximum(total_sq / trials - total ** 2, 0.0)
     stderr = np.sqrt(var / trials)
     useful = np.abs(cross / trials) ** 2
-    return PowerProfile(int(d), config.used_array(), useful, total, stderr)
+    return PowerProfile(d, config.used_array(), useful, total, stderr)

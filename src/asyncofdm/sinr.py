@@ -52,12 +52,15 @@ class NetworkParams:
     threshold: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.density, self.alpha, self.threshold))):
+            raise ValueError(f"density, alpha and threshold must be finite, got "
+                             f"{self.density}, {self.alpha}, {self.threshold}")
         if self.density <= 0:
             raise ValueError("density must be positive")
         if self.alpha <= 2:
             raise ValueError("alpha must exceed 2 for the interference to converge")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
+        if not self.snr > 0:  # also rejects NaN; inf is the interference-limited regime
+            raise ValueError(f"snr must be positive, got {self.snr}")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
 

@@ -81,6 +81,8 @@ def delta(offset: float, half_width: float) -> TimingModel:
 
 
 def truncated_gaussian(sigma: float, half_width: float, mean: float = 0.0) -> TimingModel:
+    if not (np.isfinite(sigma) and np.isfinite(mean)):
+        raise ValueError(f"sigma and mean must be finite, got sigma={sigma}, mean={mean}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return TimingModel("truncated_gaussian", half_width, mean=mean, sigma=sigma)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyncofdm.link import (
     OfdmConfig,
@@ -14,12 +17,95 @@ from asyncofdm.link import (
     receive_window,
     used_outputs,
 )
+from asyncofdm.link import _ici_sum
 from asyncofdm.sinr import cp_weight
 
 
 def _stream(cfg, seed, indices=(-1, 0, 1), energy=1.0, kind="qpsk"):
     gen = qpsk_stream if kind == "qpsk" else gaussian_stream
     return gen(cfg, indices, np.random.default_rng(seed), energy)
+
+
+# Reference implementations: the direct forms that the library's circular
+# correlation, difference-table convolution and trial batching replace.
+
+def _reference_stream(config, symbol_indices, rng, alphabet="qpsk"):
+    k = len(config.used)
+    syms = {}
+    for m in symbol_indices:
+        if alphabet == "qpsk":
+            syms[m] = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, size=k)))
+        else:
+            syms[m] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
+    return SymbolStream(config.used, syms)
+
+
+def _reference_receive_window(config, stream, d, m):
+    """Regime by regime, with explicit time-sample indices."""
+    n, ncp = config.n, config.n_cp
+
+    def tap(mm, t):
+        return modulate_symbol(config, stream, mm)[t + ncp]  # index 0 is sample -ncp
+
+    t = np.arange(n)
+    if d < -n:
+        return tap(m + 1, t - d - n - ncp)
+    if d < 0:
+        split = n + d
+        return np.concatenate([tap(m, t[:split] - d), tap(m + 1, t[split:] - split - ncp)])
+    if d < ncp:
+        return tap(m, t - d)
+    split = d - ncp
+    return np.concatenate([tap(m - 1, t[:split] + n + ncp - d), tap(m, t[split:] - d)])
+
+
+def _reference_closed_form(config, stream, d, m):
+    """Regime-2 closed form with the dense (n, used) geometric-sum kernel."""
+    n, ncp = config.n, config.n_cp
+    root_e = np.sqrt(stream.energy_per_sample)
+    used = config.used_array()
+    ell = np.arange(n)
+    rot_cur = stream.get(m) * np.exp(-1j * 2 * np.pi * used * d / n)
+    rot_nxt = stream.get(m + 1) * np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
+    out = np.zeros(n, dtype=complex)
+    out[used % n] = root_e * ((n + d) / n * rot_cur - d / n * rot_nxt)
+    j = used[None, :] - ell[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kernel = ((1.0 - np.exp(1j * 2 * np.pi * j * (n + d) / n))
+                  / (1.0 - np.exp(1j * 2 * np.pi * j / n)))
+    kernel = np.where(j % n == 0, 0.0, kernel)
+    return out + root_e / n * kernel @ (rot_cur - rot_nxt)
+
+
+def _reference_ici_sum(config, width):
+    """The same sum from the full (used, used) matrix of sine ratios."""
+    used = config.used_array()
+    j = used[None, :] - used[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.sin(np.pi * width * j / config.n) ** 2 / np.sin(np.pi * j / config.n) ** 2
+    np.fill_diagonal(terms, 0.0)
+    return terms.sum(axis=1)
+
+
+def _reference_empirical(config, d, trials, seed, alphabet):
+    """One seeded stream, window and DFT per trial; returns useful, total, stderr."""
+    used_mod = config.used_array() % config.n
+    k = len(config.used)
+    total_sum, total_sq, cross = np.zeros(k), np.zeros(k), np.zeros(k, dtype=complex)
+    for t in range(trials):
+        stream = _reference_stream(config, (-1, 0, 1), np.random.default_rng([seed, t]), alphabet)
+        y = np.fft.fft(_reference_receive_window(config, stream, d, 0))[used_mod]
+        p = np.abs(y) ** 2
+        total_sum += p
+        total_sq += p ** 2
+        cross += y * np.conj(stream.get(0))
+    total = total_sum / trials
+    stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
+    return np.abs(cross / trials) ** 2, total, stderr
+
+
+def _rel_to_max(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------- config type
@@ -36,6 +122,13 @@ def test_config_validation():
     c = OfdmConfig(64, 8, (3, -1, 0))
     assert c.used == (-1, 0, 3)  # sorted
     assert c.domain_half_width == 72
+    for bad in ((64.5, 8, (0,)), (64, 8.5, (0,)), (64, 8, (0.5,)), (math.nan, 8, (0,)),
+                (64, math.inf, (0,)), (64, 8, (math.nan,)), ("64", 8, (0,))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OfdmConfig(*bad)
+    c = OfdmConfig(64.0, np.int64(8), (np.int64(3), 1.0))
+    assert (c.n, c.n_cp, c.used) == (64, 8, (1, 3))
+    assert all(type(x) is int for x in (c.n, c.n_cp, *c.used))
 
 
 # ------------------------------------------------------------------ modulator
@@ -89,6 +182,14 @@ def test_window_fully_early_is_next_symbol(cfg):
     assert np.array_equal(window, modulate_symbol(cfg, stream, 1)[cfg.n_cp:])
 
 
+def test_window_matches_reference_at_every_offset(small_cfg):
+    stream = _stream(small_cfg, 4)
+    w = small_cfg.domain_half_width
+    for d in range(-w, w):
+        assert np.array_equal(receive_window(small_cfg, stream, d, 0),
+                              _reference_receive_window(small_cfg, stream, d, 0))
+
+
 def test_window_offset_domain_checked(cfg):
     stream = _stream(cfg, 5)
     for d in (-(cfg.n + cfg.n_cp) - 1, cfg.n + cfg.n_cp):
@@ -140,6 +241,27 @@ def test_closed_form_matches_dft(cfg, d):
     assert np.max(np.abs(direct[used] - closed[used])) / scale < 1e-11
 
 
+@pytest.mark.parametrize("d", [-1024, -1023, -700, -300, -6, -1])
+def test_closed_form_matches_dense_kernel(cfg, d):
+    stream = _stream(cfg, 8, kind="gaussian", energy=2.5)
+    closed = closed_form_outputs(cfg, stream, d, 0)
+    assert _rel_to_max(closed, _reference_closed_form(cfg, stream, d, 0)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_form_matches_dft_property(data):
+    n = data.draw(st.integers(4, 96), label="n")
+    n_cp = data.draw(st.integers(1, n - 1), label="n_cp")
+    used = data.draw(st.sets(st.integers(-(n // 2), n // 2 - 1), min_size=1), label="used")
+    config = OfdmConfig(n, n_cp, tuple(used))
+    d = data.draw(st.integers(-(n + n_cp), -1), label="d")
+    stream = _stream(config, data.draw(st.integers(0, 2 ** 32), label="seed"), kind="gaussian")
+    direct = used_outputs(config, demodulate_window(receive_window(config, stream, d, 0)))
+    closed = used_outputs(config, closed_form_outputs(config, stream, d, 0))
+    assert _rel_to_max(closed, direct) <= 1e-11
+
+
 def test_closed_form_restricted_to_early_offsets(cfg):
     stream = _stream(cfg, 8)
     with pytest.raises(ValueError):
@@ -174,10 +296,53 @@ def test_analytic_central_useful_small_offset(cfg):
     assert prof.useful[i] == pytest.approx((1018 / 1024) ** 2, abs=1e-15)
 
 
+def test_sir_db_unknown_subcarrier(cfg):
+    with pytest.raises(ValueError, match="subcarrier 400"):
+        analytic_power_profile(cfg, 78).sir_db(400)
+
+
 def test_late_window_sir_limited(cfg):
     prof = analytic_power_profile(cfg, cfg.n_cp + 6)
     i = int(np.nonzero(prof.subcarriers == 0)[0][0])
     assert prof.useful[i] / (prof.total[i] - prof.useful[i]) < 100.0  # < 20 dB
+
+
+@pytest.mark.parametrize("config", [
+    OfdmConfig.centered(1024, 72, -300, 299),
+    OfdmConfig.centered(64, 8, -24, 23),
+    OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)),
+])
+def test_ici_sum_matches_pairwise_matrix(config):
+    for width in (1, 5, config.n // 3, config.n - 1, 17.5):
+        ref = _reference_ici_sum(config, width)
+        assert np.max(np.abs(_ici_sum(config, width) - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+def test_streams_unchanged(cfg, small_cfg, alphabet):
+    gen = qpsk_stream if alphabet == "qpsk" else gaussian_stream
+    for config in (cfg, small_cfg):
+        for seed in range(3):
+            new = gen(config, (-1, 0, 1), np.random.default_rng(seed))
+            ref = _reference_stream(config, (-1, 0, 1), np.random.default_rng(seed), alphabet)
+            for m in (-1, 0, 1):
+                assert np.array_equal(new.get(m), ref.get(m))
+
+
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+@pytest.mark.parametrize("d", [-1090, -300, 40, 200])  # regimes 1, 2, 3, 4
+@pytest.mark.parametrize("trials", [1, 130])
+def test_empirical_profile_matches_per_trial_loop(cfg, alphabet, d, trials):
+    prof = empirical_power_profile(cfg, d, trials=trials, seed=3, alphabet=alphabet)
+    useful, total, stderr = _reference_empirical(cfg, d, trials, 3, alphabet)
+    # relative to each array's max: regime-1 useful power is noise around 0
+    assert _rel_to_max(prof.useful, useful) <= 1e-12
+    assert _rel_to_max(prof.total, total) <= 1e-12
+    # the variance is a difference of terms of size total^2, and QPSK without
+    # interference makes it exactly 0 up to that cancellation, so compare it on
+    # the scale of those terms rather than its own
+    var_diff = trials * np.abs(prof.stderr_total ** 2 - stderr ** 2)
+    assert np.max(var_diff) <= 1e-12 * np.max(total) ** 2
 
 
 def test_empirical_profile_aligned(cfg):

@@ -32,6 +32,16 @@ def test_params_validation():
         NetworkParams(1.0, 4.0, 1.0, 0.0)
 
 
+def test_params_reject_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 4.0, 1.0, 1.0), (1.0, bad, 1.0, 1.0), (1.0, 4.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                NetworkParams(*args)
+    with pytest.raises(ValueError):
+        NetworkParams(1e-4, 3.8, math.nan, 1.0)
+    assert math.isinf(NetworkParams(1e-4, 3.8, math.inf, 1.0).snr)
+
+
 def test_power_budget_snr():
     # 23 dBm minus (-174 + 70 + 9) dBm noise floor = 118 dB
     p = budget_params(1 / 400 ** 2, 3.8, -12.0)

@@ -25,6 +25,14 @@ def test_delta_offset_domain():
     delta(-W, W)  # left edge is inside
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_truncated_gaussian_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        truncated_gaussian(bad, W)
+    with pytest.raises(ValueError, match="finite"):
+        truncated_gaussian(0.2 * 1024, W, mean=bad)
+
+
 def test_truncated_gaussian_symmetry():
     m = truncated_gaussian(0.2 * 1024, W)
     assert abs(m.cdf(0.0) - 0.5) < 1e-12
