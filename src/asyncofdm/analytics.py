@@ -20,7 +20,7 @@ import numpy as np
 
 from .link import OfdmConfig
 from .quadrature import integrate, integrate_halfline, sinc
-from .sinr import NetworkParams, cp_weight_clipped, hypothesis_weight
+from .sinr import NetworkParams, _check_hypotheses, cp_weight_clipped, hypothesis_weight
 from .timing import TimingModel
 
 __all__ = [
@@ -190,10 +190,8 @@ def mean_decodable_with_hypotheses(params: NetworkParams, timing: TimingModel,
                                    config: OfdmConfig, hypotheses,
                                    rtol: float = DEFAULT_RTOL) -> float:
     """Mean decodable count when the receiver tries several timing hypotheses."""
-    hypotheses = tuple(hypotheses)
-    if not hypotheses:
-        raise ValueError("hypothesis set must be non-empty")
-    return _expect_over_timing(config, params, timing, rtol, hypotheses=hypotheses)
+    return _expect_over_timing(config, params, timing, rtol,
+                               hypotheses=_check_hypotheses(hypotheses))
 
 
 def mean_decodable_interference_limited(params: NetworkParams, timing: TimingModel,

@@ -59,7 +59,7 @@ class RunConfig:
     ofdm: OfdmConfig
     network: dict  # validated raw network section
     timing: dict  # validated raw timing section
-    threshold_db: float | None
+    threshold_db: float
     sweep_db: tuple[float, float, float] | None
     sim: SimSpec
     hypotheses: tuple[float, ...] | None
@@ -100,6 +100,22 @@ class RunConfig:
             n = int(round((hi - lo) / step))
             return [lo + i * step for i in range(n + 1)]
         return [self.threshold_db]
+
+
+def _sweep(lo, hi, step, where: str) -> tuple[float, float, float]:
+    """A threshold sweep (lo, hi, step) in dB whose step divides hi - lo."""
+    try:
+        lo, hi, step = float(lo), float(hi), float(step)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} expects numbers, got {lo!r}:{hi!r}:{step!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"{where} values must be finite, got {lo}:{hi}:{step}")
+    if not (lo < hi and step > 0):
+        raise ConfigError(f"{where} needs LO < HI and STEP > 0, got {lo}:{hi}:{step}")
+    steps = (hi - lo) / step
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * round(steps)):
+        raise ConfigError(f"{where}: step {step} does not divide the range {lo}..{hi}")
+    return lo, hi, step
 
 
 def _check_keys(section: str, data: dict, allowed: set) -> None:
@@ -157,6 +173,8 @@ def load_config(path: str | None) -> RunConfig:
 
     det = merged["detection"]
     threshold_db = det.get("threshold_db")
+    if threshold_db is None:  # an explicit null means the default
+        threshold_db = DEFAULTS["detection"]["threshold_db"]
     sweep_db = None
     if "sweep" in det:
         sweep = det["sweep"]
@@ -164,9 +182,7 @@ def load_config(path: str | None) -> RunConfig:
         missing = _SWEEP_KEYS - set(sweep)
         if missing:
             raise ConfigError(f"detection.sweep missing {sorted(missing)}")
-        if sweep["step_db"] <= 0 or sweep["hi_db"] <= sweep["lo_db"]:
-            raise ConfigError("detection.sweep needs lo_db < hi_db and step_db > 0")
-        sweep_db = (float(sweep["lo_db"]), float(sweep["hi_db"]), float(sweep["step_db"]))
+        sweep_db = _sweep(sweep["lo_db"], sweep["hi_db"], sweep["step_db"], "detection.sweep")
 
     sim = merged["sim"]
     spec = SimSpec(int(sim["trials"]), int(sim["seed"]), int(sim["expected_points"]))
@@ -190,11 +206,10 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         cfg.sim = SimSpec(args.trials, cfg.sim.master_seed, cfg.sim.expected_points,
                           cfg.sim.window_radius)
     if getattr(args, "sweep", None) is not None:
-        try:
-            lo, hi, step = (float(x) for x in args.sweep.split(":"))
-        except ValueError:
+        parts = args.sweep.split(":")
+        if len(parts) != 3:
             raise ConfigError("--sweep expects LO:HI:STEP in dB")
-        cfg.sweep_db = (lo, hi, step)
+        cfg.sweep_db = _sweep(*parts, "--sweep")
     if getattr(args, "hypotheses", None) is not None:
         try:
             n1, n2, delta = args.hypotheses.split(",")
@@ -237,6 +252,7 @@ def cmd_nearest(cfg: RunConfig, args) -> int:
 
 
 def _sweep_command(cfg, args, analytic_fn, mc_fn) -> int:
+    grid = cfg.sweep_grid()
     fh, w = _writer(args.out)
     header = ["threshold_db", "sigma_over_n", "analytic_value"]
     if args.with_mc:
@@ -245,19 +261,21 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> int:
     with fh:
         for sigma in _sigmas(cfg, args):
             tm = cfg.timing_model(sigma)
-            for t_db in cfg.sweep_grid():
+            if args.with_mc:
+                results = simulation.run_trials(cfg.params(min(grid)), tm, cfg.ofdm, cfg.sim,
+                                                workers=args.workers)
+            for t_db in grid:
                 params = cfg.params(t_db)
                 row = [_fmt(t_db), _fmt(sigma), _fmt(analytic_fn(params, tm, cfg.ofdm))]
                 if args.with_mc:
-                    est = mc_fn(params, tm, cfg.ofdm, cfg.sim, workers=args.workers)
+                    est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results.at(params.threshold))
                     row += [_fmt(est.mean), _fmt(est.ci_half_width)]
                 w.writerow(row)
     return 0
 
 
 def cmd_dist(cfg: RunConfig, args) -> int:
-    t_db = cfg.threshold_db if cfg.threshold_db is not None else DEFAULTS["detection"]["threshold_db"]
-    params = cfg.params(t_db)
+    params = cfg.params(cfg.threshold_db)
     tm = cfg.timing_model()
     bound = analytics.upsilon_upper_distribution(params, tm, cfg.ofdm)
     emp = simulation.estimate_distribution(params, tm, cfg.ofdm, cfg.sim,
@@ -317,8 +335,7 @@ def cmd_hypotheses(cfg: RunConfig, args) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    t_db = cfg.threshold_db if cfg.threshold_db is not None else DEFAULTS["detection"]["threshold_db"]
-    params = cfg.params(t_db)
+    params = cfg.params(cfg.threshold_db)
     results = simulation.run_trials(params, cfg.timing_model(), cfg.ofdm, cfg.sim,
                                     workers=args.workers)
     results.to_csv(args.out)
@@ -333,15 +350,17 @@ def cmd_validate(cfg: RunConfig, args) -> int:
                           analytics.mean_decodable, simulation.estimate_mean_decodable))
     scenarios.append(("nearest sigma=0.2N", 0.2,
                       analytics.nearest_decoding_prob, simulation.estimate_nearest_prob))
-    t_db = cfg.threshold_db if cfg.threshold_db is not None else DEFAULTS["detection"]["threshold_db"]
-    params = cfg.params(t_db)
+    params = cfg.params(cfg.threshold_db)
 
     rows = []
     failed = False
+    runs = {sigma: simulation.run_trials(params, cfg.timing_model(sigma), cfg.ofdm, cfg.sim,
+                                         workers=args.workers)
+            for sigma in dict.fromkeys(s for _, s, _, _ in scenarios)}  # one run per sigma
     for name, sigma, analytic_fn, mc_fn in scenarios:
         tm = cfg.timing_model(sigma)
         analytic = analytic_fn(params, tm, cfg.ofdm)
-        est = mc_fn(params, tm, cfg.ofdm, cfg.sim, workers=args.workers)
+        est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=runs[sigma])
         slack = max(est.ci_half_width, 0.02 * abs(analytic))
         ok = abs(est.mean - analytic) <= slack
         failed |= not ok

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import OfdmConfig
+from .link import OfdmConfig, _integer
 from .sinr import NetworkParams, NetworkSnapshot, snapshot_sinr_all
 from .timing import TimingModel
 
@@ -44,12 +44,16 @@ class SimSpec:
     window_radius: float | None = None
 
     def __post_init__(self):
+        for name in ("trials", "master_seed", "expected_points"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if self.window_radius is None and self.expected_points < 100:
             raise ValueError("expected_points < 100 makes window edge effects significant")
-        if self.window_radius is not None and self.window_radius <= 0:
-            raise ValueError("window_radius must be positive")
+        if self.window_radius is not None and not 0 < self.window_radius < math.inf:
+            raise ValueError(f"window_radius must be finite and positive, not {self.window_radius}")
 
     def radius(self, density: float) -> float:
         if self.window_radius is not None:
@@ -83,23 +87,15 @@ def count_decodable(snapshot: NetworkSnapshot, threshold: float, config: OfdmCon
     return int(np.count_nonzero(snapshot_sinr_all(snapshot, config) >= threshold))
 
 
-def _nearest_sinr(snapshot: NetworkSnapshot, config: OfdmConfig) -> float:
-    """SINR of the minimum-distance transmitter; nan for an empty snapshot."""
-    if len(snapshot) == 0:
-        return math.nan
-    i = int(np.argmin(snapshot.distances))
-    return float(snapshot_sinr_all(snapshot, config)[i])
-
-
 def _trial_chunk(args):
     params, timing, config, spec, start, stop = args
-    counts = np.empty(stop - start, dtype=np.int64)
-    near = np.empty(stop - start, dtype=float)
-    for i, t in enumerate(range(start, stop)):
+    near, kept = [], []  # per trial: the nearest SINR, and the SINRs that clear the threshold
+    for t in range(start, stop):
         snap = sample_snapshot(params, timing, spec, t)
-        counts[i] = count_decodable(snap, params.threshold, config)
-        near[i] = _nearest_sinr(snap, config)
-    return start, counts, near
+        s = snapshot_sinr_all(snap, config)
+        kept.append(s[s >= params.threshold])
+        near.append(s[np.argmin(snap.distances)] if len(snap) else math.nan)
+    return np.fromiter(map(len, kept), np.int64, len(kept)), np.array(near), np.concatenate(kept)
 
 
 @dataclass
@@ -109,10 +105,20 @@ class TrialResults:
     counts: np.ndarray
     nearest_sinr: np.ndarray
     threshold: float
+    sinr: np.ndarray  # the SINRs that clear threshold, trial t contributing counts[t]
 
     @property
     def trials(self) -> int:
         return len(self.counts)
+
+    def at(self, threshold: float) -> "TrialResults":
+        """The results these trials give at a threshold at or above their own."""
+        if not threshold >= self.threshold:
+            raise ValueError(f"threshold {threshold} is below the simulated {self.threshold}")
+        keep = self.sinr >= threshold
+        trial = np.repeat(np.arange(self.trials), self.counts)
+        counts = np.bincount(trial[keep], minlength=self.trials)
+        return TrialResults(counts, self.nearest_sinr, threshold, self.sinr[keep])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -126,19 +132,16 @@ class TrialResults:
 def run_trials(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                spec: SimSpec, workers: int = 1) -> TrialResults:
     """Run all trials, optionally across processes; output independent of workers."""
-    counts = np.empty(spec.trials, dtype=np.int64)
-    near = np.empty(spec.trials, dtype=float)
-    if workers <= 1:
-        _, counts[:], near[:] = _trial_chunk((params, timing, config, spec, 0, spec.trials))
+    bounds = np.linspace(0, spec.trials, max(workers, 1) + 1, dtype=int)
+    jobs = [(params, timing, config, spec, int(a), int(b))
+            for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if len(jobs) == 1:
+        chunks = [_trial_chunk(jobs[0])]
     else:
-        bounds = np.linspace(0, spec.trials, workers + 1, dtype=int)
-        jobs = [(params, timing, config, spec, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start, c, s in pool.map(_trial_chunk, jobs):
-                counts[start:start + len(c)] = c
-                near[start:start + len(s)] = s
-    return TrialResults(counts, near, params.threshold)
+            chunks = list(pool.map(_trial_chunk, jobs))
+    counts, near, sinr = (np.concatenate(parts) for parts in zip(*chunks))
+    return TrialResults(counts, near, params.threshold, sinr)
 
 
 def _mean_ci(x: np.ndarray) -> Estimate:

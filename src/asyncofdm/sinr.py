@@ -86,27 +86,29 @@ class NetworkParams:
         return NetworkParams(self.density, self.alpha, math.inf, self.threshold)
 
 
+def _check_offsets(config: OfdmConfig, d) -> np.ndarray:
+    """d as a float array, after checking it lies in [-(n+n_cp), n+n_cp); NaN fails."""
+    d = np.asarray(d, dtype=float)
+    w = config.domain_half_width
+    if not np.all((d >= -w) & (d < w)):
+        raise ValueError(f"timing offset outside [-{w}, {w}) or NaN")
+    return d
+
+
 def cp_weight(config: OfdmConfig, d):
     """Retained useful-energy fraction g(d) on [-(n+n_cp), n+n_cp); real d allowed."""
-    d_arr = np.asarray(d, dtype=float)
-    w = config.domain_half_width
-    if np.any(d_arr < -w) or np.any(d_arr >= w):
-        raise ValueError(f"timing offset outside [-{w}, {w})")
-    out = cp_weight_clipped(config, d_arr)
+    out = cp_weight_clipped(config, _check_offsets(config, d))
     return out if out.ndim else float(out)
 
 
 def cp_weight_clipped(config: OfdmConfig, d):
-    """g(d) extended by zero outside its domain (used for shifted hypotheses)."""
+    """g(d) extended by zero outside its domain (used for shifted hypotheses).
+
+    ±inf maps to 0; NaN gives NaN, so callers check their offsets first.
+    """
     d = np.asarray(d, dtype=float)
     n, ncp = config.n, config.n_cp
-    out = np.zeros_like(d)
-    rising = (d >= -n) & (d < 0)
-    out = np.where(rising, ((n + d) / n) ** 2, out)
-    out = np.where((d >= 0) & (d < ncp), 1.0, out)
-    falling = (d >= ncp) & (d < n + ncp)
-    out = np.where(falling, ((n + ncp - d) / n) ** 2, out)
-    return out
+    return (np.maximum(np.minimum(np.minimum(n + d, n), (n + ncp) - d), 0.0) / n) ** 2
 
 
 def self_interference_factor(config: OfdmConfig, tau: float, threshold: float):
@@ -171,20 +173,25 @@ def snapshot_sinr(snapshot: NetworkSnapshot, i: int, config: OfdmConfig) -> floa
 
 def hypothesis_set(n1: int, n2: int, delta: float) -> tuple[float, ...]:
     """Receiver timing hypotheses -n1*delta, ..., 0, ..., n2*delta."""
-    if n1 < 0 or n2 < 0 or delta <= 0:
-        raise ValueError("need n1, n2 >= 0 and delta > 0")
+    if n1 < 0 or n2 < 0 or not 0 < delta < math.inf:
+        raise ValueError("need n1, n2 >= 0 and finite delta > 0")
     return tuple(k * delta for k in range(-n1, n2 + 1))
+
+
+def _check_hypotheses(hypotheses) -> tuple[float, ...]:
+    """The timing hypotheses as a non-empty tuple of finite offsets."""
+    hypotheses = tuple(hypotheses)
+    if not hypotheses:
+        raise ValueError("hypothesis set must be non-empty")
+    if not all(map(math.isfinite, hypotheses)):
+        raise ValueError(f"timing hypotheses must be finite, got {hypotheses}")
+    return hypotheses
 
 
 def hypothesis_weight(config: OfdmConfig, hypotheses, x):
     """Best retained-energy fraction over the timing hypotheses: max_t g(x - t)."""
-    hypotheses = tuple(hypotheses)
-    if not hypotheses:
-        raise ValueError("hypothesis set must be non-empty")
-    x_arr = np.asarray(x, dtype=float)
-    w = config.domain_half_width
-    if np.any(x_arr < -w) or np.any(x_arr >= w):
-        raise ValueError(f"timing offset outside [-{w}, {w})")
+    hypotheses = _check_hypotheses(hypotheses)
+    x_arr = _check_offsets(config, x)
     out = np.zeros_like(x_arr)
     for t in hypotheses:
         out = np.maximum(out, cp_weight_clipped(config, x_arr - t))

@@ -238,6 +238,9 @@ def test_hypotheses_identity_and_monotonicity(cfg):
     assert vals[0] <= vals[1] <= vals[2]
     with pytest.raises(ValueError):
         mean_decodable_with_hypotheses(params, timing, cfg, ())
+    for bad in ((0.0, math.nan), (0.0, math.inf)):  # g of a NaN shift is NaN, not 0
+        with pytest.raises(ValueError, match="finite"):
+            mean_decodable_with_hypotheses(params, timing, cfg, bad)
 
 
 # ------------------------------------------------------------ Laplace transform

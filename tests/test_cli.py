@@ -72,6 +72,48 @@ def test_sweep_validation(tmp_path):
         load_config(_write(tmp_path, "detection:\n  sweep: {lo_db: -4, hi_db: 0}\n"))
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ("-15:10:0", "STEP > 0"),
+    ("-15:10:-1", "STEP > 0"),
+    ("10:-15:1", "LO < HI"),
+    ("-4:-4:1", "LO < HI"),
+    ("nan:10:1", "finite"),
+    ("-15:inf:1", "finite"),
+    ("-15:10:0.7", "does not divide"),
+    ("-15:10:30", "does not divide"),
+    ("-15:10", "LO:HI:STEP"),
+    ("a:10:1", "numbers"),
+])
+def test_sweep_flag_rejected_at_boundary(tmp_path, capsys, sweep, message):
+    out = tmp_path / "out.csv"
+    assert main(["mean-decodable", f"--sweep={sweep}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sweep") and message in err
+    assert not out.exists()
+
+
+def test_sweep_config_rejected_at_boundary(tmp_path):
+    for lo, hi, step in (("-15", "10", "0.7"), (".nan", "0", "1"), ("0", "4", "0"),
+                         ("-4", "0", "'x'")):
+        text = f"detection:\n  sweep: {{lo_db: {lo}, hi_db: {hi}, step_db: {step}}}\n"
+        with pytest.raises(ConfigError, match="detection.sweep"):
+            load_config(_write(tmp_path, text))
+
+
+def test_sweep_steps_within_rounding_accepted(tmp_path):
+    out = str(tmp_path / "out.csv")
+    assert main(["mean-decodable", "--sweep=-1.2:0:0.1", "--out", out]) == 0
+    assert len(_rows(out)) == 1 + 13
+    cfg = load_config(_write(tmp_path, "detection:\n  sweep: {lo_db: 0, hi_db: 1, step_db: 0.1}\n"))
+    assert len(cfg.sweep_grid()) == 11
+
+
+def test_threshold_default_resolved_in_load_config(tmp_path):
+    cfg = load_config(_write(tmp_path, "detection:\n  threshold_db: null\n"))
+    assert cfg.threshold_db == -12.0
+    assert load_config(_write(tmp_path, "detection:\n  threshold_db: -3\n")).threshold_db == -3
+
+
 def test_timing_section_validation(tmp_path):
     with pytest.raises(ConfigError, match="timing.kind"):
         load_config(_write(tmp_path, "timing:\n  kind: gaussian\n"))

@@ -1,9 +1,13 @@
+import contextlib
+import csv
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from asyncofdm import analytics, simulation, timing as tm
+from asyncofdm import analytics, cli, simulation, timing as tm
 from asyncofdm.simulation import (
     Estimate,
     SimSpec,
@@ -15,7 +19,7 @@ from asyncofdm.simulation import (
     run_trials,
     sample_snapshot,
 )
-from asyncofdm.sinr import NetworkParams, NetworkSnapshot
+from asyncofdm.sinr import NetworkParams, NetworkSnapshot, db_to_linear
 from tests.conftest import budget_params
 
 
@@ -37,6 +41,23 @@ def test_spec_validation():
     assert SimSpec(10, 1, expected_points=400).radius(1e-4) == pytest.approx(
         math.sqrt(400 / (math.pi * 1e-4)))
     assert SimSpec(10, 1, window_radius=123.0).radius(1e-4) == 123.0
+
+
+def test_spec_rejects_non_finite_and_non_integral():
+    for kwargs in (dict(window_radius=math.nan), dict(window_radius=math.inf),
+                   dict(expected_points=math.nan), dict(expected_points=2000.5)):
+        with pytest.raises(ValueError):
+            SimSpec(10, 1, **kwargs)
+    for trials, seed in ((2.5, 1), (math.nan, 1), (math.inf, 1), (10, 1.5), (10, math.nan),
+                         (10, -1)):
+        with pytest.raises(ValueError):
+            SimSpec(trials, seed)
+
+
+def test_spec_normalises_integral_values():
+    spec = SimSpec(10.0, np.int64(7), expected_points=np.float64(500.0))
+    assert (spec.trials, spec.master_seed, spec.expected_points) == (10, 7, 500)
+    assert all(type(v) is int for v in (spec.trials, spec.master_seed, spec.expected_points))
 
 
 def test_snapshot_deterministic_per_seed_and_trial(cfg):
@@ -192,3 +213,83 @@ def test_trial_csv_schema(cfg, tmp_path):
     assert len(lines) == 21
     row = lines[1].split(",")
     assert row[0] == "0" and int(row[1]) >= 0
+
+
+# ----------------------------------------------- one pass serves every threshold
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_at_higher_threshold_match_fresh_run(cfg, workers):
+    low = budget_params(1 / 400 ** 2, 3.8, -15.0)
+    spec = SimSpec(40, 11)
+    base = run_trials(low, _tg02(cfg), cfg, spec, workers=workers)
+    ties = np.sort(base.sinr)[[0, len(base.sinr) // 2]]  # thresholds equal to a kept SINR
+    for params in [low.with_threshold_db(t_db) for t_db in (-15.0, -12.0, -6.0, 0.0, 10.0)] + [
+            low.with_threshold(float(t)) for t in ties]:
+        got = base.at(params.threshold)
+        fresh = run_trials(params, _tg02(cfg), cfg, spec, workers=workers)
+        assert got.threshold == fresh.threshold
+        assert np.array_equal(got.counts, fresh.counts)
+        assert got.counts.dtype == fresh.counts.dtype
+        assert np.array_equal(got.nearest_sinr, fresh.nearest_sinr, equal_nan=True)
+        assert np.array_equal(got.sinr, fresh.sinr)
+        for estimate in (estimate_mean_decodable, estimate_nearest_prob):
+            assert (estimate(params, _tg02(cfg), cfg, spec, results=got)
+                    == estimate(params, _tg02(cfg), cfg, spec, results=fresh))
+
+
+def test_results_reject_lower_threshold(cfg):
+    params = budget_params(1 / 400 ** 2, 3.8, -6.0)
+    res = run_trials(params, _tg02(cfg), cfg, SimSpec(5, 2))
+    for bad in (params.threshold * 0.999, db_to_linear(-12.0), math.nan):
+        with pytest.raises(ValueError, match="below"):
+            res.at(bad)
+
+
+def test_results_keep_only_decodable_sinrs(cfg):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    spec = SimSpec(30, 4)
+    res = run_trials(params, _tg02(cfg), cfg, spec)
+    assert len(res.sinr) == res.counts.sum()
+    assert np.all(res.sinr >= params.threshold)
+    first = res.sinr[:res.counts[0]]
+    snap = sample_snapshot(params, _tg02(cfg), spec, 0)
+    s = simulation.snapshot_sinr_all(snap, cfg)
+    assert np.array_equal(first, s[s >= params.threshold])
+
+
+# Digests of the Monte Carlo output, recorded at commit feac520 (before the
+# simulation scored each trial once and served every threshold from one pass).
+# For simulate, the sweeps and dist: sha256 of the Monte Carlo columns, rows
+# joined by newlines and cells by commas; for validate: sha256 of the whole CSV.
+GOLDEN = {
+    "simulate": (["simulate", "--trials", "50", "--seed", "3"],
+                 ("trial", "count", "nearest_sinr_db"),
+                 "b51d0a105ef9a98254505f1acb0234e1c732fa52c921cd5fa76399c1172ba5a4"),
+    "mean-decodable": (["mean-decodable", "--sweep=-15:10:5", "--sigma-over-n", "0,0.2",
+                        "--with-mc", "--trials", "20", "--seed", "3"],
+                       ("threshold_db", "sigma_over_n", "mc_value", "mc_ci_half"),
+                       "dd1a39107faec0c62bd29c06869b45af6a02d2e7cd1a77e3c84e118d48e1f462"),
+    "nearest": (["nearest", "--sweep=-15:10:5", "--sigma-over-n", "0,0.2",
+                 "--with-mc", "--trials", "20", "--seed", "3"],
+                ("threshold_db", "sigma_over_n", "mc_value", "mc_ci_half"),
+                "7648626c81c1677386ee77808a4552c1a0b6429693ea6b9cd4915a7990e7ade2"),
+    "dist": (["dist", "--trials", "50", "--seed", "3"],
+             ("n", "mc_pmf", "mc_ccdf", "mc_ci_half"),
+             "49c58f49b03dc92dc5989f800906e1597c17bbce5780d5f05d89fa5ca0957e0c"),
+    "validate": (["validate", "--trials", "200", "--seed", "3"], None,
+                 "a838d59c52863043a56ac18e26476d2764b6d2dbfacf80a79f68dd37f01b0489"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_monte_carlo_outputs_match_recorded_digests(tmp_path, command):
+    argv, cols, want = GOLDEN[command]
+    out = tmp_path / "out.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    if cols is not None:
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        idx = [rows[0].index(c) for c in cols]
+        data = "\n".join(",".join(r[i] for i in idx) for r in rows).encode()
+    assert hashlib.sha256(data).hexdigest() == want

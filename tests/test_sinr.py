@@ -96,6 +96,47 @@ def test_weight_zero_on_fully_early_range(cfg):
     assert np.all(cp_weight(cfg, x) == 0.0)
 
 
+def _cp_weight_clipped_where(config, d):
+    """The piecewise np.where form of g(d) that the branch-free one replaced."""
+    d = np.asarray(d, dtype=float)
+    n, ncp = config.n, config.n_cp
+    out = np.zeros_like(d)
+    rising = (d >= -n) & (d < 0)
+    out = np.where(rising, ((n + d) / n) ** 2, out)
+    out = np.where((d >= 0) & (d < ncp), 1.0, out)
+    falling = (d >= ncp) & (d < n + ncp)
+    out = np.where(falling, ((n + ncp - d) / n) ** 2, out)
+    return out
+
+
+@pytest.mark.parametrize("n, n_cp", [(1024, 72), (64, 8), (16, 1), (100, 7)])
+def test_weight_clipped_bitwise_equal_to_piecewise_form(n, n_cp):
+    from asyncofdm.link import OfdmConfig
+    c = OfdmConfig.centered(n, n_cp, -(n // 4), n // 4 - 1)
+    w = c.domain_half_width
+    edges = np.array([-w, -n, 0.0, -0.0, n_cp, n + n_cp, w, -3 * w, 3 * w])
+    special = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                              [np.inf, -np.inf, 5e-324, -5e-324]])
+    dense = np.linspace(-3 * w, 3 * w, 200_001)
+    rand = np.random.default_rng(n).uniform(-3 * w, 3 * w, 50_000)
+    for d in (special, dense, rand, np.arange(-3 * w, 3 * w + 1, dtype=float)):
+        got, want = cp_weight_clipped(c, d), _cp_weight_clipped_where(c, d)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for x in special:
+        assert float(cp_weight_clipped(c, x)) == float(_cp_weight_clipped_where(c, x))
+    assert cp_weight_clipped(c, np.array([np.inf, -np.inf])).tolist() == [0.0, 0.0]
+
+
+def test_weight_rejects_nan(cfg):
+    for bad in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            cp_weight(cfg, bad)
+        with pytest.raises(ValueError, match="NaN"):
+            hypothesis_weight(cfg, (0.0, 72.0), bad)
+        with pytest.raises(ValueError, match="finite"):
+            hypothesis_weight(cfg, (0.0, math.nan), 10.0)
+
+
 # ----------------------------------------------------- self-interference factor
 
 def test_factor_inside_cp_equals_threshold(cfg):
@@ -176,6 +217,9 @@ def test_hypothesis_set_layout():
         hypothesis_set(-1, 0, 10.0)
     with pytest.raises(ValueError):
         hypothesis_set(1, 1, 0.0)
+    for bad in (math.nan, math.inf):  # 0 * inf would be a NaN hypothesis
+        with pytest.raises(ValueError, match="finite"):
+            hypothesis_set(1, 1, bad)
 
 
 def test_hypothesis_weight_reductions(cfg):
