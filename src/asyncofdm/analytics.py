@@ -6,21 +6,26 @@ truncated-Poisson dominating distribution of the decodable count, the
 nearest-transmitter decoding probability, system throughput, and the Laplace
 transform of Poisson-field interference used as a simulation cross-check.
 
-The radial integrals over [0, inf) are mapped to [0, 1) and integrated
-adaptively; the timing integrals are split exactly at the roots of
-g(tau) = T/(1+T) and at the branch edges of g.
+Each statistic is an expectation over the timing offset D of a function of
+g(D) on the decodable set g(D) > T/(1+T), computed by `_expect_over_timing`:
+the decodable intervals are split exactly at the roots of g(tau) = T/(1+T) and
+at the branch edges of g, and each piece is integrated through a smoothstep
+map that flattens the integrand at both ends.  The radial integrals reduce to
+I(a) = integral_0^inf exp(-w - a w^{alpha/2}) dw, evaluated by Gauss-Laguerre.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .link import OfdmConfig
-from .quadrature import integrate, integrate_halfline, sinc
-from .sinr import NetworkParams, _check_hypotheses, cp_weight_clipped, hypothesis_weight
+from .quadrature import QuadratureError, integrate, integrate_halfline, sinc
+from .sinr import NetworkParams, _check_hypotheses, hypothesis_weight
 from .timing import TimingModel
 
 __all__ = [
@@ -54,7 +59,7 @@ def _merge(intervals):
     return merged
 
 
-def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=None):
+def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=(0.0,)):
     """Offsets where decoding is possible: {tau : g(tau) > T/(1+T)}, as intervals.
 
     With hypotheses the region is the union of the per-hypothesis shifts,
@@ -65,140 +70,137 @@ def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=None):
     lo = -config.n * (1.0 - s)
     hi = config.n + config.n_cp - config.n * s
     w = config.domain_half_width
-    shifts = (0.0,) if hypotheses is None else tuple(hypotheses)
-    return _merge((max(t + lo, -w), min(t + hi, w)) for t in shifts)
+    return _merge((max(t + lo, -w), min(t + hi, w)) for t in hypotheses)
 
 
-def _weight_breakpoints(config: OfdmConfig, hypotheses):
-    shifts = (0.0,) if hypotheses is None else tuple(hypotheses)
+def _breakpoints(config: OfdmConfig, timing: TimingModel, hypotheses):
+    """Kinks of g under every hypothesis shift, and where the timing density jumps
+    (uniform) or holds its mass (truncated Gaussian: beyond 8 sigma it is below
+    e^-32 of its peak, so a narrow one is not missed between quadrature nodes)."""
     edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
-    return sorted({t + e for t in shifts for e in edges})
+    brks = {t + e for t in hypotheses for e in edges}
+    if timing.kind == "uniform":
+        brks |= {timing.lo, timing.hi}
+    elif timing.kind == "truncated_gaussian":
+        brks |= {timing.mean - 8.0 * timing.sigma, timing.mean + 8.0 * timing.sigma}
+    return sorted(brks)
 
 
-def _weight_fn(config: OfdmConfig, hypotheses):
-    if hypotheses is None:
-        return lambda x: cp_weight_clipped(config, x)
-    return lambda x: hypothesis_weight(config, hypotheses, x)
+def _checked(value, err, rtol: float, what: str):
+    """value, once the summed error estimate err is within rtol * max(|value|, 1e-300)."""
+    worst = float(np.max(err / np.maximum(np.abs(value), 1e-300)))
+    if worst > rtol:
+        raise QuadratureError(f"{what}: error estimate {worst:.3e} of |value| exceeds "
+                              f"rtol = {rtol:g}")
+    return value
 
 
-def rho(x, alpha: float, rtol: float = 1e-10):
-    """rho(x, alpha) = x^{2/alpha} * integral_{x^{-2/alpha}}^inf dv / (1 + v^{alpha/2}).
+_laguerre = functools.lru_cache(maxsize=None)(np.polynomial.laguerre.laggauss)
 
-    Finite Gauss-Legendre part up to a matching point plus an alternating tail
-    series in v^{-alpha/2}; vectorized in x.
+
+def _exp_power_integral(a, p: float, rtol: float) -> np.ndarray:
+    """I(a) = integral_0^inf exp(-w - a w^p) dw for each component of a >= 0.
+
+    A 32/64-node Gauss-Laguerre pair; components where the two disagree by more
+    than rtol fall back to adaptive quadrature.
     """
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2 (integral diverges otherwise)")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr <= 0):
-        raise ValueError("x must be positive")
-    p = alpha / 2.0
-    a = x_arr ** (-2.0 / alpha)
-    b = np.maximum(2.0, 2.0 * a)
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    (x32, w32), (x64, w64) = _laguerre(32), _laguerre(64)
+    coarse = np.exp(-np.outer(a, x32 ** p)) @ w32
+    val = np.exp(-np.outer(a, x64 ** p)) @ w64
+    err = np.abs(val - coarse)
+    slow = ~(err < rtol * val)  # also where both rules underflow to 0 (large a)
+    if np.any(slow):
+        a_slow = a[slow]
+        step = np.minimum(1.0, a_slow ** (-1.0 / p))  # w = step * u decays on u ~ 1
 
-    # tail: int_B^inf dv/(1+v^p) = sum_k (-1)^k B^{1-(k+1)p} / ((k+1)p - 1)
-    tail = np.zeros_like(a)
-    term_scale = 1.0
-    for k in range(200):
-        term = (-1.0) ** k * b ** (1.0 - (k + 1) * p) / ((k + 1) * p - 1.0)
-        tail += term
-        term_scale = float(np.max(np.abs(term)))
-        if term_scale < 1e-16:
-            break
+        def f(u):
+            w = np.outer(u, step)
+            return step * np.exp(-a_slow * w ** p - w)
 
-    def f(t):  # t in [0,1] maps to v in [a, b] per component
-        v = a[None, :] + t[:, None] * (b - a)[None, :]
-        return (b - a)[None, :] / (1.0 + v ** p)
-
-    finite, _ = integrate(f, 0.0, 1.0, rtol=rtol)
-    out = x_arr ** (2.0 / alpha) * (finite + tail)
-    return out if np.ndim(x) else float(out[0])
+        val[slow], err[slow] = integrate_halfline(f, rtol=rtol)
+    return _checked(val, err, rtol, "radial integral")
 
 
-def _radial_integral(h: np.ndarray, params: NetworkParams, rtol: float,
-                     nearest: bool = False) -> np.ndarray:
-    """integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv per component of h.
+def _expect_over_timing(config: OfdmConfig, timing: TimingModel, threshold: float, F,
+                        rtol: float, hypotheses=(0.0,)) -> float:
+    """E_D[ 1{g(D) > T/(1+T)} F(g(D)) ], g the best weight over the hypotheses.
 
-    b(h) is the interference exponent: pi*lam*h^{2/alpha}/sinc(2/alpha) for the
-    decodable-count integrand, pi*lam*(1 + rho(h, alpha)) for the
-    nearest-transmitter one.  Components with h = inf contribute 0.
+    F maps an array of weights, all above T/(1+T), to an array of values.  The
+    decodable intervals are split at the breakpoints into pieces [lo, hi], and
+    piece k is integrated over s in [k, k+1] through the smoothstep
+    tau = lo + (hi - lo) r^2 (3 - 2r), r = s - k.  Its Jacobian
+    6 r (1 - r)(hi - lo) vanishes at both ends, which smooths out the
+    (tau - edge)^{2/alpha} behaviour where g meets T/(1+T).
     """
-    h = np.asarray(h, dtype=float)
-    out = np.zeros_like(h)
-    finite = np.isfinite(h)
-    if not np.any(finite):
-        return out
-    hf = h[finite]
-    alpha, q = params.alpha, params.noise_over_e
-    if nearest:
-        b = np.pi * params.density * (1.0 + rho(hf, alpha))
-    else:
-        b = np.pi * params.density * hf ** (2.0 / alpha) / sinc(2.0 / alpha)
-    if q == 0.0:
-        out[finite] = 1.0 / b
-        return out
-    # rescale w = b v so every component decays like exp(-w)
-    p = alpha / 2.0
-    a = q * hf / b ** p
-
-    def f(w):
-        return np.exp(-a[None, :] * w[:, None] ** p - w[:, None])
-
-    val, _ = integrate_halfline(f, rtol=rtol)
-    out[finite] = np.atleast_1d(val) / b
-    return out
-
-
-def _expect_over_timing(config: OfdmConfig, params: NetworkParams, timing: TimingModel,
-                        rtol: float, hypotheses=None, nearest: bool = False) -> float:
-    """pi*lam * E_D[ I(decodable) * radial_integral(h(D,T)) ], shared by Props 1 and 2."""
-    threshold = params.threshold
     c = threshold / (1.0 + threshold)
-    gfun = _weight_fn(config, hypotheses)
-    intervals = decodable_intervals(config, threshold, hypotheses)
-
     if timing.is_delta:
-        g0 = float(gfun(timing.offset))
-        if g0 <= c:
-            return 0.0
-        h0 = threshold / ((1.0 + threshold) * g0 - threshold)
-        return float(np.pi * params.density
-                     * _radial_integral(np.array([h0]), params, rtol, nearest)[0])
+        g0 = hypothesis_weight(config, hypotheses, timing.offset)
+        return float(F(np.array([g0]))[0]) if g0 > c else 0.0
 
-    brks = _weight_breakpoints(config, hypotheses)
-    total = 0.0
-    for lo, hi in intervals:
-        def f(tau):
-            g = gfun(tau)
-            with np.errstate(divide="ignore", over="ignore"):
-                h = np.where(g > c, threshold / ((1.0 + threshold) * g - threshold), np.inf)
-            return (np.pi * params.density * timing.density(tau)
-                    * _radial_integral(h, params, rtol, nearest))
+    brks = _breakpoints(config, timing, hypotheses)
+    pieces = []
+    for lo, hi in decodable_intervals(config, threshold, hypotheses):
+        pts = [lo] + [b for b in brks if lo < b < hi] + [hi]
+        pieces.extend(zip(pts[:-1], pts[1:]))
+    lo, hi = np.array(pieces).T
+    width = hi - lo
+    # the clip keeps a rounded tau off hi, which may be the open end of the domain
+    top = np.nextafter(hi, lo)
 
-        val, _ = integrate(f, lo, hi, rtol=rtol, breakpoints=[p for p in brks if lo < p < hi])
-        total += float(val)
-    return total
+    def f(s):  # integrate's panels never straddle the integer breakpoints
+        k = np.minimum(s.astype(int), len(pieces) - 1)
+        r = s - k
+        tau = np.minimum(lo[k] + width[k] * r * r * (3.0 - 2.0 * r), top[k])
+        g = hypothesis_weight(config, hypotheses, tau)
+        out = 6.0 * r * (1.0 - r) * width[k] * timing.density(tau)
+        ok = g > c
+        out[ok] *= F(g[ok])
+        out[~ok] = 0.0
+        return out
+
+    val, err = integrate(f, 0.0, float(len(pieces)), rtol=rtol,
+                         breakpoints=range(1, len(pieces)))
+    return float(_checked(val, err, rtol, "timing expectation"))
+
+
+def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
+                rtol: float, hypotheses=(0.0,)) -> float:
+    """pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] (Prop. 1).
+
+    With b(h) = pi*lam*h^{2/alpha}/sinc(2/alpha) and w = b(h) v the radial
+    integral is I(a0)/b(h), where a0 = q (sinc(2/alpha)/(pi*lam))^{alpha/2} does
+    not depend on h: one I per call.
+    """
+    threshold, alpha = params.threshold, params.alpha
+    sc = float(sinc(2.0 / alpha))
+    a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
+    scale = sc * float(_exp_power_integral(a0, alpha / 2.0, rtol)[0])
+
+    def F(g):  # pi*lam * I(a0)/b(h) with 1/h = ((1+T) g - T)/T
+        return scale * (((1.0 + threshold) * g - threshold) / threshold) ** (2.0 / alpha)
+
+    return _expect_over_timing(config, timing, threshold, F, rtol, hypotheses)
 
 
 def mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                    rtol: float = DEFAULT_RTOL) -> float:
     """Mean number of transmitters whose SINR clears the detection threshold."""
-    return _expect_over_timing(config, params, timing, rtol)
+    return _mean_count(params, timing, config, rtol)
 
 
 def mean_decodable_with_hypotheses(params: NetworkParams, timing: TimingModel,
                                    config: OfdmConfig, hypotheses,
                                    rtol: float = DEFAULT_RTOL) -> float:
     """Mean decodable count when the receiver tries several timing hypotheses."""
-    return _expect_over_timing(config, params, timing, rtol,
-                               hypotheses=_check_hypotheses(hypotheses))
+    return _mean_count(params, timing, config, rtol, _check_hypotheses(hypotheses))
 
 
 def mean_decodable_interference_limited(params: NetworkParams, timing: TimingModel,
                                         config: OfdmConfig,
                                         rtol: float = DEFAULT_RTOL) -> float:
     """Mean decodable count with noise sent to zero; independent of density."""
-    return _expect_over_timing(config, params.interference_limited(), timing, rtol)
+    return _mean_count(params.interference_limited(), timing, config, rtol)
 
 
 def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:
@@ -210,82 +212,66 @@ def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:
     return float(sinc(2.0 / alpha) / threshold ** (2.0 / alpha))
 
 
+def rho(x, alpha: float):
+    """rho(x, alpha) = x^{2/alpha} * integral_{x^{-2/alpha}}^inf dv / (1 + v^{alpha/2}).
+
+    Closed form x 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -x) / (alpha/2 - 1); vectorized in x.
+    """
+    if alpha <= 2:
+        raise ValueError("alpha must exceed 2 (integral diverges otherwise)")
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all(x_arr > 0):
+        raise ValueError("x must be positive")
+    d = 2.0 / alpha
+    out = x_arr * hyp2f1(1.0, 1.0 - d, 2.0 - d, -x_arr) / (alpha / 2.0 - 1.0)
+    return out if out.ndim else float(out)
+
+
 def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                           rtol: float = DEFAULT_RTOL) -> float:
-    """Probability that the packet from the nearest transmitter is decodable."""
-    return _expect_over_timing(config, params, timing, rtol, nearest=True)
+    """Probability that the packet from the nearest transmitter is decodable (Prop. 2).
+
+    pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] with
+    b(h) = pi*lam*(1 + rho(h, alpha)); with w = b(h) v the radial integral is
+    I(q h / b(h)^{alpha/2}) / b(h).
+    """
+    threshold, alpha, q = params.threshold, params.alpha, params.noise_over_e
+
+    def F(g):
+        h = threshold / ((1.0 + threshold) * g - threshold)
+        b = np.pi * params.density * (1.0 + rho(h, alpha))
+        return np.pi * params.density * _exp_power_integral(q * h / b ** (alpha / 2.0),
+                                                            alpha / 2.0, rtol) / b
+
+    return _expect_over_timing(config, timing, threshold, F, rtol)
 
 
 def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                  rtol: float = DEFAULT_RTOL) -> float:
     """Intensity of the noise-only-decodable point process dominating the count.
 
-    pi*lam * int_0^inf E_D[ I(decodable) exp(-T v^{alpha/2} / (g(D) SNR)) ] dv.
+    pi*lam * int_0^inf E_D[ I(decodable) exp(-T v^{alpha/2} / (g(D) SNR)) ] dv
+    = pi*lam * Gamma(1 + 2/alpha) * E_D[ I(decodable) (g(D) SNR / T)^{2/alpha} ].
     Diverges in the interference-limited limit, so finite SNR is required.
     """
     if params.noise_over_e == 0.0:
         raise ValueError("the dominating intensity requires finite snr")
-    threshold, q, p = params.threshold, params.noise_over_e, params.alpha / 2.0
-    c = threshold / (1.0 + threshold)
-    intervals = decodable_intervals(config, threshold)
+    threshold, d = params.threshold, 2.0 / params.alpha
+    scale = np.pi * params.density * math.gamma(1.0 + d)
 
-    if timing.is_delta:
-        g0 = float(cp_weight_clipped(config, timing.offset))
-        if g0 <= c:
-            return 0.0
+    def F(g):
+        return scale * (g * params.snr / threshold) ** d
 
-        def f(v):
-            return np.exp(-threshold * q * v ** p / g0)
-
-        val, _ = integrate_halfline(f, rtol=rtol, breakpoints=((g0 / (threshold * q)) ** (1.0 / p),))
-        return float(np.pi * params.density * val)
-
-    # fixed composite Gauss-Legendre for the (smooth) timing expectation at each v
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    brks = _weight_breakpoints(config, None)
-    panels = []
-    for lo, hi in intervals:
-        pts = [lo] + [b for b in brks if lo < b < hi] + [hi]
-        panels.extend(zip(pts[:-1], pts[1:]))
-    taus, tws = [], []
-    for lo, hi in panels:
-        taus.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
-        tws.append(0.5 * (hi - lo) * weights)
-    taus = np.concatenate(taus)
-    tws = np.concatenate(tws)
-    g = cp_weight_clipped(config, taus)
-    mask = g > c
-    coef = tws[mask] * timing.density(taus[mask])
-    ginv = threshold * q / g[mask]
-
-    def f(v):
-        return np.exp(-np.outer(v ** p, ginv)) @ coef
-
-    val, _ = integrate_halfline(f, rtol=rtol, breakpoints=((1.0 / np.min(ginv)) ** (1.0 / p),))
-    return float(np.pi * params.density * val)
+    return _expect_over_timing(config, timing, threshold, F, rtol)
 
 
 def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
                                     config: OfdmConfig, rtol: float = DEFAULT_RTOL) -> float:
-    """Closed form for alpha = 4: (pi^{3/2} lam / 2) sqrt(SNR/T) E_D[I(decodable) sqrt(g(D))]."""
+    """The alpha = 4 case: (pi^{3/2} lam / 2) sqrt(SNR/T) E_D[I(decodable) sqrt(g(D))]."""
     if params.alpha != 4.0:
         raise ValueError("closed form holds for alpha = 4 only")
-    threshold = params.threshold
-    c = threshold / (1.0 + threshold)
-    prefactor = np.pi ** 1.5 * params.density / 2.0 * math.sqrt(params.snr / threshold)
-    if timing.is_delta:
-        g0 = float(cp_weight_clipped(config, timing.offset))
-        return prefactor * math.sqrt(g0) if g0 > c else 0.0
-    total = 0.0
-    brks = _weight_breakpoints(config, None)
-    for lo, hi in decodable_intervals(config, threshold):
-        def f(tau):
-            g = cp_weight_clipped(config, tau)
-            return np.where(g > c, np.sqrt(g), 0.0) * timing.density(tau)
-
-        val, _ = integrate(f, lo, hi, rtol=rtol, breakpoints=[p for p in brks if lo < p < hi])
-        total += float(val)
-    return prefactor * total
+    prefactor = np.pi ** 1.5 * params.density / 2.0 * math.sqrt(params.snr / params.threshold)
+    return prefactor * _expect_over_timing(config, timing, params.threshold, np.sqrt, rtol)
 
 
 @dataclass

@@ -39,13 +39,18 @@ def _panel(f, lo: float, hi: float, order: int):
     return 0.5 * (hi - lo) * (w @ y)
 
 
+# Most panels one call may evaluate.  Bisection alone is bounded only by
+# 2**max_depth panels, which a NaN-valued or non-convergent integrand reaches.
+MAX_PANELS = 10_000
+
+
 def integrate(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
     """Integrate f over [a, b]; returns (value, error_estimate).
 
     f maps an array of abscissae, shape (k,), to values of shape (k,) for scalar
     integrands or (k, m) for m stacked integrands sharing the same panels.
     Panels are split at `breakpoints` first and then bisected wherever the
-    16- and 32-point estimates disagree.
+    16- and 32-point estimates disagree, for at most MAX_PANELS panels.
     """
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
@@ -58,7 +63,12 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
     total = np.zeros_like(np.asarray(rough, dtype=float))
     err = np.zeros_like(total)
     stalled = False
+    evaluated = 0
     while panels:
+        if evaluated == MAX_PANELS:
+            raise QuadratureError(f"quadrature on [{a}, {b}] did not converge within "
+                                  f"{MAX_PANELS} panels")
+        evaluated += 1
         lo, hi, depth = panels.pop()
         coarse = _panel(f, lo, hi, 16)
         fine = _panel(f, lo, hi, 32)

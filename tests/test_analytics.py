@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asyncofdm import analytics, timing as tm
 from asyncofdm.analytics import (
@@ -19,12 +20,128 @@ from asyncofdm.analytics import (
     system_throughput,
     upsilon_upper_distribution,
 )
-from asyncofdm.sinr import NetworkParams, hypothesis_set
+from asyncofdm.link import OfdmConfig
+from asyncofdm.quadrature import QuadratureError, integrate, integrate_halfline, sinc
+from asyncofdm.sinr import NetworkParams, cp_weight_clipped, hypothesis_set, hypothesis_weight
 from tests.conftest import budget_params
 
 
 def _w(cfg):
     return cfg.domain_half_width
+
+
+# Reference implementations: the nested quadratures that the timing-expectation
+# primitive, the closed-form rho and the radial factorizations replace.
+
+def _reference_rho(x, alpha, rtol=1e-10):
+    """Gauss-Legendre part up to a matching point plus an alternating tail series."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    p = alpha / 2.0
+    a = x_arr ** (-2.0 / alpha)
+    b = np.maximum(2.0, 2.0 * a)
+    tail = np.zeros_like(a)
+    for k in range(200):
+        term = (-1.0) ** k * b ** (1.0 - (k + 1) * p) / ((k + 1) * p - 1.0)
+        tail += term
+        if float(np.max(np.abs(term))) < 1e-16:
+            break
+
+    def f(t):
+        v = a[None, :] + t[:, None] * (b - a)[None, :]
+        return (b - a)[None, :] / (1.0 + v ** p)
+
+    finite, _ = integrate(f, 0.0, 1.0, rtol=rtol)
+    out = x_arr ** (2.0 / alpha) * (finite + tail)
+    return out if np.ndim(x) else float(out[0])
+
+
+def _reference_radial(h, params, rtol, nearest=False):
+    """integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv per component, adaptively."""
+    h = np.asarray(h, dtype=float)
+    out = np.zeros_like(h)
+    finite = np.isfinite(h)
+    if not np.any(finite):
+        return out
+    hf = h[finite]
+    alpha, q = params.alpha, params.noise_over_e
+    if nearest:
+        b = np.pi * params.density * (1.0 + _reference_rho(hf, alpha))
+    else:
+        b = np.pi * params.density * hf ** (2.0 / alpha) / sinc(2.0 / alpha)
+    if q == 0.0:
+        out[finite] = 1.0 / b
+        return out
+    p = alpha / 2.0
+    a = q * hf / b ** p
+
+    def f(w):
+        return np.exp(-a[None, :] * w[:, None] ** p - w[:, None])
+
+    val, _ = integrate_halfline(f, rtol=rtol)
+    out[finite] = np.atleast_1d(val) / b
+    return out
+
+
+def _reference_expect(params, timing, config, rtol=analytics.DEFAULT_RTOL,
+                      hypotheses=(0.0,), nearest=False):
+    """pi*lam * E_D[ I(decodable) radial(h(D, T)) ], one adaptive integral per interval."""
+    threshold = params.threshold
+    c = threshold / (1.0 + threshold)
+    if timing.is_delta:
+        g0 = float(hypothesis_weight(config, hypotheses, timing.offset))
+        if g0 <= c:
+            return 0.0
+        h0 = threshold / ((1.0 + threshold) * g0 - threshold)
+        return float(np.pi * params.density
+                     * _reference_radial(np.array([h0]), params, rtol, nearest)[0])
+    edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
+    brks = sorted({t + e for t in hypotheses for e in edges})
+    total = 0.0
+    for lo, hi in decodable_intervals(config, threshold, hypotheses):
+        def f(tau):
+            g = np.zeros_like(tau)
+            for t in hypotheses:
+                g = np.maximum(g, cp_weight_clipped(config, tau - t))
+            with np.errstate(divide="ignore", over="ignore"):
+                h = np.where(g > c, threshold / ((1.0 + threshold) * g - threshold), np.inf)
+            return (np.pi * params.density * timing.density(tau)
+                    * _reference_radial(h, params, rtol, nearest))
+
+        val, _ = integrate(f, lo, hi, rtol=rtol, breakpoints=[p for p in brks if lo < p < hi])
+        total += float(val)
+    return total
+
+
+def _reference_lambda_tilde(params, timing, config, rtol=analytics.DEFAULT_RTOL):
+    """pi*lam * int_0^inf E_D[...] dv with a fixed 48-node rule for the expectation."""
+    threshold, q, p = params.threshold, params.noise_over_e, params.alpha / 2.0
+    c = threshold / (1.0 + threshold)
+    if timing.is_delta:
+        g0 = float(cp_weight_clipped(config, timing.offset))
+        if g0 <= c:
+            return 0.0
+        val, _ = integrate_halfline(lambda v: np.exp(-threshold * q * v ** p / g0), rtol=rtol,
+                                    breakpoints=((g0 / (threshold * q)) ** (1.0 / p),))
+        return float(np.pi * params.density * val)
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
+    taus, tws = [], []
+    for lo, hi in decodable_intervals(config, threshold):
+        pts = [lo] + [b for b in edges if lo < b < hi] + [hi]
+        for a, b in zip(pts[:-1], pts[1:]):
+            taus.append(0.5 * (b - a) * nodes + 0.5 * (b + a))
+            tws.append(0.5 * (b - a) * weights)
+    taus, tws = np.concatenate(taus), np.concatenate(tws)
+    g = cp_weight_clipped(config, taus)
+    mask = g > c
+    coef = tws[mask] * timing.density(taus[mask])
+    ginv = threshold * q / g[mask]
+
+    def f(v):
+        return np.exp(-np.outer(v ** p, ginv)) @ coef
+
+    val, _ = integrate_halfline(f, rtol=rtol, breakpoints=((1.0 / np.min(ginv)) ** (1.0 / p),))
+    return float(np.pi * params.density * val)
 
 
 # -------------------------------------------------------------------- rho
@@ -241,6 +358,194 @@ def test_hypotheses_identity_and_monotonicity(cfg):
     for bad in ((0.0, math.nan), (0.0, math.inf)):  # g of a NaN shift is NaN, not 0
         with pytest.raises(ValueError, match="finite"):
             mean_decodable_with_hypotheses(params, timing, cfg, bad)
+
+
+# ------------------------------------------- against the reference implementations
+
+REF_RTOL = 10 * analytics.DEFAULT_RTOL
+T_DB = (-15.0, -6.0, 0.0, 5.0, 10.0, 20.0)
+
+
+def _models(cfg):
+    w = _w(cfg)
+    # the uniform's jumps sit on kinks of g, where every reference breaks its panels
+    return {"gauss 0.05N": tm.truncated_gaussian(0.05 * cfg.n, w),
+            "gauss 0.2N": tm.truncated_gaussian(0.2 * cfg.n, w),
+            "gauss 0.4N": tm.truncated_gaussian(0.4 * cfg.n, w),
+            "uniform": tm.uniform(-cfg.n, cfg.n_cp, w),
+            "delta 0": tm.delta(0.0, w),
+            "delta N_cp": tm.delta(cfg.n_cp, w),
+            "delta -N": tm.delta(-cfg.n, w)}
+
+
+def _params(alpha, t_db, snr_db):
+    """Reference density; snr_db None is interference-limited, "budget" the 118 dB budget."""
+    if snr_db == "budget":
+        return budget_params(1 / 400 ** 2, alpha, t_db)
+    snr = math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
+    return NetworkParams(1 / 400 ** 2, alpha, snr, 10.0 ** (t_db / 10.0))
+
+
+def test_rho_matches_reference():
+    xs = np.logspace(-4, 4, 41)
+    for alpha in (2.05, 2.2, 3.0, 3.8, 4.0, 6.0):
+        np.testing.assert_allclose(rho(xs, alpha), _reference_rho(xs, alpha), rtol=1e-12)
+    assert isinstance(rho(2.0, 3.0), float)
+    with pytest.raises(ValueError):
+        rho(math.nan, 3.0)
+
+
+@pytest.mark.parametrize("alpha", (2.2, 3.0, 3.8, 4.0, 6.0))
+def test_counts_match_reference_over_alpha_and_threshold(cfg, alpha):
+    models = _models(cfg)
+    for t_db in T_DB:
+        for snr_db in (None, "budget"):
+            params = _params(alpha, t_db, snr_db)
+            for name in ("gauss 0.2N", "delta 0"):
+                timing = models[name]
+                assert mean_decodable(params, timing, cfg) == pytest.approx(
+                    _reference_expect(params, timing, cfg), rel=REF_RTOL), (t_db, snr_db, name)
+                assert nearest_decoding_prob(params, timing, cfg) == pytest.approx(
+                    _reference_expect(params, timing, cfg, nearest=True),
+                    rel=REF_RTOL), (t_db, snr_db, name)
+
+
+@pytest.mark.parametrize("name", ("gauss 0.05N", "gauss 0.4N", "uniform", "delta 0",
+                                  "delta N_cp", "delta -N"))
+def test_counts_match_reference_over_timing_models(cfg, name):
+    timing = _models(cfg)[name]
+    for t_db in T_DB:
+        params = _params(3.8, t_db, "budget")
+        ref_mean = _reference_expect(params, timing, cfg)
+        assert mean_decodable(params, timing, cfg) == pytest.approx(ref_mean, rel=REF_RTOL)
+        assert nearest_decoding_prob(params, timing, cfg) == pytest.approx(
+            _reference_expect(params, timing, cfg, nearest=True), rel=REF_RTOL)
+        for hyps in (hypothesis_set(1, 1, 150.0), hypothesis_set(2, 0, 72.0)):
+            assert mean_decodable_with_hypotheses(params, timing, cfg, hyps) == pytest.approx(
+                _reference_expect(params, timing, cfg, hypotheses=hyps), rel=REF_RTOL)
+
+
+def test_uniform_density_jumps_meet_rtol(cfg):
+    # jumps inside a piece would leave about 1.5e-6 relative error at rtol 1e-6
+    timing = tm.uniform(-500.0, 300.0, _w(cfg))
+    for t_db in (-15.0, 0.0):
+        params = _params(3.8, t_db, "budget")
+        assert mean_decodable(params, timing, cfg) == pytest.approx(
+            _reference_expect(params, timing, cfg, rtol=1e-9), rel=analytics.DEFAULT_RTOL)
+        assert nearest_decoding_prob(params, timing, cfg) == pytest.approx(
+            _reference_expect(params, timing, cfg, rtol=1e-9, nearest=True),
+            rel=analytics.DEFAULT_RTOL)
+
+
+# The reference's half-line integral stalls at 118 dB for alpha <= 3 (the
+# library's lambda_tilde raised there too); those are checked at 40 dB.
+@pytest.mark.parametrize("alpha,snr_db", ((2.2, 40.0), (3.0, 40.0), (3.8, "budget"),
+                                          (4.0, "budget"), (6.0, "budget")))
+def test_lambda_tilde_matches_reference(cfg, alpha, snr_db):
+    for t_db in T_DB:
+        params = _params(alpha, t_db, snr_db)
+        for name, timing in _models(cfg).items():
+            if name == "delta -N":  # g(-N) = 0: never decodable
+                assert lambda_tilde(params, timing, cfg) == 0.0
+                continue
+            assert lambda_tilde(params, timing, cfg) == pytest.approx(
+                _reference_lambda_tilde(params, timing, cfg), rel=REF_RTOL), (t_db, name)
+
+
+def test_low_snr_falls_back_to_adaptive_radial_integral(cfg, monkeypatch):
+    calls = []
+
+    def counted(f, **kwargs):
+        calls.append(1)
+        return integrate_halfline(f, **kwargs)
+
+    monkeypatch.setattr(analytics, "integrate_halfline", counted)
+    for t_db in (-6.0, 5.0):
+        params = _params(3.8, t_db, 30.0)
+        for name in ("gauss 0.2N", "delta 0"):
+            timing = _models(cfg)[name]
+            calls.clear()
+            assert nearest_decoding_prob(params, timing, cfg) == pytest.approx(
+                _reference_expect(params, timing, cfg, nearest=True), rel=REF_RTOL)
+            assert calls, "Gauss-Laguerre pair should not meet rtol at 30 dB"
+            calls.clear()
+            assert mean_decodable(params, timing, cfg) == pytest.approx(
+                _reference_expect(params, timing, cfg), rel=REF_RTOL)
+            assert calls
+
+
+def test_quadrature_error_estimates_are_checked(cfg, monkeypatch):
+    params = _params(3.8, 0.0, "budget")
+    timing = _models(cfg)["gauss 0.2N"]
+
+    def inflated(integrator):
+        def run(*args, **kwargs):
+            val, err = integrator(*args, **kwargs)
+            return val, err + 2.0 * kwargs["rtol"] * np.abs(val)
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(analytics, "integrate", inflated(integrate))
+        with pytest.raises(QuadratureError, match="timing expectation"):
+            mean_decodable(params, timing, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(analytics, "integrate_halfline", inflated(integrate_halfline))
+        with pytest.raises(QuadratureError, match="radial integral"):
+            nearest_decoding_prob(_params(3.8, 0.0, 30.0), timing, cfg)
+    # a value of exactly zero with a zero error estimate passes
+    assert mean_decodable(params, tm.uniform(-1096.0, -1080.0, _w(cfg)), cfg) == 0.0
+
+
+@given(st.floats(2.01, 2.3), st.floats(-15.0, 20.0))
+@settings(max_examples=25, deadline=None)
+def test_alpha_near_two(alpha, t_db):
+    cfg = OfdmConfig.centered(1024, 72, -300, 299)
+    params = _params(alpha, t_db, None)
+    assert rho(params.threshold, alpha) == pytest.approx(
+        _reference_rho(params.threshold, alpha), rel=1e-10)
+    bound = mean_decodable_upper_bound(alpha, params.threshold)
+    sync = tm.delta(0.0, _w(cfg))
+    assert mean_decodable(params, sync, cfg) == pytest.approx(bound, rel=1e-9)
+    assert nearest_decoding_prob(params, sync, cfg) == pytest.approx(
+        1.0 / (1.0 + rho(params.threshold, alpha)), rel=1e-9)
+    value = mean_decodable(params, tm.truncated_gaussian(0.2 * cfg.n, _w(cfg)), cfg)
+    assert 0.0 < value <= bound
+
+
+@given(st.floats(2.5, 6.0), st.floats(10.0, 40.0))
+@settings(max_examples=25, deadline=None)
+def test_high_threshold(alpha, t_db):
+    cfg = OfdmConfig.centered(1024, 72, -300, 299)
+    params = budget_params(1 / 400 ** 2, alpha, t_db)
+    timing = tm.truncated_gaussian(0.2 * cfg.n, _w(cfg))
+    dist = upsilon_upper_distribution(params, timing, cfg)
+    assert dist.support_max == 1  # floor((1 + T)/T) = 1 for T > 1
+    lam = lambda_tilde(params, timing, cfg)
+    assert dist.pmf[1] == pytest.approx(lam / (1.0 + lam), rel=1e-10)
+    assert 0.0 <= mean_decodable(params, timing, cfg) <= mean_decodable_upper_bound(
+        alpha, params.threshold)
+    assert 0.0 <= nearest_decoding_prob(params, timing, cfg) <= 1.0 / (
+        1.0 + rho(params.threshold, alpha))
+    sync = tm.delta(0.0, _w(cfg))
+    assert nearest_decoding_prob(params, sync, cfg) == pytest.approx(
+        _reference_expect(params, sync, cfg, nearest=True), rel=REF_RTOL)
+
+
+@given(st.floats(1e-3, 0.1), st.sampled_from((-200.0, -50.0, 36.0, 300.0)),
+       st.floats(-15.0, 0.0))
+@settings(max_examples=25, deadline=None)
+def test_narrow_gaussian_converges_to_delta(sigma, mean, t_db):
+    # Each mean is at least 100 samples inside the decodable set and away from
+    # the kinks of g, so the gap is O(sigma^2): about 1e-5 relative at
+    # sigma = 1 sample for mean -200 at 0 dB, and 1e-7 at sigma = 0.1.
+    cfg = OfdmConfig.centered(1024, 72, -300, 299)
+    params = budget_params(1 / 400 ** 2, 3.8, t_db)
+    narrow = tm.truncated_gaussian(sigma, _w(cfg), mean=mean)
+    point = tm.delta(mean, _w(cfg))
+    assert mean_decodable(params, narrow, cfg) == pytest.approx(
+        mean_decodable(params, point, cfg), rel=REF_RTOL)
+    assert nearest_decoding_prob(params, narrow, cfg) == pytest.approx(
+        nearest_decoding_prob(params, point, cfg), rel=REF_RTOL)
 
 
 # ------------------------------------------------------------ Laplace transform

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
-from asyncofdm.quadrature import integrate, integrate_halfline, sinc
+from asyncofdm import quadrature
+from asyncofdm.quadrature import QuadratureError, integrate, integrate_halfline, sinc
 
 
 def test_sinc_values():
@@ -62,6 +65,28 @@ def test_empty_interval_rejected():
         integrate(lambda x: x, 1.0, 1.0)
     with pytest.raises(ValueError):
         integrate(lambda x: x, 2.0, 1.0)
+
+
+def test_nan_integrand_stops_at_panel_cap():
+    # NaN never meets the tolerance; without the cap bisection would visit
+    # 2**28 panels
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        return np.full_like(x, np.nan)
+
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="did not converge"):
+        integrate(f, 0.0, 1.0)
+    assert time.perf_counter() - start < 10.0
+    assert len(calls) == 1 + 2 * quadrature.MAX_PANELS  # rough pass, then 2 rules per panel
+
+
+def test_panel_cap_leaves_hard_integrands_alone():
+    # a jump bisected to max_depth takes about 2 * 28 panels, far below the cap
+    val, _ = integrate(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, rtol=1e-12)
+    assert abs(val - 2.0 / 3.0) < 1e-6
 
 
 try:

@@ -257,10 +257,12 @@ def test_results_keep_only_decodable_sinrs(cfg):
     assert np.array_equal(first, s[s >= params.threshold])
 
 
-# Digests of the Monte Carlo output, recorded at commit feac520 (before the
-# simulation scored each trial once and served every threshold from one pass).
-# For simulate, the sweeps and dist: sha256 of the Monte Carlo columns, rows
-# joined by newlines and cells by commas; for validate: sha256 of the whole CSV.
+# Digests of the Monte Carlo output: sha256 of the Monte Carlo columns, rows
+# joined by newlines and cells by commas.  Recorded at commit feac520 (before
+# the simulation scored each trial once and served every threshold from one
+# pass), except validate's, recorded at 0701984 (before the analytics moved to
+# one timing-expectation primitive); its analytic column is checked within a
+# tolerance below.
 GOLDEN = {
     "simulate": (["simulate", "--trials", "50", "--seed", "3"],
                  ("trial", "count", "nearest_sinr_db"),
@@ -276,9 +278,14 @@ GOLDEN = {
     "dist": (["dist", "--trials", "50", "--seed", "3"],
              ("n", "mc_pmf", "mc_ccdf", "mc_ci_half"),
              "49c58f49b03dc92dc5989f800906e1597c17bbce5780d5f05d89fa5ca0957e0c"),
-    "validate": (["validate", "--trials", "200", "--seed", "3"], None,
-                 "a838d59c52863043a56ac18e26476d2764b6d2dbfacf80a79f68dd37f01b0489"),
+    "validate": (["validate", "--trials", "200", "--seed", "3"],
+                 ("scenario", "mc_mean", "mc_ci_half", "status"),
+                 "7f6ead436290e827ad194ede8f84086e9228df3f81c9ad42232a3ff42c95c349"),
 }
+
+# The analytic column of the validate CSV above, recorded at commit 0701984.
+VALIDATE_ANALYTIC = {"mean sigma=0.0N": 2.577958476, "mean sigma=0.2N": 2.203380197,
+                     "mean sigma=0.4N": 1.754082616, "nearest sigma=0.2N": 0.9094340577}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
@@ -287,9 +294,18 @@ def test_monte_carlo_outputs_match_recorded_digests(tmp_path, command):
     out = tmp_path / "out.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv + ["--out", str(out)]) == 0
-    data = out.read_bytes()
-    if cols is not None:
-        rows = list(csv.reader(io.StringIO(data.decode())))
-        idx = [rows[0].index(c) for c in cols]
-        data = "\n".join(",".join(r[i] for i in idx) for r in rows).encode()
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    idx = [rows[0].index(c) for c in cols]
+    data = "\n".join(",".join(r[i] for i in idx) for r in rows).encode()
     assert hashlib.sha256(data).hexdigest() == want
+
+
+def test_validate_analytic_column_matches_recorded_values(tmp_path):
+    out = tmp_path / "out.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(GOLDEN["validate"][0] + ["--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert [r["scenario"] for r in rows] == list(VALIDATE_ANALYTIC)
+    for r in rows:
+        assert float(r["analytic"]) == pytest.approx(VALIDATE_ANALYTIC[r["scenario"]],
+                                                     rel=10 * analytics.DEFAULT_RTOL)
