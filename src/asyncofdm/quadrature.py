@@ -55,9 +55,9 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    panels = [(lo, hi, 0) for lo, hi in zip(pts[:-1], pts[1:])]
-
-    rough = sum(_panel(f, lo, hi, 16) for lo, hi, _ in panels)
+    # (lo, hi, depth, 16-point estimate); the rough pass sets the tolerance scale
+    panels = [(lo, hi, 0, _panel(f, lo, hi, 16)) for lo, hi in zip(pts[:-1], pts[1:])]
+    rough = sum(panel[3] for panel in panels)
     scale = np.maximum(np.abs(rough), 1e-300)
 
     total = np.zeros_like(np.asarray(rough, dtype=float))
@@ -69,8 +69,8 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
             raise QuadratureError(f"quadrature on [{a}, {b}] did not converge within "
                                   f"{MAX_PANELS} panels")
         evaluated += 1
-        lo, hi, depth = panels.pop()
-        coarse = _panel(f, lo, hi, 16)
+        lo, hi, depth, coarse = panels.pop()
+        coarse = _panel(f, lo, hi, 16) if coarse is None else coarse
         fine = _panel(f, lo, hi, 32)
         local_err = np.abs(fine - coarse)
         tol = rtol * scale * (hi - lo) / (b - a)
@@ -81,8 +81,8 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
             err = err + local_err
         else:
             mid = 0.5 * (lo + hi)
-            panels.append((lo, mid, depth + 1))
-            panels.append((mid, hi, depth + 1))
+            panels.append((lo, mid, depth + 1, None))
+            panels.append((mid, hi, depth + 1, None))
     if stalled and np.any(err > 100.0 * rtol * scale):
         raise QuadratureError(
             f"quadrature on [{a}, {b}] stalled at max depth; "

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import CountDistribution
 from .link import OfdmConfig, _integer
-from .sinr import NetworkParams, NetworkSnapshot, snapshot_sinr_all
+from .sinr import NetworkParams, NetworkSnapshot, _check_positive, _sinr, snapshot_sinr_all
 from .timing import TimingModel
 
 __all__ = [
@@ -68,34 +69,66 @@ class Estimate:
     trials: int
 
 
-def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
-                    trial_index: int) -> NetworkSnapshot:
-    """One PPP realization on the observation disk, deterministic per (seed, trial)."""
+def _draw(params: NetworkParams, timing: TimingModel, spec: SimSpec, trial_index: int):
+    """Distances, fades and timing uniforms of one trial, in its seeded draw order."""
     rng = np.random.default_rng([spec.master_seed, trial_index])
     radius = spec.radius(params.density)
     count = rng.poisson(params.density * math.pi * radius ** 2)
     distances = radius * np.sqrt(rng.random(count))
     fades = rng.exponential(1.0, count)
-    offsets = timing.sample(rng, count)
-    return NetworkSnapshot(distances, fades, offsets, params.noise_over_e, params.alpha)
+    return distances, fades, timing.uniforms(rng, count)
+
+
+def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
+                    trial_index: int) -> NetworkSnapshot:
+    """One PPP realization on the observation disk, deterministic per (seed, trial)."""
+    distances, fades, u = _draw(params, timing, spec, trial_index)
+    return NetworkSnapshot(distances, fades, timing.quantile(u), params.noise_over_e, params.alpha)
 
 
 def count_decodable(snapshot: NetworkSnapshot, threshold: float, config: OfdmConfig) -> int:
     """Number of transmitters whose SINR clears the threshold."""
-    if len(snapshot) == 0:
-        return 0
     return int(np.count_nonzero(snapshot_sinr_all(snapshot, config) >= threshold))
 
 
+def _candidates(params: NetworkParams, timing: TimingModel, spec: SimSpec, t: int, cut: float):
+    """Powers and timing uniforms of trial t's candidates (p >= cut * (total + N0/E),
+    and the nearest), its total power, and the nearest's place among them."""
+    distances, fades, u = _draw(params, timing, spec, t)
+    _check_positive(distances, fades)
+    p = fades * distances ** (-params.alpha)
+    total = p.sum()
+    if not len(p):
+        return p, u, total, -1
+    keep = p >= cut * (total + params.noise_over_e)
+    i = distances.argmin()
+    keep[i] = True
+    idx = keep.nonzero()[0]
+    return p[idx], u[idx], total, idx.searchsorted(i)
+
+
+# Trials scored together; bounds the candidates' memory when T is low.
+_BLOCK = 256
+
+
 def _trial_chunk(args):
+    """Counts, nearest SINRs and kept SINRs of trials [start, stop).  Only the
+    candidates get a timing offset and a SINR: as g <= 1, SINR >= T needs
+    p >= T/(1+T) (total + N0/E).  The nearest is always scored."""
     params, timing, config, spec, start, stop = args
-    near, kept = [], []  # per trial: the nearest SINR, and the SINRs that clear the threshold
-    for t in range(start, stop):
-        snap = sample_snapshot(params, timing, spec, t)
-        s = snapshot_sinr_all(snap, config)
-        kept.append(s[s >= params.threshold])
-        near.append(s[np.argmin(snap.distances)] if len(snap) else math.nan)
-    return np.fromiter(map(len, kept), np.int64, len(kept)), np.array(near), np.concatenate(kept)
+    cut = (1.0 - 1e-9) * params.threshold / (1.0 + params.threshold)  # 1e-9: rounding slack
+    out = []
+    for lo in range(start, stop, _BLOCK):
+        p, u, total, nearest = zip(*(_candidates(params, timing, spec, t, cut)
+                                     for t in range(lo, min(lo + _BLOCK, stop))))
+        sizes = np.fromiter(map(len, p), np.int64, len(p))
+        s = _sinr(config, timing.quantile(np.concatenate(u)), np.concatenate(p),
+                  np.repeat(total, sizes), params.noise_over_e)
+        ok = s >= params.threshold
+        near = np.append(s, math.nan)[np.where(sizes > 0, np.cumsum(sizes) - sizes + nearest, -1)]
+        out.append((np.bincount(np.repeat(np.arange(len(p)), sizes)[ok], minlength=len(p)),
+                    near, s[ok]))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 @dataclass
@@ -185,10 +218,7 @@ class EmpiricalDistribution:
     ci_half_width: np.ndarray
     trials: int
 
-    def ccdf(self) -> np.ndarray:
-        out = np.cumsum(self.pmf[::-1])[::-1]
-        out[0] = 1.0  # exact by construction; cumsum rounds
-        return out
+    ccdf = CountDistribution.ccdf
 
     def ccdf_stderr(self) -> np.ndarray:
         tail = self.ccdf()

@@ -126,6 +126,17 @@ def self_interference_factor(config: OfdmConfig, tau: float, threshold: float):
     return threshold / denom
 
 
+def _check_positive(distances: np.ndarray, fades: np.ndarray) -> None:
+    if (distances <= 0).any() or (fades <= 0).any():
+        raise ValueError("distances and fades must be positive")
+
+
+def _sinr(config: OfdmConfig, offsets, p, total, noise_over_e):
+    """SINR of power p at its timing offset when all powers, p included, sum to `total`."""
+    g = cp_weight(config, offsets)
+    return g * p / ((1.0 - g) * p + (total - p) + noise_over_e)
+
+
 @dataclass
 class NetworkSnapshot:
     """One realization of the transmitter field seen by the receiver at the origin."""
@@ -142,8 +153,7 @@ class NetworkSnapshot:
         self.offsets = np.asarray(self.offsets, dtype=float)
         if not (len(self.distances) == len(self.fades) == len(self.offsets)):
             raise ValueError("per-transmitter arrays must have equal length")
-        if np.any(self.distances <= 0) or np.any(self.fades <= 0):
-            raise ValueError("distances and fades must be positive")
+        _check_positive(self.distances, self.fades)
         if self.noise_over_e < 0:
             raise ValueError("noise_over_e must be nonnegative")
 
@@ -156,13 +166,8 @@ class NetworkSnapshot:
 
 def snapshot_sinr_all(snapshot: NetworkSnapshot, config: OfdmConfig) -> np.ndarray:
     """SINR of every transmitter in the snapshot."""
-    if len(snapshot) == 0:
-        return np.zeros(0)
     p = snapshot.received_powers()
-    g = cp_weight(config, snapshot.offsets)
-    interference = p.sum() - p  # everyone else at full power
-    denom = (1.0 - g) * p + interference + snapshot.noise_over_e
-    return g * p / denom
+    return _sinr(config, snapshot.offsets, p, p.sum(), snapshot.noise_over_e)
 
 
 def snapshot_sinr(snapshot: NetworkSnapshot, i: int, config: OfdmConfig) -> float:

@@ -64,14 +64,22 @@ class TimingModel:
         out = np.where(inside, out, 0.0)
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def quantile(self, u):
+        """Inverse CDF, elementwise: the offsets that `sample` maps uniforms u to."""
+        u = np.asarray(u, dtype=float)
         if self.kind == "delta":
-            return np.full(size, self.offset)
-        u = rng.random(size)
+            return np.full(u.shape, self.offset)
         if self.kind == "uniform":
             return self.lo + (self.hi - self.lo) * u
         a, z = self._gauss_mass()
         return self.mean + self.sigma * ndtri(a + u * z)
+
+    def uniforms(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The `size` uniforms `sample` inverts; a delta draws nothing from rng."""
+        return np.zeros(size) if self.kind == "delta" else rng.random(size)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self.quantile(self.uniforms(rng, size))
 
 
 def delta(offset: float, half_width: float) -> TimingModel:

@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from asyncofdm.cli import ConfigError, load_config, main
+from asyncofdm.cli import ConfigError, _sweep, load_config, main
 
 
 def _write(tmp_path, text, name="run.yaml"):
@@ -233,3 +237,28 @@ def test_validate_command(tmp_path):
     assert rows[0] == ["scenario", "analytic", "mc_mean", "mc_ci_half", "status"]
     assert len(rows) == 5
     assert all(row[4] == "pass" for row in rows[1:])
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @given(st.floats(-40.0, 40.0), st.floats(0.05, 10.0), st.integers(0, 60),
+           st.floats(0.01, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_whose_step_does_not_divide_the_range_is_rejected(lo, step, whole, part):
+        hi = lo + (whole + part) * step  # (hi - lo) / step is at least 0.01 from an integer
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            out = Path(tmp) / "out.csv"
+            assert main(["mean-decodable", f"--sweep={lo!r}:{hi!r}:{step!r}",
+                         "--out", str(out)]) == 2
+            assert not out.exists()
+        assert err.getvalue().startswith("error: --sweep") and "does not divide" in err.getvalue()
+        # the same range and step with a whole number of steps is accepted, end points included
+        cfg = load_config(None)
+        cfg.sweep_db = _sweep(lo, lo + (whole + 1) * step, step, "--sweep")
+        grid = cfg.sweep_grid()
+        assert len(grid) == whole + 2 and grid[0] == lo
+except ImportError:  # pragma: no cover - property tests are optional extras
+    pass

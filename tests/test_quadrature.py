@@ -80,13 +80,66 @@ def test_nan_integrand_stops_at_panel_cap():
     with pytest.raises(QuadratureError, match="did not converge"):
         integrate(f, 0.0, 1.0)
     assert time.perf_counter() - start < 10.0
-    assert len(calls) == 1 + 2 * quadrature.MAX_PANELS  # rough pass, then 2 rules per panel
+    # the rough pass is the first panel's 16-point rule; then 2 rules per panel
+    assert len(calls) == 2 * quadrature.MAX_PANELS
 
 
 def test_panel_cap_leaves_hard_integrands_alone():
     # a jump bisected to max_depth takes about 2 * 28 panels, far below the cap
     val, _ = integrate(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, rtol=1e-12)
     assert abs(val - 2.0 / 3.0) < 1e-6
+
+
+def _integrate_with_rough_pass_repeated(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
+    """Frozen copy of `integrate` as it was when each breakpoint panel's 16-point
+    rule ran twice: once in the rough pass and again when the panel was popped."""
+    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    panels = [(lo, hi, 0) for lo, hi in zip(pts[:-1], pts[1:])]
+    rough = sum(quadrature._panel(f, lo, hi, 16) for lo, hi, _ in panels)
+    scale = np.maximum(np.abs(rough), 1e-300)
+    total = np.zeros_like(np.asarray(rough, dtype=float))
+    err = np.zeros_like(total)
+    while panels:
+        lo, hi, depth = panels.pop()
+        coarse = quadrature._panel(f, lo, hi, 16)
+        fine = quadrature._panel(f, lo, hi, 32)
+        local_err = np.abs(fine - coarse)
+        if depth >= max_depth or np.all(local_err <= rtol * scale * (hi - lo) / (b - a)):
+            total = total + fine
+            err = err + local_err
+        else:
+            mid = 0.5 * (lo + hi)
+            panels.append((lo, mid, depth + 1))
+            panels.append((mid, hi, depth + 1))
+    return total, err
+
+
+def _counting(f):
+    nodes = []
+
+    def counted(x):
+        nodes.append(len(x))
+        return f(x)
+
+    return counted, nodes
+
+
+@pytest.mark.parametrize("f, a, b, breakpoints", [
+    (lambda x: np.exp(-x) * np.sin(10 * x), 0.0, 5.0, ()),
+    (lambda x: np.abs(x - 0.3), 0.0, 1.0, (0.3,)),
+    (lambda x: np.sqrt(x), 0.0, 2.0, (0.5, 1.0, 1.5)),
+    (lambda x: np.stack([np.exp(-x), np.cos(3 * x)], axis=1), -1.0, 2.0, (0.0, 1.0)),
+])
+def test_rough_pass_is_reused_as_first_coarse_rule(f, a, b, breakpoints):
+    new_f, new_nodes = _counting(f)
+    old_f, old_nodes = _counting(f)
+    val, err = integrate(new_f, a, b, breakpoints=breakpoints)
+    ref_val, ref_err = _integrate_with_rough_pass_repeated(old_f, a, b, breakpoints=breakpoints)
+    assert np.array_equal(val, ref_val) and np.array_equal(err, ref_err)
+    # one 16-point rule fewer on each breakpoint panel, and the rough pass still first
+    panels = 1 + len(breakpoints)
+    assert sum(new_nodes) == sum(old_nodes) - 16 * panels
+    assert new_nodes[:panels] == [16] * panels
 
 
 try:

@@ -309,3 +309,111 @@ def test_validate_analytic_column_matches_recorded_values(tmp_path):
     for r in rows:
         assert float(r["analytic"]) == pytest.approx(VALIDATE_ANALYTIC[r["scenario"]],
                                                      rel=10 * analytics.DEFAULT_RTOL)
+
+
+# ------------------------------------------- scoring only the decodable candidates
+#
+# run_trials scores only the transmitters whose received power p can clear the
+# threshold, p >= T/(1+T) (total + N0/E), plus the nearest.  Its output must
+# equal, bit for bit, scoring every transmitter of the same snapshots.
+
+def _full_vector_reference(params, timing, config, spec):
+    counts, near, kept = [], [], []
+    for t in range(spec.trials):
+        snap = sample_snapshot(params, timing, spec, t)
+        s = simulation.snapshot_sinr_all(snap, config)
+        counts.append(np.count_nonzero(s >= params.threshold))
+        kept.append(s[s >= params.threshold])
+        near.append(s[np.argmin(snap.distances)] if len(snap) else math.nan)
+    return np.array(counts), np.array(near), np.concatenate(kept)
+
+
+def _assert_matches_reference(params, timing, config, spec, workers=1):
+    res = run_trials(params, timing, config, spec, workers=workers)
+    counts, near, kept = _full_vector_reference(params, timing, config, spec)
+    assert np.array_equal(res.counts, counts)
+    assert res.nearest_sinr.tobytes() == near.tobytes()  # bitwise, NaN for empty trials
+    assert res.sinr.tobytes() == kept.tobytes()
+    return res
+
+
+def _grid_timings(cfg):
+    return {"delta0": tm.delta(0.0, _w(cfg)), "delta-500": tm.delta(-500.0, _w(cfg)),
+            "gauss0.3": tm.truncated_gaussian(0.3 * 1024, _w(cfg)),
+            "uniform": tm.uniform(-800.0, 300.0, _w(cfg))}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("alpha", [2.5, 3.8, 5.0])
+def test_candidate_scoring_matches_full_vector_over_grid(cfg, alpha, workers):
+    spec = SimSpec(6, 31, expected_points=400)
+    for snr in (math.inf, 1e6, 1e2):
+        for t_db in (-30.0, -12.0, 3.0, 15.0):
+            params = NetworkParams(1 / 20 ** 2, alpha, snr, db_to_linear(t_db))
+            for timing in _grid_timings(cfg).values():
+                _assert_matches_reference(params, timing, cfg, spec, workers)
+
+
+def test_candidate_scoring_with_empty_trials(cfg):
+    # about one transmitter per trial: many trials are empty, many have one
+    params = NetworkParams(1 / 20 ** 2, 3.8, 1e6, db_to_linear(-12.0))
+    spec = SimSpec(60, 3, window_radius=20.0 / math.sqrt(math.pi))
+    res = _assert_matches_reference(params, _tg02(cfg), cfg, spec)
+    assert np.isnan(res.nearest_sinr).any() and res.counts.max() >= 1
+
+
+def test_candidate_scoring_across_score_blocks(cfg):
+    # one chunk of more trials than one scoring block, at a low threshold
+    params = NetworkParams(1 / 20 ** 2, 3.8, math.inf, db_to_linear(-25.0))
+    spec = SimSpec(simulation._BLOCK + 5, 8, expected_points=100)
+    _assert_matches_reference(params, _tg02(cfg), cfg, spec)
+
+
+def test_snapshot_positivity_still_checked(cfg, monkeypatch):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    draw = simulation._draw
+
+    def zero_fade(*args):
+        distances, fades, u = draw(*args)
+        fades[0] = 0.0
+        return distances, fades, u
+
+    monkeypatch.setattr(simulation, "_draw", zero_fade)
+    for call in (lambda: sample_snapshot(params, _tg02(cfg), SimSpec(1, 1), 0),
+                 lambda: run_trials(params, _tg02(cfg), cfg, SimSpec(3, 1))):
+        with pytest.raises(ValueError, match="distances and fades must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("name", ["delta0", "delta-500", "gauss0.3", "uniform"])
+def test_quantile_of_any_subset_equals_that_subset_of_sample(cfg, name):
+    timing = _grid_timings(cfg)[name]
+    full = timing.sample(np.random.default_rng(5), 3000)
+    u = np.random.default_rng(5).random(3000)
+    pick = np.random.default_rng(6).random(3000) < 0.01
+    for idx in (pick, np.flatnonzero(pick)[::-1], np.array([], dtype=int), slice(None)):
+        assert timing.quantile(u[idx]).tobytes() == full[idx].tobytes()
+    # a delta draws nothing from the generator
+    rng = np.random.default_rng(5)
+    timing.sample(rng, 10)
+    assert (rng.random() == u[0]) == timing.is_delta
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @given(alpha=st.floats(2.05, 6.0), snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 90.0)),
+           t_db=st.floats(-40.0, 25.0), kind=st.sampled_from(["delta", "gauss", "uniform"]),
+           a=st.floats(-1.0, 0.999), b=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_candidate_scoring_matches_full_vector_property(cfg, alpha, snr_db, t_db, kind, a,
+                                                            b, seed):
+        w = _w(cfg)
+        timing = {"delta": lambda: tm.delta(a * w, w),
+                  "gauss": lambda: tm.truncated_gaussian(b * 1024, w, mean=a * w),
+                  "uniform": lambda: tm.uniform(a * w, a * w + b * (1 - a) * w, w)}[kind]()
+        params = NetworkParams(1 / 20 ** 2, alpha, db_to_linear(snr_db), db_to_linear(t_db))
+        _assert_matches_reference(params, timing, cfg, SimSpec(4, seed, expected_points=300))
+except ImportError:  # pragma: no cover - property tests are optional extras
+    pass
