@@ -14,7 +14,7 @@ import copy
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import yaml
 
@@ -199,12 +199,12 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if getattr(args, "seed", None) is not None:
-        cfg.sim = SimSpec(cfg.sim.trials, args.seed, cfg.sim.expected_points,
-                          cfg.sim.window_radius)
+        cfg.sim = replace(cfg.sim, master_seed=args.seed)
     if getattr(args, "trials", None) is not None:
-        cfg.sim = SimSpec(args.trials, cfg.sim.master_seed, cfg.sim.expected_points,
-                          cfg.sim.window_radius)
+        cfg.sim = replace(cfg.sim, trials=args.trials)
     if getattr(args, "sweep", None) is not None:
         parts = args.sweep.split(":")
         if len(parts) != 3:
@@ -253,17 +253,19 @@ def cmd_nearest(cfg: RunConfig, args) -> int:
 
 def _sweep_command(cfg, args, analytic_fn, mc_fn) -> int:
     grid = cfg.sweep_grid()
+    sigmas = _sigmas(cfg, args)
+    models = [cfg.timing_model(sigma) for sigma in sigmas]
+    runs = [None] * len(models)
+    if args.with_mc:  # one pass for every sigma, at the sweep's lowest threshold
+        runs = simulation.run_trials_each(cfg.params(min(grid)), models, cfg.ofdm, cfg.sim,
+                                          workers=args.workers)
     fh, w = _writer(args.out)
     header = ["threshold_db", "sigma_over_n", "analytic_value"]
     if args.with_mc:
         header += ["mc_value", "mc_ci_half"]
     w.writerow(header)
     with fh:
-        for sigma in _sigmas(cfg, args):
-            tm = cfg.timing_model(sigma)
-            if args.with_mc:
-                results = simulation.run_trials(cfg.params(min(grid)), tm, cfg.ofdm, cfg.sim,
-                                                workers=args.workers)
+        for sigma, tm, results in zip(sigmas, models, runs):
             for t_db in grid:
                 params = cfg.params(t_db)
                 row = [_fmt(t_db), _fmt(sigma), _fmt(analytic_fn(params, tm, cfg.ofdm))]
@@ -344,23 +346,21 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_validate(cfg: RunConfig, args) -> int:
     """Analytic-vs-Monte-Carlo cross-checks; nonzero exit if any scenario fails."""
-    scenarios = []
-    for sigma in (0.0, 0.2, 0.4):
-        scenarios.append((f"mean sigma={sigma}N", sigma,
-                          analytics.mean_decodable, simulation.estimate_mean_decodable))
-    scenarios.append(("nearest sigma=0.2N", 0.2,
-                      analytics.nearest_decoding_prob, simulation.estimate_nearest_prob))
+    sigmas = (0.0, 0.2, 0.4)
     params = cfg.params(cfg.threshold_db)
+    models = [cfg.timing_model(sigma) for sigma in sigmas]
+    runs = simulation.run_trials_each(params, models, cfg.ofdm, cfg.sim, workers=args.workers)
+    scenarios = [(f"mean sigma={sigma}N", tm, results, analytics.mean_decodable,
+                  simulation.estimate_mean_decodable)
+                 for sigma, tm, results in zip(sigmas, models, runs)]
+    scenarios.append(("nearest sigma=0.2N", models[1], runs[1],
+                      analytics.nearest_decoding_prob, simulation.estimate_nearest_prob))
 
     rows = []
     failed = False
-    runs = {sigma: simulation.run_trials(params, cfg.timing_model(sigma), cfg.ofdm, cfg.sim,
-                                         workers=args.workers)
-            for sigma in dict.fromkeys(s for _, s, _, _ in scenarios)}  # one run per sigma
-    for name, sigma, analytic_fn, mc_fn in scenarios:
-        tm = cfg.timing_model(sigma)
+    for name, tm, results, analytic_fn, mc_fn in scenarios:
         analytic = analytic_fn(params, tm, cfg.ofdm)
-        est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=runs[sigma])
+        est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results)
         slack = max(est.ci_half_width, 0.02 * abs(analytic))
         ok = abs(est.mean - analytic) <= slack
         failed |= not ok

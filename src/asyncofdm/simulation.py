@@ -1,10 +1,10 @@
 """Seeded Monte Carlo simulation of Poisson transmitter fields.
 
-The receiver sits at the center of a finite disk whose radius is chosen so the
-expected point count is large enough (default 2000) that truncating the far
-interference is negligible; alpha > 2 makes the discarded tail summable.  Each
-trial draws from its own RNG substream seeded by (master_seed, trial_index), so
-results are bit-identical regardless of how trials are distributed over workers.
+The receiver sits at the center of a disk of radius R holding 2000 expected points
+by default.  Interference from beyond R is dropped; its mean decays only like
+R^(2-alpha), which biases counts upward for alpha near 2 (open as ROADMAP item 1).
+Each trial draws from its own RNG substream seeded by (master_seed, trial_index),
+so results do not depend on the workers, and every timing model sees the same fields.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "sample_snapshot",
     "count_decodable",
     "run_trials",
+    "run_trials_each",
     "estimate_mean_decodable",
     "estimate_throughput",
     "estimate_distribution",
@@ -112,23 +113,29 @@ _BLOCK = 256
 
 
 def _trial_chunk(args):
-    """Counts, nearest SINRs and kept SINRs of trials [start, stop).  Only the
-    candidates get a timing offset and a SINR: as g <= 1, SINR >= T needs
-    p >= T/(1+T) (total + N0/E).  The nearest is always scored."""
-    params, timing, config, spec, start, stop = args
+    """Per block of trials in [start, stop), per timing model: counts, nearest SINRs
+    and kept SINRs.  Only candidates are scored: as g <= 1, SINR >= T needs p >= T/(1+T)
+    (total + N0/E); the nearest always is.  Draws and screen run once, with a non-delta
+    model if any: all of those draw the same uniforms, and a delta ignores them."""
+    params, timings, config, spec, start, stop = args
     cut = (1.0 - 1e-9) * params.threshold / (1.0 + params.threshold)  # 1e-9: rounding slack
+    draw_with = next((m for m in timings if not m.is_delta), timings[0])
     out = []
     for lo in range(start, stop, _BLOCK):
-        p, u, total, nearest = zip(*(_candidates(params, timing, spec, t, cut)
+        p, u, total, nearest = zip(*(_candidates(params, draw_with, spec, t, cut)
                                      for t in range(lo, min(lo + _BLOCK, stop))))
         sizes = np.fromiter(map(len, p), np.int64, len(p))
-        s = _sinr(config, timing.quantile(np.concatenate(u)), np.concatenate(p),
-                  np.repeat(total, sizes), params.noise_over_e)
-        ok = s >= params.threshold
-        near = np.append(s, math.nan)[np.where(sizes > 0, np.cumsum(sizes) - sizes + nearest, -1)]
-        out.append((np.bincount(np.repeat(np.arange(len(p)), sizes)[ok], minlength=len(p)),
-                    near, s[ok]))
-    return tuple(map(np.concatenate, zip(*out)))
+        p, u, total = np.concatenate(p), np.concatenate(u), np.repeat(total, sizes)
+        trial = np.repeat(np.arange(len(sizes)), sizes)
+        near_at = np.where(sizes > 0, np.cumsum(sizes) - sizes + nearest, -1)
+        block = []
+        for timing in timings:
+            s = _sinr(config, timing.quantile(u), p, total, params.noise_over_e)
+            ok = s >= params.threshold
+            block.append((np.bincount(trial[ok], minlength=len(sizes)),
+                          np.append(s, math.nan)[near_at], s[ok]))
+        out.append(block)
+    return out
 
 
 @dataclass
@@ -165,16 +172,27 @@ class TrialResults:
 def run_trials(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                spec: SimSpec, workers: int = 1) -> TrialResults:
     """Run all trials, optionally across processes; output independent of workers."""
-    bounds = np.linspace(0, spec.trials, max(workers, 1) + 1, dtype=int)
-    jobs = [(params, timing, config, spec, int(a), int(b))
+    return run_trials_each(params, [timing], config, spec, workers)[0]
+
+
+def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: OfdmConfig,
+                    spec: SimSpec, workers: int = 1) -> list[TrialResults]:
+    """One `TrialResults` per timing model from one draw-and-screen pass, each the same
+    bits as a pass with that model alone; output independent of workers."""
+    if not (timings and workers >= 1):
+        raise ValueError(f"need a timing model and workers >= 1, got {len(timings)} and {workers}")
+    bounds = np.linspace(0, spec.trials, workers + 1, dtype=int)
+    jobs = [(params, timings, config, spec, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if len(jobs) == 1:
         chunks = [_trial_chunk(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:  # no idle workers
             chunks = list(pool.map(_trial_chunk, jobs))
-    counts, near, sinr = (np.concatenate(parts) for parts in zip(*chunks))
-    return TrialResults(counts, near, params.threshold, sinr)
+    blocks = [block for chunk in chunks for block in chunk]  # trial order
+    return [TrialResults(counts, near, params.threshold, sinr)
+            for counts, near, sinr in (map(np.concatenate, zip(*model))
+                                       for model in zip(*blocks))]
 
 
 def _mean_ci(x: np.ndarray) -> Estimate:

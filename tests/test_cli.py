@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from asyncofdm.cli import ConfigError, _sweep, load_config, main
+from asyncofdm.cli import ConfigError, _apply_flags, _sweep, build_parser, load_config, main
 
 
 def _write(tmp_path, text, name="run.yaml"):
@@ -237,6 +237,48 @@ def test_validate_command(tmp_path):
     assert rows[0] == ["scenario", "analytic", "mc_mean", "mc_ci_half", "status"]
     assert len(rows) == 5
     assert all(row[4] == "pass" for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["mean-decodable", "--with-mc", "--sigma-over-n", "0,0.2", "--sweep=-15:10:5"],
+])
+def test_one_pass_commands_identical_for_any_workers(tmp_path, argv):
+    outs = []
+    for workers in (1, 2, 8):
+        out = tmp_path / f"workers{workers}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + ["--trials", "40", "--seed", "6", "--workers", str(workers),
+                              "--out", str(out)])
+        outs.append((rc, out.read_bytes()))
+    assert outs[0][0] in (0, 1)  # validate may flag a scenario at 40 trials
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--workers", "0"]),
+    ("simulate", ["--workers", "-3"]),
+    ("mean-decodable", ["--workers", "0"]),
+    ("simulate", ["--trials", "0"]),
+    ("simulate", ["--seed", "-1"]),
+])
+def test_bad_run_flags_exit_2_before_any_output(tmp_path, command, flags):
+    out = tmp_path / "out.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([command, "--out", str(out)] + flags) == 2
+    assert not out.exists()
+    assert err.getvalue().startswith("error:")
+
+
+def test_seed_and_trials_flags_keep_the_rest_of_the_sim_section(tmp_path):
+    path = _write(tmp_path, "sim:\n  trials: 7\n  seed: 2\n  expected_points: 500\n")
+    cfg = _apply_flags(load_config(path), build_parser().parse_args(
+        ["simulate", "--out", "x.csv", "--seed", "9"]))
+    assert (cfg.sim.trials, cfg.sim.master_seed, cfg.sim.expected_points) == (7, 9, 500)
+    cfg = _apply_flags(cfg, build_parser().parse_args(["simulate", "--out", "x.csv",
+                                                        "--trials", "11"]))
+    assert (cfg.sim.trials, cfg.sim.master_seed, cfg.sim.expected_points) == (11, 9, 500)
 
 
 try:

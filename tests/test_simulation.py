@@ -399,6 +399,75 @@ def test_quantile_of_any_subset_equals_that_subset_of_sample(cfg, name):
     assert (rng.random() == u[0]) == timing.is_delta
 
 
+# ------------------------------------------------ one pass for every timing model
+#
+# run_trials_each draws and screens each trial once and scores the candidates
+# under every model.  Each of its results must equal, bit for bit, a separate
+# run_trials call with that model.
+
+def _assert_each_matches_separate_runs(params, timings, config, spec, workers=1):
+    results = simulation.run_trials_each(params, timings, config, spec, workers=workers)
+    assert len(results) == len(timings)
+    for timing, res in zip(timings, results):
+        ref = run_trials(params, timing, config, spec)
+        assert res.threshold == ref.threshold
+        assert np.array_equal(res.counts, ref.counts)
+        assert res.nearest_sinr.tobytes() == ref.nearest_sinr.tobytes()  # NaN-aware, bitwise
+        assert res.sinr.tobytes() == ref.sinr.tobytes()
+
+
+def _model_lists(w, a, b):
+    d = tm.delta(a * w, w)
+    gauss = tm.truncated_gaussian(b * 1024, w, mean=a * w)
+    unif = tm.uniform(a * w, a * w + b * (1 - a) * w, w)
+    return {"all-delta": [d, tm.delta(0.0, w)], "delta-first": [d, gauss, unif],
+            "repeated": [gauss, d, gauss], "mixed": [unif, gauss]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_pass_matches_separate_runs_across_blocks(cfg, workers):
+    # two scoring blocks in one chunk (1 worker), or a chunk boundary (2 workers)
+    params = NetworkParams(1 / 20 ** 2, 3.8, math.inf, db_to_linear(-25.0))
+    spec = SimSpec(simulation._BLOCK + 5, 8, expected_points=100)
+    for timings in _model_lists(_w(cfg), -0.2, 0.3).values():
+        _assert_each_matches_separate_runs(params, timings, cfg, spec, workers)
+
+
+def test_workers_below_one_and_no_model_rejected(cfg):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers >= 1"):
+            run_trials(params, _tg02(cfg), cfg, SimSpec(3, 1), workers=workers)
+    with pytest.raises(ValueError, match="timing model"):
+        simulation.run_trials_each(params, [], cfg, SimSpec(3, 1))
+
+
+def test_pool_sized_to_the_non_empty_chunks(cfg, monkeypatch):
+    started = []
+
+    class RecordingPool:  # runs the chunks in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    spec = SimSpec(3, 5)
+    ref = run_trials(params, _tg02(cfg), cfg, spec)
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    res = run_trials(params, _tg02(cfg), cfg, spec, workers=8)
+    assert started == [3]  # three one-trial chunks, not eight workers
+    assert res.nearest_sinr.tobytes() == ref.nearest_sinr.tobytes()
+    assert np.array_equal(res.counts, ref.counts)
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -415,5 +484,17 @@ try:
                   "uniform": lambda: tm.uniform(a * w, a * w + b * (1 - a) * w, w)}[kind]()
         params = NetworkParams(1 / 20 ** 2, alpha, db_to_linear(snr_db), db_to_linear(t_db))
         _assert_matches_reference(params, timing, cfg, SimSpec(4, seed, expected_points=300))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @given(alpha=st.floats(2.05, 6.0), snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 90.0)),
+           t_db=st.floats(-40.0, 25.0),
+           models=st.sampled_from(["all-delta", "delta-first", "repeated", "mixed"]),
+           a=st.floats(-1.0, 0.999), b=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=25, deadline=None)
+    def test_one_pass_matches_separate_runs_property(cfg, workers, alpha, snr_db, t_db, models,
+                                                     a, b, seed):
+        params = NetworkParams(1 / 20 ** 2, alpha, db_to_linear(snr_db), db_to_linear(t_db))
+        _assert_each_matches_separate_runs(params, _model_lists(_w(cfg), a, b)[models], cfg,
+                                           SimSpec(5, seed, expected_points=300), workers)
 except ImportError:  # pragma: no cover - property tests are optional extras
     pass
