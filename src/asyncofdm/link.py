@@ -33,8 +33,13 @@ __all__ = [
     "empirical_power_profile",
 ]
 
-# trials per batch in empirical_power_profile; keeps its arrays at a few MB
+# trials per accumulation group in empirical_power_profile.  A group is reduced
+# over one F-ordered (group, K) output array, by numpy's pairwise sums down its
+# columns, and one C-ordered symbol array: this size and those layouts fix the
+# summation order, and with it the output bits.
 _TRIAL_BLOCK = 64
+# trials per transform batch within a group; keeps the FFT work in cache
+_FFT_BATCH = 8
 
 
 def _integer(name: str, value) -> int:
@@ -144,16 +149,11 @@ def gaussian_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator
     return _stream(_gaussian_symbols, config, symbol_indices, rng, energy_per_sample)
 
 
-def _with_prefix(config: OfdmConfig, grid: np.ndarray) -> np.ndarray:
-    """Time samples -n_cp .. n-1 of the spectra along the last axis of grid."""
-    body = np.fft.ifft(grid, axis=-1)
-    return np.concatenate([body[..., -config.n_cp:], body], axis=-1)
-
-
 def modulate_symbol(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndarray:
     """Time samples of OFDM symbol m, indices -n_cp .. n-1 (array index 0 is -n_cp)."""
     # sample[t] = (sqrt(E)/N) sum_k S[k] e^{j 2 pi k t / N}  ==  sqrt(E) * ifft
-    return np.sqrt(stream.energy_per_sample) * _with_prefix(config, stream.spectrum(config.n, m))
+    body = np.fft.ifft(stream.spectrum(config.n, m))
+    return np.sqrt(stream.energy_per_sample) * np.concatenate([body[-config.n_cp:], body])
 
 
 def _sample_offset(config: OfdmConfig, d) -> int:
@@ -271,7 +271,10 @@ class PowerProfile:
         if hits.size == 0:
             raise ValueError(f"subcarrier {subcarrier} is not in the profile")
         i = int(hits[0])
-        return 10.0 * np.log10(self.useful[i] / (self.total[i] - self.useful[i]))
+        interference = self.total[i] - self.useful[i]
+        if interference <= 0:  # inside the CP: none, or a rounding residue below 0
+            return np.inf
+        return 10.0 * np.log10(self.useful[i] / interference)
 
 
 def _ici_sum(config: OfdmConfig, width: float) -> np.ndarray:
@@ -319,32 +322,49 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     desired symbol, |mean Y[l] conj(S[l;m])|^2, which is independent of the
     analytic per-regime decomposition.  Deterministic per (seed, trial).
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if alphabet not in ("qpsk", "gaussian"):
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)
-    draw = _qpsk_symbols if alphabet == "qpsk" else _gaussian_symbols
+    n, k = config.n, len(config.used)
     pieces = _window_pieces(config, d)
     read = [1 + s for s, _ in pieces]  # rows of the drawn symbols m-1, m, m+1
-    used_mod = config.used_array() % config.n
-    k = len(config.used)
+    rows = max(read) + 1  # draws stop at the last row read, which is row 1 (m) or later
+    used_mod = config.used_array() % n
+    # window sample j is entry gather[j] of a trial's flattened (pieces, n) IFFT output
+    gather = np.concatenate([i * n + (np.arange(p.start, p.stop) - config.n_cp) % n
+                             for i, (_, p) in enumerate(pieces)])
+    cuts = [0, *(np.flatnonzero(np.diff(used_mod) != 1) + 1).tolist(), k]
+    runs = [(a, b, used_mod[a]) for a, b in zip(cuts, cuts[1:])]  # contiguous runs of used_mod
+    if alphabet == "qpsk":
+        draw, symbols = (lambda rng, shape: rng.integers(0, 4, size=shape)), _QPSK.take
+    else:
+        draw, symbols = _gaussian_symbols, np.asarray
+    grid = np.zeros((_FFT_BATCH, len(pieces), n), dtype=complex)
     total_sum = np.zeros(k)
     total_sq = np.zeros(k)
     cross = np.zeros(k, dtype=complex)
     for first in range(0, trials, _TRIAL_BLOCK):
-        block = range(first, min(first + _TRIAL_BLOCK, trials))
-        syms = np.stack([draw(np.random.default_rng([seed, t]), (3, k)) for t in block])
-        grid = np.zeros((len(block), len(pieces), config.n), dtype=complex)
-        grid[..., used_mod] = syms[:, read]
-        samples = _with_prefix(config, grid)
-        window = np.concatenate([samples[:, i, piece] for i, (_, piece) in enumerate(pieces)],
-                                axis=-1)
-        y = np.fft.fft(window, axis=-1)[:, used_mod]
+        group = range(first, min(first + _TRIAL_BLOCK, trials))
+        y = np.empty((len(group), k), dtype=complex, order="F")  # see _TRIAL_BLOCK
+        current = np.empty((len(group), k), dtype=complex)  # see _TRIAL_BLOCK
+        for lo in range(0, len(group), _FFT_BATCH):
+            batch = group[lo:lo + _FFT_BATCH]
+            raw = np.stack([draw(np.random.default_rng([seed, t]), (rows, k)) for t in batch])
+            for i, r in enumerate(read):
+                for a, b, at in runs:
+                    grid[:len(batch), i, at:at + b - a] = symbols(raw[:, r, a:b])
+            body = np.fft.ifft(grid[:len(batch)], axis=-1).reshape(len(batch), -1)
+            y[lo:lo + len(batch)] = np.fft.fft(body[:, gather], axis=-1)[:, used_mod]
+            current[lo:lo + len(batch)] = symbols(raw[:, 1])
         p = np.abs(y) ** 2
         total_sum += p.sum(axis=0)
         total_sq += (p ** 2).sum(axis=0)
-        cross += (y * np.conj(syms[:, 1])).sum(axis=0)
+        cross += (y * np.conj(current)).sum(axis=0)
     total = total_sum / trials
     var = np.maximum(total_sq / trials - total ** 2, 0.0)
     stderr = np.sqrt(var / trials)

@@ -1,9 +1,14 @@
+import contextlib
+import hashlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asyncofdm.cli import main
 from asyncofdm.link import (
     OfdmConfig,
     SymbolStream,
@@ -17,7 +22,7 @@ from asyncofdm.link import (
     receive_window,
     used_outputs,
 )
-from asyncofdm.link import _ici_sum
+from asyncofdm.link import _gaussian_symbols, _ici_sum, _qpsk_symbols, _window_pieces
 from asyncofdm.sinr import cp_weight
 
 
@@ -102,6 +107,36 @@ def _reference_empirical(config, d, trials, seed, alphabet):
     total = total_sum / trials
     stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
     return np.abs(cross / trials) ** 2, total, stderr
+
+
+def _frozen_empirical(config, d, trials, seed, alphabet):
+    """One-block empirical_power_profile: each 64-trial group is drawn, transformed
+    and reduced at once.  Returns useful, total, stderr; the library's bits must match."""
+    draw = _qpsk_symbols if alphabet == "qpsk" else _gaussian_symbols
+    pieces = _window_pieces(config, d)
+    read = [1 + s for s, _ in pieces]
+    used_mod = config.used_array() % config.n
+    k = len(config.used)
+    total_sum = np.zeros(k)
+    total_sq = np.zeros(k)
+    cross = np.zeros(k, dtype=complex)
+    for first in range(0, trials, 64):
+        block = range(first, min(first + 64, trials))
+        syms = np.stack([draw(np.random.default_rng([seed, t]), (3, k)) for t in block])
+        grid = np.zeros((len(block), len(pieces), config.n), dtype=complex)
+        grid[..., used_mod] = syms[:, read]
+        body = np.fft.ifft(grid, axis=-1)
+        samples = np.concatenate([body[..., -config.n_cp:], body], axis=-1)
+        window = np.concatenate([samples[:, i, piece] for i, (_, piece) in enumerate(pieces)],
+                                axis=-1)
+        y = np.fft.fft(window, axis=-1)[:, used_mod]
+        p = np.abs(y) ** 2
+        total_sum += p.sum(axis=0)
+        total_sq += (p ** 2).sum(axis=0)
+        cross += (y * np.conj(syms[:, 1])).sum(axis=0)
+    total = total_sum / trials
+    var = np.maximum(total_sq / trials - total ** 2, 0.0)
+    return np.abs(cross / trials) ** 2, total, np.sqrt(var / trials)
 
 
 def _rel_to_max(a, ref):
@@ -301,6 +336,26 @@ def test_sir_db_unknown_subcarrier(cfg):
         analytic_power_profile(cfg, 78).sir_db(400)
 
 
+def test_sir_db_infinite_on_empirical_cp_offset(cfg):
+    # inside the CP the empirical total - useful is rounding residue, below 0
+    # on about half the subcarriers
+    prof = empirical_power_profile(cfg, 10, 50, 1)
+    i = int(np.flatnonzero(prof.subcarriers == -300)[0])
+    assert prof.total[i] - prof.useful[i] < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prof.sir_db(-300) == math.inf
+        assert not any(math.isnan(prof.sir_db(int(k))) for k in prof.subcarriers)
+
+
+def test_sir_db_infinite_on_analytic_cp_offset(cfg):
+    prof = analytic_power_profile(cfg, 10)
+    assert np.all(prof.total == prof.useful)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prof.sir_db(0) == math.inf
+
+
 def test_late_window_sir_limited(cfg):
     prof = analytic_power_profile(cfg, cfg.n_cp + 6)
     i = int(np.nonzero(prof.subcarriers == 0)[0][0])
@@ -375,6 +430,75 @@ def test_empirical_profile_validation(cfg):
         empirical_power_profile(cfg, -6, trials=0, seed=1)
     with pytest.raises(ValueError):
         empirical_power_profile(cfg, -6, trials=10, seed=1, alphabet="psk8")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(trials=2.5, seed=1), "trials must be an integer"),
+    (dict(trials=math.nan, seed=1), "trials must be an integer"),
+    (dict(trials="10", seed=1), "trials must be an integer"),
+    (dict(trials=10, seed=1.5), "seed must be an integer"),
+    (dict(trials=10, seed=math.inf), "seed must be an integer"),
+    (dict(trials=10, seed=-1), "seed must be >= 0, got -1"),
+])
+def test_empirical_profile_inputs_checked_at_entry(small_cfg, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        empirical_power_profile(small_cfg, -6, **kwargs)
+
+
+def test_empirical_profile_accepts_integral_numbers(small_cfg):
+    ref = empirical_power_profile(small_cfg, -6, trials=10, seed=4)
+    for trials, seed in ((10.0, 4.0), (np.int64(10), np.int32(4))):
+        prof = empirical_power_profile(small_cfg, -6, trials=trials, seed=seed)
+        assert np.array_equal(prof.total, ref.total)
+        assert np.array_equal(prof.useful, ref.useful)
+
+
+@pytest.mark.parametrize("config", [
+    OfdmConfig.centered(1024, 72, -300, 299),
+    OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)),
+], ids=["1024-band", "64-sparse"])
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+def test_empirical_profile_bitwise_equals_frozen_reference(config, alphabet):
+    # every regime boundary, and trial counts on both sides of the 8-trial
+    # transform batch and of the 64-trial accumulation group
+    n, ncp = config.n, config.n_cp
+    for d in (-(n + ncp), -n - 1, -n, -1, 0, ncp - 1, ncp, n + ncp - 1):
+        for trials in (1, 7, 8, 9, 64, 65, 130):
+            prof = empirical_power_profile(config, d, trials, seed=5, alphabet=alphabet)
+            useful, total, stderr = _frozen_empirical(config, d, trials, 5, alphabet)
+            assert np.array_equal(prof.useful, useful), (d, trials)
+            assert np.array_equal(prof.total, total), (d, trials)
+            assert np.array_equal(prof.stderr_total, stderr), (d, trials)
+
+
+# sha256 of the link-profile CSVs (--trials 130 --seed 3) and of the bytes of
+# one Gaussian-alphabet profile's useful, total and stderr arrays, recorded at
+# commit 59664cc, before the link engine batched its transforms by 8 trials.
+LINK_PROFILE_DIGESTS = {
+    -300: "a95db6194df39e854f92fe28f29e98f11b3bb9b14732845a6bf88efb9b8200a8",
+    -6: "b3e6413c041556439657bad5c3f15492c3b7f56a4150437bf337239516e10a23",
+    50: "784f153132286736a285e52411c1f39285b32400b8ceebc800fcab6d3f1f2993",
+    78: "1199bac91f9603d519c3d4c958e2627b91d913dc73b55614662a31690da58bb4",
+    200: "881595afdad4ec5c8be19f48d0de388beb062f52cc59db6e4fe76552b9ea3901",
+}
+GAUSSIAN_PROFILE_DIGEST = "0110b7b70830eeaecf1ed030351d76e49e0900294d568e6f545ede72b9c3d684"
+
+
+@pytest.mark.parametrize("offset", sorted(LINK_PROFILE_DIGESTS))
+def test_link_profile_csv_matches_recorded_digest(tmp_path, offset):
+    out = tmp_path / "profile.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["link-profile", "--offset", str(offset), "--trials", "130",
+                     "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LINK_PROFILE_DIGESTS[offset]
+
+
+def test_gaussian_profile_matches_recorded_digest(cfg):
+    prof = empirical_power_profile(cfg, 200, trials=130, seed=5, alphabet="gaussian")
+    digest = hashlib.sha256()
+    for values in (prof.useful, prof.total, prof.stderr_total):
+        digest.update(np.ascontiguousarray(values).tobytes())
+    assert digest.hexdigest() == GAUSSIAN_PROFILE_DIGEST
 
 
 def test_profile_csv_roundtrip(cfg, tmp_path):
