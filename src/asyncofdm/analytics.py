@@ -7,11 +7,11 @@ nearest-transmitter decoding probability, system throughput, and the Laplace
 transform of Poisson-field interference used as a simulation cross-check.
 
 Each statistic is an expectation over the timing offset D of a function of
-g(D) on the decodable set g(D) > T/(1+T), computed by `_expect_over_timing`:
-the decodable intervals are split exactly at the roots of g(tau) = T/(1+T) and
-at the branch edges of g, and each piece is integrated through a smoothstep
-map that flattens the integrand at both ends.  The radial integrals reduce to
-I(a) = integral_0^inf exp(-w - a w^{alpha/2}) dw, evaluated by Gauss-Laguerre.
+g(D) on the decodable set g(D) > T/(1+T), computed by `_expect_over_timing`
+for a whole grid of T at once: the decodable intervals are split exactly at the
+roots of g(tau) = T/(1+T) and at the branch edges of g, and each piece is
+integrated through a smoothstep map that flattens the integrand at both ends.
+The radial integrals reduce to I(a) = integral_0^inf exp(-w - a w^{alpha/2}) dw.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _breakpoints(config: OfdmConfig, timing: TimingModel, hypotheses):
 
 def _checked(value, err, rtol: float, what: str):
     """value, once the summed error estimate err is within rtol * max(|value|, 1e-300)."""
-    worst = float(np.max(err / np.maximum(np.abs(value), 1e-300)))
+    worst = float(np.max(err / np.maximum(np.abs(value), 1e-300), initial=0.0))
     if worst > rtol:
         raise QuadratureError(f"{what}: error estimate {worst:.3e} of |value| exceeds "
                               f"rtol = {rtol:g}")
@@ -96,6 +96,7 @@ def _checked(value, err, rtol: float, what: str):
 
 
 _laguerre = functools.lru_cache(maxsize=None)(np.polynomial.laguerre.laggauss)
+_CHUNK = 256  # components per Laguerre evaluation: memory stays flat in the grid length
 
 
 def _exp_power_integral(a, p: float, rtol: float) -> np.ndarray:
@@ -106,8 +107,10 @@ def _exp_power_integral(a, p: float, rtol: float) -> np.ndarray:
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     (x32, w32), (x64, w64) = _laguerre(32), _laguerre(64)
-    coarse = np.exp(-np.outer(a, x32 ** p)) @ w32
-    val = np.exp(-np.outer(a, x64 ** p)) @ w64
+    coarse, val = np.empty_like(a), np.empty_like(a)
+    for i in range(0, len(a), _CHUNK):
+        coarse[i:i + _CHUNK] = np.exp(-np.outer(a[i:i + _CHUNK], x32 ** p)) @ w32
+        val[i:i + _CHUNK] = np.exp(-np.outer(a[i:i + _CHUNK], x64 ** p)) @ w64
     err = np.abs(val - coarse)
     slow = ~(err < rtol * val)  # also where both rules underflow to 0 (large a)
     if np.any(slow):
@@ -122,78 +125,99 @@ def _exp_power_integral(a, p: float, rtol: float) -> np.ndarray:
     return _checked(val, err, rtol, "radial integral")
 
 
-def _expect_over_timing(config: OfdmConfig, timing: TimingModel, threshold: float, F,
-                        rtol: float, hypotheses=(0.0,)) -> float:
-    """E_D[ 1{g(D) > T/(1+T)} F(g(D)) ], g the best weight over the hypotheses.
+def _expect_over_timing(config: OfdmConfig, timing: TimingModel, thresholds: np.ndarray, F,
+                        rtol: float, hypotheses=(0.0,)) -> np.ndarray:
+    """E_D[ 1{g(D) > T/(1+T)} F(g(D), T) ] for each T in `thresholds`, g the best
+    weight over the hypotheses.
 
-    F maps an array of weights, all above T/(1+T), to an array of values.  The
-    decodable intervals are split at the breakpoints into pieces [lo, hi], and
-    piece k is integrated over s in [k, k+1] through the smoothstep
-    tau = lo + (hi - lo) r^2 (3 - 2r), r = s - k.  Its Jacobian
-    6 r (1 - r)(hi - lo) vanishes at both ends, which smooths out the
-    (tau - edge)^{2/alpha} behaviour where g meets T/(1+T).
+    F maps arrays of weights and of their thresholds, every weight above
+    T/(1+T), to an array of values.  The decodable intervals are split at the
+    breakpoints into pieces [lo, hi], and piece k is integrated over s in
+    [k, k+1] through the smoothstep tau = lo + (hi - lo) r^2 (3 - 2r), r = s - k.
+    Its Jacobian 6 r (1 - r)(hi - lo) vanishes at both ends, which smooths out
+    the (tau - edge)^{2/alpha} behaviour where g meets T/(1+T).  Each T is one
+    column of one stacked integral, padded by zero-width pieces at its last hi.
     """
-    c = threshold / (1.0 + threshold)
+    c = thresholds / (1.0 + thresholds)
     if timing.is_delta:
         g0 = hypothesis_weight(config, hypotheses, timing.offset)
-        return float(F(np.array([g0]))[0]) if g0 > c else 0.0
+        out, ok = np.zeros(len(thresholds)), g0 > c
+        out[ok] = F(np.full(np.count_nonzero(ok), g0), thresholds[ok])
+        return out
 
     brks = _breakpoints(config, timing, hypotheses)
-    pieces = []
-    for lo, hi in decodable_intervals(config, threshold, hypotheses):
-        pts = [lo] + [b for b in brks if lo < b < hi] + [hi]
-        pieces.extend(zip(pts[:-1], pts[1:]))
-    lo, hi = np.array(pieces).T
+    columns = []
+    for t in thresholds:
+        pts = [[lo] + [b for b in brks if lo < b < hi] + [hi]
+               for lo, hi in decodable_intervals(config, t, hypotheses)]
+        columns.append([piece for p in pts for piece in zip(p[:-1], p[1:])])
+    n = max(1, max(map(len, columns)))
+    lo, hi = np.array([p + [(p[-1][1] if p else 0.0,) * 2] * (n - len(p))
+                       for p in columns]).T  # each (n, m); pads sit at the last hi
     width = hi - lo
-    # the clip keeps a rounded tau off hi, which may be the open end of the domain
-    top = np.nextafter(hi, lo)
+    top = np.nextafter(hi, -np.inf)  # keeps a rounded tau off hi, maybe the domain's open end
 
     def f(s):  # integrate's panels never straddle the integer breakpoints
-        k = np.minimum(s.astype(int), len(pieces) - 1)
-        r = s - k
+        k = np.minimum(s.astype(int), n - 1)
+        r = (s - k)[:, None]
         tau = np.minimum(lo[k] + width[k] * r * r * (3.0 - 2.0 * r), top[k])
         g = hypothesis_weight(config, hypotheses, tau)
         out = 6.0 * r * (1.0 - r) * width[k] * timing.density(tau)
-        ok = g > c
-        out[ok] *= F(g[ok])
+        ok = (g > c) & (width[k] > 0)
+        out[ok] *= F(g[ok], np.broadcast_to(thresholds, g.shape)[ok])
         out[~ok] = 0.0
         return out
 
-    val, err = integrate(f, 0.0, float(len(pieces)), rtol=rtol,
-                         breakpoints=range(1, len(pieces)))
-    return float(_checked(val, err, rtol, "timing expectation"))
+    val, err = integrate(f, 0.0, float(n), rtol=rtol, breakpoints=range(1, n))
+    return _checked(val, err, rtol, "timing expectation")
+
+
+def _expect(params: NetworkParams, timing: TimingModel, config: OfdmConfig, F, rtol: float,
+            thresholds=None, hypotheses=(0.0,)):
+    """`_expect_over_timing` at params.threshold as a float, or as an array at each
+    of `thresholds`, a non-empty 1-D sequence of finite positive values."""
+    t = np.asarray([params.threshold] if thresholds is None else thresholds, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError(f"thresholds must be a non-empty 1-D sequence, got shape {t.shape}")
+    bad = np.flatnonzero(~(np.isfinite(t) & (t > 0)))
+    if bad.size:
+        raise ValueError(f"thresholds[{bad[0]}] = {t[bad[0]]} is not finite and positive")
+    out = _expect_over_timing(config, timing, t, F, rtol, hypotheses)
+    return out if thresholds is not None else float(out[0])
 
 
 def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                rtol: float, hypotheses=(0.0,)) -> float:
+                rtol: float, hypotheses=(0.0,), thresholds=None):
     """pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] (Prop. 1).
 
     With b(h) = pi*lam*h^{2/alpha}/sinc(2/alpha) and w = b(h) v the radial
     integral is I(a0)/b(h), where a0 = q (sinc(2/alpha)/(pi*lam))^{alpha/2} does
     not depend on h: one I per call.
     """
-    threshold, alpha = params.threshold, params.alpha
+    alpha = params.alpha
     sc = float(sinc(2.0 / alpha))
     a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
     scale = sc * float(_exp_power_integral(a0, alpha / 2.0, rtol)[0])
 
-    def F(g):  # pi*lam * I(a0)/b(h) with 1/h = ((1+T) g - T)/T
-        return scale * (((1.0 + threshold) * g - threshold) / threshold) ** (2.0 / alpha)
+    def F(g, t):  # pi*lam * I(a0)/b(h) with 1/h = ((1+T) g - T)/T
+        return scale * (((1.0 + t) * g - t) / t) ** (2.0 / alpha)
 
-    return _expect_over_timing(config, timing, threshold, F, rtol, hypotheses)
+    return _expect(params, timing, config, F, rtol, thresholds, hypotheses)
 
 
 def mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                   rtol: float = DEFAULT_RTOL) -> float:
-    """Mean number of transmitters whose SINR clears the detection threshold."""
-    return _mean_count(params, timing, config, rtol)
+                   rtol: float = DEFAULT_RTOL, *, thresholds=None):
+    """Mean number of transmitters whose SINR clears the detection threshold; given
+    linear `thresholds`, an array of the mean at each, and params.threshold is not read."""
+    return _mean_count(params, timing, config, rtol, thresholds=thresholds)
 
 
 def mean_decodable_with_hypotheses(params: NetworkParams, timing: TimingModel,
                                    config: OfdmConfig, hypotheses,
-                                   rtol: float = DEFAULT_RTOL) -> float:
-    """Mean decodable count when the receiver tries several timing hypotheses."""
-    return _mean_count(params, timing, config, rtol, _check_hypotheses(hypotheses))
+                                   rtol: float = DEFAULT_RTOL, *, thresholds=None):
+    """Mean decodable count when the receiver tries several timing hypotheses;
+    `thresholds` works as in `mean_decodable`."""
+    return _mean_count(params, timing, config, rtol, _check_hypotheses(hypotheses), thresholds)
 
 
 def mean_decodable_interference_limited(params: NetworkParams, timing: TimingModel,
@@ -228,22 +252,22 @@ def rho(x, alpha: float):
 
 
 def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                          rtol: float = DEFAULT_RTOL) -> float:
+                          rtol: float = DEFAULT_RTOL, *, thresholds=None):
     """Probability that the packet from the nearest transmitter is decodable (Prop. 2).
 
     pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] with
     b(h) = pi*lam*(1 + rho(h, alpha)); with w = b(h) v the radial integral is
-    I(q h / b(h)^{alpha/2}) / b(h).
+    I(q h / b(h)^{alpha/2}) / b(h).  `thresholds` works as in `mean_decodable`.
     """
-    threshold, alpha, q = params.threshold, params.alpha, params.noise_over_e
+    alpha, q = params.alpha, params.noise_over_e
 
-    def F(g):
-        h = threshold / ((1.0 + threshold) * g - threshold)
+    def F(g, t):
+        h = t / ((1.0 + t) * g - t)
         b = np.pi * params.density * (1.0 + rho(h, alpha))
         return np.pi * params.density * _exp_power_integral(q * h / b ** (alpha / 2.0),
                                                             alpha / 2.0, rtol) / b
 
-    return _expect_over_timing(config, timing, threshold, F, rtol)
+    return _expect(params, timing, config, F, rtol, thresholds)
 
 
 def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
@@ -256,13 +280,13 @@ def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     """
     if params.noise_over_e == 0.0:
         raise ValueError("the dominating intensity requires finite snr")
-    threshold, d = params.threshold, 2.0 / params.alpha
+    d = 2.0 / params.alpha
     scale = np.pi * params.density * math.gamma(1.0 + d)
 
-    def F(g):
-        return scale * (g * params.snr / threshold) ** d
+    def F(g, t):
+        return scale * (g * params.snr / t) ** d
 
-    return _expect_over_timing(config, timing, threshold, F, rtol)
+    return _expect(params, timing, config, F, rtol)
 
 
 def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
@@ -271,7 +295,7 @@ def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
     if params.alpha != 4.0:
         raise ValueError("closed form holds for alpha = 4 only")
     prefactor = np.pi ** 1.5 * params.density / 2.0 * math.sqrt(params.snr / params.threshold)
-    return prefactor * _expect_over_timing(config, timing, params.threshold, np.sqrt, rtol)
+    return prefactor * _expect(params, timing, config, lambda g, t: np.sqrt(g), rtol)
 
 
 @dataclass
@@ -330,8 +354,9 @@ def optimize_threshold(params: NetworkParams, timing: TimingModel, config: OfdmC
         raise ValueError("threshold grid must be non-empty")
     if any(b <= a for a, b in zip(grid_db, grid_db[1:])):
         raise ValueError("threshold grid must be strictly increasing")
-    values = [system_throughput(params.with_threshold_db(t), timing, config, rtol=rtol)
-              for t in grid_db]
+    thresholds = [params.with_threshold_db(t).threshold for t in grid_db]
+    means = mean_decodable(params, timing, config, rtol, thresholds=thresholds)
+    values = [math.log1p(t) * float(m) for t, m in zip(thresholds, means)]
     best = int(np.argmax(values))  # first max = lowest T on ties
     return grid_db[best], values[best], values
 

@@ -264,11 +264,13 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> int:
     if args.with_mc:
         header += ["mc_value", "mc_ci_half"]
     w.writerow(header)
+    points = [cfg.params(t_db) for t_db in grid]
+    thresholds = [params.threshold for params in points]
     with fh:
         for sigma, tm, results in zip(sigmas, models, runs):
-            for t_db in grid:
-                params = cfg.params(t_db)
-                row = [_fmt(t_db), _fmt(sigma), _fmt(analytic_fn(params, tm, cfg.ofdm))]
+            values = analytic_fn(points[0], tm, cfg.ofdm, thresholds=thresholds)
+            for t_db, params, value in zip(grid, points, values):
+                row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
                 if args.with_mc:
                     est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results.at(params.threshold))
                     row += [_fmt(est.mean), _fmt(est.ci_half_width)]
@@ -320,16 +322,17 @@ def cmd_hypotheses(cfg: RunConfig, args) -> int:
         raise ConfigError("the hypotheses command needs a hypotheses section or --hypotheses")
     tm = cfg.timing_model()
     sync = cfg.timing_model(0.0)
+    grid = cfg.sweep_grid()
+    params, thresholds = cfg.params(grid[0]), [cfg.params(t_db).threshold for t_db in grid]
+    columns = [analytics.mean_decodable(params, tm, cfg.ofdm, thresholds=thresholds),
+               analytics.mean_decodable_with_hypotheses(params, tm, cfg.ofdm, cfg.hypotheses,
+                                                        thresholds=thresholds),
+               analytics.mean_decodable(params, sync, cfg.ofdm, thresholds=thresholds)]
     fh, w = _writer(args.out)
     with fh:
         w.writerow(["threshold_db", "baseline", "with_hypotheses", "synchronized",
                     "recovered_fraction"])
-        for t_db in cfg.sweep_grid():
-            params = cfg.params(t_db)
-            base = analytics.mean_decodable(params, tm, cfg.ofdm)
-            multi = analytics.mean_decodable_with_hypotheses(params, tm, cfg.ofdm,
-                                                             cfg.hypotheses)
-            ideal = analytics.mean_decodable(params, sync, cfg.ofdm)
+        for t_db, base, multi, ideal in zip(grid, *columns):
             gap = ideal - base
             frac = (multi - base) / gap if gap > 0 else 1.0
             w.writerow([_fmt(t_db), _fmt(base), _fmt(multi), _fmt(ideal), _fmt(frac)])

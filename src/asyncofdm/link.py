@@ -274,6 +274,8 @@ class PowerProfile:
         interference = self.total[i] - self.useful[i]
         if interference <= 0:  # inside the CP: none, or a rounding residue below 0
             return np.inf
+        if self.useful[i] <= 0:  # the window holds none of symbol m
+            return -np.inf
         return 10.0 * np.log10(self.useful[i] / interference)
 
 

@@ -337,8 +337,11 @@ def test_optimize_threshold_grid_contract(cfg):
     assert best_db in grid
     with pytest.raises(ValueError):
         optimize_threshold(params, timing, cfg, [])
-    with pytest.raises(ValueError):
-        optimize_threshold(params, timing, cfg, [0.0, 0.0])
+    for grid in ([0.0, 0.0], [0.0, 4.0, 2.0], [4.0, 0.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            optimize_threshold(params, timing, cfg, grid)
+    with pytest.raises(ValueError, match="finite"):
+        optimize_threshold(params, timing, cfg, [0.0, math.nan])
 
 
 # ------------------------------------------------------------------ hypotheses
@@ -353,11 +356,66 @@ def test_hypotheses_identity_and_monotonicity(cfg):
                                            hypothesis_set(k, k, 150.0))
             for k in (0, 1, 2)]
     assert vals[0] <= vals[1] <= vals[2]
+    # every shift moves the decodable set off the offset domain: nothing decodes
+    assert mean_decodable_with_hypotheses(params, timing, cfg, (5000.0,)) == 0.0
     with pytest.raises(ValueError):
         mean_decodable_with_hypotheses(params, timing, cfg, ())
     for bad in ((0.0, math.nan), (0.0, math.inf)):  # g of a NaN shift is NaN, not 0
         with pytest.raises(ValueError, match="finite"):
             mean_decodable_with_hypotheses(params, timing, cfg, bad)
+
+
+# ------------------------------------------------------------ threshold grids
+
+GRID_STATISTICS = {
+    "mean": lambda p, t, c, h, **kw: mean_decodable(p, t, c, **kw),
+    "nearest": lambda p, t, c, h, **kw: nearest_decoding_prob(p, t, c, **kw),
+    "hypotheses": lambda p, t, c, h, **kw: mean_decodable_with_hypotheses(p, t, c, h, **kw),
+}
+GRID_HYPOTHESES = ((0.0,), hypothesis_set(1, 1, 72.0), hypothesis_set(2, 0, 150.0))
+GRID_TIMINGS = ("delta 0", "delta -600", "uniform") + tuple(
+    f"gauss {r}N" for r in (0.02, 0.05, 0.2, 0.4))
+
+
+def _grid_timing(cfg, name):
+    w = _w(cfg)
+    if name.startswith("delta"):  # g(-600) = 0.17: decodable below -6.9 dB only
+        return tm.delta(float(name.split()[1]), w)
+    if name == "uniform":
+        return tm.uniform(-cfg.n, cfg.n_cp, w)
+    return tm.truncated_gaussian(float(name.split()[1][:-1]) * cfg.n, w)
+
+
+@given(alpha=st.floats(2.2, 5.0), snr_db=st.one_of(st.none(), st.floats(30.0, 120.0)),
+       timing=st.sampled_from(GRID_TIMINGS), hypotheses=st.sampled_from(GRID_HYPOTHESES),
+       statistic=st.sampled_from(sorted(GRID_STATISTICS)),
+       grid_db=st.lists(st.floats(-15.0, 20.0), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_threshold_grid_matches_scalar_calls(alpha, snr_db, timing, hypotheses, statistic,
+                                             grid_db):
+    cfg = OfdmConfig.centered(1024, 72, -300, 299)
+    fn, timing = GRID_STATISTICS[statistic], _grid_timing(cfg, timing)
+    grid_db = grid_db + grid_db[::-2]  # unsorted, with repeats
+    points = [_params(alpha, t_db, snr_db) for t_db in grid_db]
+    scalar = np.array([fn(p, timing, cfg, hypotheses) for p in points])
+    # params.threshold is not read when thresholds are given
+    vector = fn(points[-1], timing, cfg, hypotheses, thresholds=[p.threshold for p in points])
+    np.testing.assert_allclose(vector, scalar, rtol=analytics.DEFAULT_RTOL, atol=0.0)
+    one = fn(points[-1], timing, cfg, hypotheses, thresholds=[points[0].threshold])
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert one[0] == scalar[0]  # bit for bit: the scalar call is the one-column grid
+
+
+@pytest.mark.parametrize("bad,match", (
+    ([], "non-empty"), ([[0.1, 0.2]], "1-D"), ([0.1, math.nan], r"thresholds\[1\] = nan"),
+    ([math.inf], r"thresholds\[0\] = inf"), ([0.1, 0.2, -math.inf], r"\[2\] = -inf"),
+    ([0.1, 0.0], r"\[1\] = 0.0"), ([-1.0, 0.1], r"\[0\] = -1.0")))
+def test_threshold_grid_rejected_where_it_enters(cfg, bad, match):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    for name in ("gauss 0.2N", "delta 0"):
+        for fn in GRID_STATISTICS.values():
+            with pytest.raises(ValueError, match=match):
+                fn(params, _grid_timing(cfg, name), cfg, (0.0,), thresholds=bad)
 
 
 # ------------------------------------------- against the reference implementations

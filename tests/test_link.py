@@ -356,6 +356,13 @@ def test_sir_db_infinite_on_analytic_cp_offset(cfg):
         assert prof.sir_db(0) == math.inf
 
 
+def test_sir_db_minus_infinite_without_useful_power(cfg):
+    prof = analytic_power_profile(cfg, -1096)  # the window lies wholly in symbol m+1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prof.sir_db(0) == -math.inf
+
+
 def test_late_window_sir_limited(cfg):
     prof = analytic_power_profile(cfg, cfg.n_cp + 6)
     i = int(np.nonzero(prof.subcarriers == 0)[0][0])
