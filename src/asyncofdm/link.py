@@ -40,6 +40,8 @@ __all__ = [
 _TRIAL_BLOCK = 64
 # trials per transform batch within a group; keeps the FFT work in cache
 _FFT_BATCH = 8
+# trials per seeding pass in _trial_generators; amortises its ~50 array calls
+_SEED_CHUNK = 1024
 
 
 def _integer(name: str, value) -> int:
@@ -50,6 +52,43 @@ def _integer(name: str, value) -> int:
     if as_int != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return as_int
+
+
+def _hashmix(v: np.ndarray, k: int, rows: int, c: int = 0x43b0d7e5, mult: int = 0x931e8875):
+    """numpy SeedSequence's hashmix as its calls k ... k + rows - 1, one per row of v."""
+    h = [c * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(k, k + rows + 1)]
+    h = np.array(h, np.uint32)[:, None]
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ v >> 16
+
+
+def _trial_generators(seed: int, lo: int, hi: int):
+    """Yield, for t = lo ... hi-1, one reused Generator re-seated to the exact state of
+    `default_rng([seed, t])`: SeedSequence runs as uint32 array arithmetic per chunk of
+    trials, PCG64's seeding step in Python ints.  Finish a trial's draws before the next."""
+    rng = np.random.Generator(np.random.PCG64())
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    while lo < hi:
+        t_words = -(-max(lo.bit_length(), 1) // 32)  # 32-bit words; constant over a chunk
+        stop = min(lo + _SEED_CHUNK, hi, 1 << 32 * t_words)
+        t = np.arange(lo, stop, dtype=object) >> np.arange(0, 32 * t_words, 32)[:, None]
+        entropy = np.zeros((max(len(seed_words) + t_words, 4), stop - lo), np.uint32)
+        entropy[:len(seed_words)] = np.array(seed_words)[:, None]
+        entropy[len(seed_words):len(seed_words) + t_words] = t & 0xFFFFFFFF
+        pool, k = _hashmix(entropy[:4], 0, 4), 4
+        for s in range(len(entropy)):  # each pool word into the others, then extra words
+            dst = [d for d in range(4) if d != s]
+            h = _hashmix(pool[s] if s < 4 else entropy[s], k, len(dst))
+            r = np.uint32(0xca01f9dd) * pool[dst] - np.uint32(0x4973f715) * h
+            pool[dst], k = r ^ r >> 16, k + len(dst)
+        w = _hashmix(pool[[0, 1, 2, 3] * 2], 0, 8, 0x8b51f9dd, 0x58f38ded)  # generate_state
+        for s0, s1, i0, i1 in np.ascontiguousarray(w.T, "<u4").view("<u8").tolist():
+            inc = (i0 << 65 | i1 << 1 | 1) & (1 << 128) - 1
+            state = (inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state & (1 << 128) - 1, "inc": inc}}
+            yield rng
+        lo = stop
 
 
 @dataclass(frozen=True)
@@ -350,13 +389,14 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     total_sum = np.zeros(k)
     total_sq = np.zeros(k)
     cross = np.zeros(k, dtype=complex)
+    rngs = _trial_generators(seed, 0, trials)
     for first in range(0, trials, _TRIAL_BLOCK):
         group = range(first, min(first + _TRIAL_BLOCK, trials))
         y = np.empty((len(group), k), dtype=complex, order="F")  # see _TRIAL_BLOCK
         current = np.empty((len(group), k), dtype=complex)  # see _TRIAL_BLOCK
         for lo in range(0, len(group), _FFT_BATCH):
             batch = group[lo:lo + _FFT_BATCH]
-            raw = np.stack([draw(np.random.default_rng([seed, t]), (rows, k)) for t in batch])
+            raw = np.stack([draw(next(rngs), (rows, k)) for _ in batch])
             for i, r in enumerate(read):
                 for a, b, at in runs:
                     grid[:len(batch), i, at:at + b - a] = symbols(raw[:, r, a:b])

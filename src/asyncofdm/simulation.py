@@ -13,11 +13,12 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .analytics import CountDistribution
-from .link import OfdmConfig, _integer
+from .link import OfdmConfig, _integer, _trial_generators
 from .sinr import NetworkParams, NetworkSnapshot, _check_positive, _sinr, snapshot_sinr_all
 from .timing import TimingModel
 
@@ -70,9 +71,8 @@ class Estimate:
     trials: int
 
 
-def _draw(params: NetworkParams, timing: TimingModel, spec: SimSpec, trial_index: int):
-    """Distances, fades and timing uniforms of one trial, in its seeded draw order."""
-    rng = np.random.default_rng([spec.master_seed, trial_index])
+def _draw(params: NetworkParams, timing: TimingModel, spec: SimSpec, rng: np.random.Generator):
+    """Distances, fades and timing uniforms of one trial from its generator, in draw order."""
     radius = spec.radius(params.density)
     count = rng.poisson(params.density * math.pi * radius ** 2)
     distances = radius * np.sqrt(rng.random(count))
@@ -83,7 +83,11 @@ def _draw(params: NetworkParams, timing: TimingModel, spec: SimSpec, trial_index
 def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
                     trial_index: int) -> NetworkSnapshot:
     """One PPP realization on the observation disk, deterministic per (seed, trial)."""
-    distances, fades, u = _draw(params, timing, spec, trial_index)
+    t = _integer("trial_index", trial_index)
+    if t < 0:
+        raise ValueError(f"trial_index must be >= 0, got {t}")
+    rng = next(_trial_generators(spec.master_seed, t, t + 1))
+    distances, fades, u = _draw(params, timing, spec, rng)
     return NetworkSnapshot(distances, fades, timing.quantile(u), params.noise_over_e, params.alpha)
 
 
@@ -92,10 +96,11 @@ def count_decodable(snapshot: NetworkSnapshot, threshold: float, config: OfdmCon
     return int(np.count_nonzero(snapshot_sinr_all(snapshot, config) >= threshold))
 
 
-def _candidates(params: NetworkParams, timing: TimingModel, spec: SimSpec, t: int, cut: float):
-    """Powers and timing uniforms of trial t's candidates (p >= cut * (total + N0/E),
+def _candidates(params: NetworkParams, timing: TimingModel, spec: SimSpec,
+                rng: np.random.Generator, cut: float):
+    """Powers and timing uniforms of a trial's candidates (p >= cut * (total + N0/E),
     and the nearest), its total power, and the nearest's place among them."""
-    distances, fades, u = _draw(params, timing, spec, t)
+    distances, fades, u = _draw(params, timing, spec, rng)
     _check_positive(distances, fades)
     p = fades * distances ** (-params.alpha)
     total = p.sum()
@@ -120,10 +125,10 @@ def _trial_chunk(args):
     params, timings, config, spec, start, stop = args
     cut = (1.0 - 1e-9) * params.threshold / (1.0 + params.threshold)  # 1e-9: rounding slack
     draw_with = next((m for m in timings if not m.is_delta), timings[0])
-    out = []
-    for lo in range(start, stop, _BLOCK):
-        p, u, total, nearest = zip(*(_candidates(params, draw_with, spec, t, cut)
-                                     for t in range(lo, min(lo + _BLOCK, stop))))
+    rngs, out = _trial_generators(spec.master_seed, start, stop), []
+    for _ in range(start, stop, _BLOCK):
+        p, u, total, nearest = zip(*(_candidates(params, draw_with, spec, rng, cut)
+                                     for rng in islice(rngs, _BLOCK)))
         sizes = np.fromiter(map(len, p), np.int64, len(p))
         p, u, total = np.concatenate(p), np.concatenate(u), np.repeat(total, sizes)
         trial = np.repeat(np.arange(len(sizes)), sizes)
@@ -165,7 +170,7 @@ class TrialResults:
             w = csv.writer(fh)
             w.writerow(["trial", "count", "nearest_sinr_db"])
             for t, (c, s) in enumerate(zip(self.counts, self.nearest_sinr)):
-                sinr_db = "" if math.isnan(s) else f"{10.0 * math.log10(s):.10g}"
+                sinr_db = "" if math.isnan(s) else f"{10 * math.log10(s) if s else -math.inf:.10g}"
                 w.writerow([t, int(c), sinr_db])
 
 

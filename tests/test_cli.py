@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -227,6 +228,19 @@ def test_simulate_command_deterministic(tmp_path):
     rows = _rows(out1)
     assert rows[0] == ["trial", "count", "nearest_sinr_db"]
     assert len(rows) == 51
+
+
+def test_simulate_writes_minus_inf_for_a_zero_nearest_sinr(tmp_path):
+    # at sigma = 0.4N some nearest transmitters sit in [-(N+Ncp), -N), where g = 0
+    path = _write(tmp_path, "timing:\n  kind: truncated_gaussian\n  sigma_over_n: 0.4\n")
+    out = str(tmp_path / "trials.csv")
+    assert main(["simulate", "--config", path, "--trials", "2000", "--seed", "1",
+                 "--out", out]) == 0
+    rows = _rows(out)
+    assert len(rows) == 2001
+    db = [row[2] for row in rows[1:]]
+    assert "-inf" in db
+    assert all(v == "" or v == "-inf" or math.isfinite(float(v)) for v in db)
 
 
 def test_validate_command(tmp_path):

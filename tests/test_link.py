@@ -22,7 +22,13 @@ from asyncofdm.link import (
     receive_window,
     used_outputs,
 )
-from asyncofdm.link import _gaussian_symbols, _ici_sum, _qpsk_symbols, _window_pieces
+from asyncofdm.link import (
+    _SEED_CHUNK,
+    _gaussian_symbols,
+    _ici_sum,
+    _qpsk_symbols,
+    _window_pieces,
+)
 from asyncofdm.sinr import cp_weight
 
 
@@ -476,6 +482,18 @@ def test_empirical_profile_bitwise_equals_frozen_reference(config, alphabet):
             assert np.array_equal(prof.useful, useful), (d, trials)
             assert np.array_equal(prof.total, total), (d, trials)
             assert np.array_equal(prof.stderr_total, stderr), (d, trials)
+
+
+def test_empirical_profile_across_seeding_chunks_equals_frozen_reference():
+    # more trials than one seeding pass of _trial_generators
+    config = OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19))
+    for d, alphabet in ((-30, "qpsk"), (70, "gaussian")):
+        trials = _SEED_CHUNK + 3
+        prof = empirical_power_profile(config, d, trials, seed=2 ** 64 + 7, alphabet=alphabet)
+        useful, total, stderr = _frozen_empirical(config, d, trials, 2 ** 64 + 7, alphabet)
+        assert np.array_equal(prof.useful, useful)
+        assert np.array_equal(prof.total, total)
+        assert np.array_equal(prof.stderr_total, stderr)
 
 
 # sha256 of the link-profile CSVs (--trials 130 --seed 3) and of the bytes of

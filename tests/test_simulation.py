@@ -20,7 +20,7 @@ from asyncofdm.simulation import (
     sample_snapshot,
 )
 from asyncofdm.sinr import NetworkParams, NetworkSnapshot, db_to_linear
-from tests.conftest import budget_params
+from tests.conftest import budget_params, frozen_snapshot
 
 
 def _w(cfg):
@@ -70,6 +70,18 @@ def test_snapshot_deterministic_per_seed_and_trial(cfg):
     assert np.array_equal(a.fades, b.fades)
     assert np.array_equal(a.offsets, b.offsets)
     assert len(a) != len(c) or not np.array_equal(a.distances, c.distances)
+
+
+def test_snapshot_trial_index_checked(cfg):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    spec = SimSpec(10, 77)
+    ref = sample_snapshot(params, _tg02(cfg), spec, 3)
+    for t in (3.0, np.int64(3)):
+        assert sample_snapshot(params, _tg02(cfg), spec, t).distances.tobytes() == \
+            ref.distances.tobytes()
+    for bad, message in ((-1, ">= 0"), (2.5, "integer"), (math.nan, "integer")):
+        with pytest.raises(ValueError, match=message):
+            sample_snapshot(params, _tg02(cfg), spec, bad)
 
 
 def test_snapshot_poisson_count(cfg):
@@ -320,7 +332,7 @@ def test_validate_analytic_column_matches_recorded_values(tmp_path):
 def _full_vector_reference(params, timing, config, spec):
     counts, near, kept = [], [], []
     for t in range(spec.trials):
-        snap = sample_snapshot(params, timing, spec, t)
+        snap = frozen_snapshot(params, timing, spec, t)
         s = simulation.snapshot_sinr_all(snap, config)
         counts.append(np.count_nonzero(s >= params.threshold))
         kept.append(s[s >= params.threshold])
@@ -416,10 +428,15 @@ def _assert_each_matches_separate_runs(params, timings, config, spec, workers=1)
         assert res.sinr.tobytes() == ref.sinr.tobytes()
 
 
+def _uniform_from(a, b, w):
+    # a*w + (1-a)*w can round to w + ulp; the model's interval must end at or below w
+    return tm.uniform(a * w, min(a * w + b * (1 - a) * w, w), w)
+
+
 def _model_lists(w, a, b):
     d = tm.delta(a * w, w)
     gauss = tm.truncated_gaussian(b * 1024, w, mean=a * w)
-    unif = tm.uniform(a * w, a * w + b * (1 - a) * w, w)
+    unif = _uniform_from(a, b, w)
     return {"all-delta": [d, tm.delta(0.0, w)], "delta-first": [d, gauss, unif],
             "repeated": [gauss, d, gauss], "mixed": [unif, gauss]}
 
@@ -469,19 +486,23 @@ def test_pool_sized_to_the_non_empty_chunks(cfg, monkeypatch):
 
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
+
+    # A_ROUNDS_UP * 1096 + (1 - A_ROUNDS_UP) * 1096 == 1096.0000000000002
+    A_ROUNDS_UP = -0.2847674017785685
 
     @given(alpha=st.floats(2.05, 6.0), snr_db=st.one_of(st.just(math.inf), st.floats(0.0, 90.0)),
            t_db=st.floats(-40.0, 25.0), kind=st.sampled_from(["delta", "gauss", "uniform"]),
            a=st.floats(-1.0, 0.999), b=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=40, deadline=None)
+    @example(alpha=3.8, snr_db=math.inf, t_db=-12.0, kind="uniform", a=A_ROUNDS_UP, b=1.0, seed=1)
     def test_candidate_scoring_matches_full_vector_property(cfg, alpha, snr_db, t_db, kind, a,
                                                             b, seed):
         w = _w(cfg)
         timing = {"delta": lambda: tm.delta(a * w, w),
                   "gauss": lambda: tm.truncated_gaussian(b * 1024, w, mean=a * w),
-                  "uniform": lambda: tm.uniform(a * w, a * w + b * (1 - a) * w, w)}[kind]()
+                  "uniform": lambda: _uniform_from(a, b, w)}[kind]()
         params = NetworkParams(1 / 20 ** 2, alpha, db_to_linear(snr_db), db_to_linear(t_db))
         _assert_matches_reference(params, timing, cfg, SimSpec(4, seed, expected_points=300))
 
@@ -491,6 +512,8 @@ try:
            models=st.sampled_from(["all-delta", "delta-first", "repeated", "mixed"]),
            a=st.floats(-1.0, 0.999), b=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=25, deadline=None)
+    @example(alpha=3.8, snr_db=math.inf, t_db=-12.0, models="mixed", a=A_ROUNDS_UP, b=1.0,
+             seed=1)
     def test_one_pass_matches_separate_runs_property(cfg, workers, alpha, snr_db, t_db, models,
                                                      a, b, seed):
         params = NetworkParams(1 / 20 ** 2, alpha, db_to_linear(snr_db), db_to_linear(t_db))
