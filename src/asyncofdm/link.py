@@ -64,8 +64,8 @@ def _hashmix(v: np.ndarray, k: int, rows: int, c: int = 0x43b0d7e5, mult: int = 
 
 def _trial_generators(seed: int, lo: int, hi: int):
     """Yield, for t = lo ... hi-1, one reused Generator re-seated to the exact state of
-    `default_rng([seed, t])`: SeedSequence runs as uint32 array arithmetic per chunk of
-    trials, PCG64's seeding step in Python ints.  Finish a trial's draws before the next."""
+    `default_rng([seed, t])`, so with no buffered 32-bit half-word: SeedSequence as uint32
+    arrays per chunk, PCG64 seeding in Python ints.  Finish a trial's draws before the next."""
     rng = np.random.Generator(np.random.PCG64())
     seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     while lo < hi:
@@ -162,6 +162,14 @@ def _qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
     return _QPSK[rng.integers(0, 4, size=shape)]
 
 
+def _qpsk_indices(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """`rng.integers(0, 4, size=shape)` bit for bit on a generator with no buffered 32-bit
+    half-word: the top two bits of each half of PCG64's raw words, low half first."""
+    n = shape[0] * shape[1]
+    words = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8", copy=False)
+    return (words.view("<u4")[:n] >> 30).reshape(shape)
+
+
 def _gaussian_symbols(rng: np.random.Generator, shape) -> np.ndarray:
     z = rng.standard_normal((*shape[:-1], 2, shape[-1]))
     return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
@@ -178,7 +186,7 @@ def _stream(draw, config: OfdmConfig, symbol_indices, rng: np.random.Generator,
 
 def qpsk_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator,
                 energy_per_sample: float = 1.0) -> SymbolStream:
-    """Unit-modulus QPSK symbols, i.i.d. per (subcarrier, symbol)."""
+    """Unit-modulus QPSK symbols, i.i.d. per (subcarrier, symbol), by `integers`: any rng state."""
     return _stream(_qpsk_symbols, config, symbol_indices, rng, energy_per_sample)
 
 
@@ -359,16 +367,18 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
                             alphabet: str = "qpsk") -> PowerProfile:
     """Monte Carlo per-subcarrier powers averaged over random symbol streams.
 
-    The useful power is estimated from the correlation of the output with the
-    desired symbol, |mean Y[l] conj(S[l;m])|^2, which is independent of the
-    analytic per-regime decomposition.  Deterministic per (seed, trial).
+    The useful power is estimated from the correlation of the output with the desired
+    symbol, |mean Y[l] conj(S[l;m])|^2, which is independent of the analytic per-regime
+    decomposition.  Deterministic per (seed, trial).  QPSK indices come from
+    `_qpsk_indices`, as each trial's generator is freshly seated and draws only them.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if alphabet not in ("qpsk", "gaussian"):
+    kinds = {"qpsk": (_qpsk_indices, _QPSK.take), "gaussian": (_gaussian_symbols, np.asarray)}
+    if alphabet not in kinds:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)
     n, k = config.n, len(config.used)
@@ -381,14 +391,9 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
                              for i, (_, p) in enumerate(pieces)])
     cuts = [0, *(np.flatnonzero(np.diff(used_mod) != 1) + 1).tolist(), k]
     runs = [(a, b, used_mod[a]) for a, b in zip(cuts, cuts[1:])]  # contiguous runs of used_mod
-    if alphabet == "qpsk":
-        draw, symbols = (lambda rng, shape: rng.integers(0, 4, size=shape)), _QPSK.take
-    else:
-        draw, symbols = _gaussian_symbols, np.asarray
+    draw, symbols = kinds[alphabet]
     grid = np.zeros((_FFT_BATCH, len(pieces), n), dtype=complex)
-    total_sum = np.zeros(k)
-    total_sq = np.zeros(k)
-    cross = np.zeros(k, dtype=complex)
+    total_sum, total_sq, cross = np.zeros(k), np.zeros(k), np.zeros(k, dtype=complex)
     rngs = _trial_generators(seed, 0, trials)
     for first in range(0, trials, _TRIAL_BLOCK):
         group = range(first, min(first + _TRIAL_BLOCK, trials))
@@ -408,7 +413,6 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
         total_sq += (p ** 2).sum(axis=0)
         cross += (y * np.conj(current)).sum(axis=0)
     total = total_sum / trials
-    var = np.maximum(total_sq / trials - total ** 2, 0.0)
-    stderr = np.sqrt(var / trials)
+    stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
     useful = np.abs(cross / trials) ** 2
     return PowerProfile(d, config.used_array(), useful, total, stderr)

@@ -71,13 +71,19 @@ class Estimate:
     trials: int
 
 
-def _draw(params: NetworkParams, timing: TimingModel, spec: SimSpec, rng: np.random.Generator):
-    """Distances, fades and timing uniforms of one trial from its generator, in draw order."""
+def _disk(params: NetworkParams, spec: SimSpec) -> tuple[float, float]:
+    """Radius of the observation disk and its mean number of transmitters."""
     radius = spec.radius(params.density)
-    count = rng.poisson(params.density * math.pi * radius ** 2)
-    distances = radius * np.sqrt(rng.random(count))
-    fades = rng.exponential(1.0, count)
-    return distances, fades, timing.uniforms(rng, count)
+    return radius, params.density * math.pi * radius ** 2
+
+
+def _draw(timing: TimingModel, rng: np.random.Generator, radius: float, mean: float):
+    """Distances, fades and timing uniforms of one trial from its generator, in draw order:
+    in place, the bits of radius * np.sqrt(rng.random(...)) and rng.exponential(1.0, ...)."""
+    d = rng.random(rng.poisson(mean))
+    np.sqrt(d, out=d)
+    d *= radius
+    return d, rng.standard_exponential(len(d)), timing.uniforms(rng, len(d))
 
 
 def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
@@ -86,8 +92,8 @@ def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
     t = _integer("trial_index", trial_index)
     if t < 0:
         raise ValueError(f"trial_index must be >= 0, got {t}")
-    rng = next(_trial_generators(spec.master_seed, t, t + 1))
-    distances, fades, u = _draw(params, timing, spec, rng)
+    rng = np.random.default_rng([spec.master_seed, t])
+    distances, fades, u = _draw(timing, rng, *_disk(params, spec))
     return NetworkSnapshot(distances, fades, timing.quantile(u), params.noise_over_e, params.alpha)
 
 
@@ -96,18 +102,18 @@ def count_decodable(snapshot: NetworkSnapshot, threshold: float, config: OfdmCon
     return int(np.count_nonzero(snapshot_sinr_all(snapshot, config) >= threshold))
 
 
-def _candidates(params: NetworkParams, timing: TimingModel, spec: SimSpec,
-                rng: np.random.Generator, cut: float):
+def _candidates(params: NetworkParams, timing: TimingModel, rng: np.random.Generator,
+                disk: tuple[float, float], cut: float):
     """Powers and timing uniforms of a trial's candidates (p >= cut * (total + N0/E),
     and the nearest), its total power, and the nearest's place among them."""
-    distances, fades, u = _draw(params, timing, spec, rng)
-    _check_positive(distances, fades)
-    p = fades * distances ** (-params.alpha)
-    total = p.sum()
-    if not len(p):
-        return p, u, total, -1
-    keep = p >= cut * (total + params.noise_over_e)
+    distances, fades, u = _draw(timing, rng, *disk)
+    if not len(distances):
+        return distances, u, 0.0, -1
     i = distances.argmin()
+    _check_positive(distances[i], fades.min())  # the least of each stand for all
+    p = np.multiply(fades, np.power(distances, -params.alpha, out=distances), out=fades)
+    total = p.sum()
+    keep = p >= cut * (total + params.noise_over_e)
     keep[i] = True
     idx = keep.nonzero()[0]
     return p[idx], u[idx], total, idx.searchsorted(i)
@@ -125,9 +131,9 @@ def _trial_chunk(args):
     params, timings, config, spec, start, stop = args
     cut = (1.0 - 1e-9) * params.threshold / (1.0 + params.threshold)  # 1e-9: rounding slack
     draw_with = next((m for m in timings if not m.is_delta), timings[0])
-    rngs, out = _trial_generators(spec.master_seed, start, stop), []
+    rngs, disk, out = _trial_generators(spec.master_seed, start, stop), _disk(params, spec), []
     for _ in range(start, stop, _BLOCK):
-        p, u, total, nearest = zip(*(_candidates(params, draw_with, spec, rng, cut)
+        p, u, total, nearest = zip(*(_candidates(params, draw_with, rng, disk, cut)
                                      for rng in islice(rngs, _BLOCK)))
         sizes = np.fromiter(map(len, p), np.int64, len(p))
         p, u, total = np.concatenate(p), np.concatenate(u), np.repeat(total, sizes)

@@ -3,8 +3,11 @@
 `link._trial_generators` runs numpy's SeedSequence mix and PCG64's seeding step
 for a chunk of trials at once and re-seats one reused Generator per trial.  These
 tests hold it, and the engines that draw from it, to fresh `default_rng`
-generators, which stay the reference.  They depend only on numpy's documented
-seeding algorithms, so CI also runs this file alone on the oldest supported numpy.
+generators, which stay the reference.  They also pin the two draw identities the
+engines rest on: `link._qpsk_indices`, read from PCG64's raw words, equals
+`integers(0, 4)`, and `standard_exponential` equals `exponential(1.0)`.  All of
+this depends only on numpy's documented seeding and sampling algorithms, so CI
+also runs this file alone on the oldest supported numpy.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncofdm import timing as tm
-from asyncofdm.link import _SEED_CHUNK, _trial_generators
+from asyncofdm.link import _QPSK, _SEED_CHUNK, _qpsk_indices, _trial_generators
 from asyncofdm.simulation import SimSpec, sample_snapshot
 from tests.conftest import budget_params, frozen_snapshot
 
@@ -80,3 +83,51 @@ def test_snapshot_bitwise_equals_fresh_generator_draws(cfg, timing):
             ref = frozen_snapshot(params, model, spec, t)
             for name in ("distances", "fades", "offsets"):
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+
+
+# ------------------------------------------------ draw identities
+#
+# Each trial's generator is freshly seated, so it holds no buffered half-word
+# when the raw-word QPSK draw starts, and it draws nothing else in that trial.
+
+def _paired_generators(seed, lo, hi):
+    """Two independent generator streams over the same trials, with t."""
+    return zip(range(lo, hi), _trial_generators(seed, lo, hi), _trial_generators(seed, lo, hi))
+
+
+def _assert_qpsk_indices_match(seed, lo, hi, shape):
+    for t, rng, ref in _paired_generators(seed, lo, hi):
+        got, want = _qpsk_indices(rng, shape), ref.integers(0, 4, size=shape)
+        assert got.shape == want.shape and np.array_equal(got, want), (seed, t, shape)
+        assert _QPSK.take(got).tobytes() == _QPSK[want].tobytes()
+        # the same 64-bit words consumed; only integers' buffered half may differ
+        assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+    # and no state leaks into the next trial
+    rngs = _trial_generators(seed, lo, hi + 1)
+    for t, rng in zip(range(lo, hi + 1), rngs):
+        fresh = np.random.default_rng([seed, t])
+        assert np.array_equal(_qpsk_indices(rng, shape), fresh.integers(0, 4, size=shape))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (3, 600), (1, 5), (3, 7), (4, 5)])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, 2 ** 96 + 5])
+def test_raw_word_qpsk_indices_equal_integers(seed, shape):
+    for lo in (0, _SEED_CHUNK - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64):
+        _assert_qpsk_indices_match(seed, lo, lo + 3, shape)
+
+
+@given(seed=st.integers(0, 2 ** 96), t=st.integers(0, 2 ** 70),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 700)))
+@settings(max_examples=60, deadline=None)
+def test_raw_word_qpsk_indices_property(seed, t, shape):
+    _assert_qpsk_indices_match(seed, t, t + 2, shape)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 2000])
+@pytest.mark.parametrize("seed", [0, 2 ** 64, 2 ** 96 + 5])
+def test_standard_exponential_equals_exponential_one(seed, count):
+    for lo in (0, 2 ** 32):
+        for t, rng, ref in _paired_generators(seed, lo, lo + 3):
+            got, want = rng.standard_exponential(count), ref.exponential(1.0, count)
+            assert got.tobytes() == want.tobytes(), (seed, t, count)
+            assert rng.random(3).tobytes() == ref.random(3).tobytes()  # same words consumed

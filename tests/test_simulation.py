@@ -382,19 +382,34 @@ def test_candidate_scoring_across_score_blocks(cfg):
 
 
 def test_snapshot_positivity_still_checked(cfg, monkeypatch):
+    # the screen checks only the nearest distance and the least fade, so a zero
+    # fade away from index 0 and from the nearest must still be caught
     params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    models = [tm.delta(0.0, _w(cfg)), _tg02(cfg), tm.uniform(-100.0, 100.0, _w(cfg))]
     draw = simulation._draw
 
-    def zero_fade(*args):
-        distances, fades, u = draw(*args)
+    def zero_fade_first(distances, fades):
         fades[0] = 0.0
-        return distances, fades, u
 
-    monkeypatch.setattr(simulation, "_draw", zero_fade)
-    for call in (lambda: sample_snapshot(params, _tg02(cfg), SimSpec(1, 1), 0),
-                 lambda: run_trials(params, _tg02(cfg), cfg, SimSpec(3, 1))):
-        with pytest.raises(ValueError, match="distances and fades must be positive"):
-            call()
+    def zero_distance(distances, fades):
+        distances[len(distances) // 2] = 0.0
+
+    def zero_fade_elsewhere(distances, fades):
+        near = distances.argmin()
+        fades[next(j for j in (1, 2) if j != near)] = 0.0
+
+    for fault in (zero_fade_first, zero_distance, zero_fade_elsewhere):
+        def faulty(*args, fault=fault):
+            distances, fades, u = draw(*args)
+            fault(distances, fades)
+            return distances, fades, u
+
+        monkeypatch.setattr(simulation, "_draw", faulty)
+        for call in (lambda: sample_snapshot(params, _tg02(cfg), SimSpec(1, 1), 0),
+                     lambda: run_trials(params, _tg02(cfg), cfg, SimSpec(3, 1)),
+                     lambda: simulation.run_trials_each(params, models, cfg, SimSpec(3, 1))):
+            with pytest.raises(ValueError, match="distances and fades must be positive"):
+                call()
 
 
 @pytest.mark.parametrize("name", ["delta0", "delta-500", "gauss0.3", "uniform"])
