@@ -16,8 +16,6 @@ from .sinr import (
     cp_weight,
     hypothesis_set,
     hypothesis_weight,
-    self_interference_factor,
-    snapshot_sinr,
 )
 from .timing import TimingModel, delta, truncated_gaussian, uniform
 from .analytics import (
@@ -25,7 +23,6 @@ from .analytics import (
     lambda_tilde,
     laplace_interference,
     mean_decodable,
-    mean_decodable_interference_limited,
     mean_decodable_upper_bound,
     mean_decodable_with_hypotheses,
     nearest_decoding_prob,

@@ -32,7 +32,6 @@ __all__ = [
     "CountDistribution",
     "decodable_intervals",
     "mean_decodable",
-    "mean_decodable_interference_limited",
     "mean_decodable_upper_bound",
     "mean_decodable_with_hypotheses",
     "lambda_tilde",
@@ -218,13 +217,6 @@ def mean_decodable_with_hypotheses(params: NetworkParams, timing: TimingModel,
     """Mean decodable count when the receiver tries several timing hypotheses;
     `thresholds` works as in `mean_decodable`."""
     return _mean_count(params, timing, config, rtol, _check_hypotheses(hypotheses), thresholds)
-
-
-def mean_decodable_interference_limited(params: NetworkParams, timing: TimingModel,
-                                        config: OfdmConfig,
-                                        rtol: float = DEFAULT_RTOL) -> float:
-    """Mean decodable count with noise sent to zero; independent of density."""
-    return _mean_count(params.interference_limited(), timing, config, rtol)
 
 
 def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:

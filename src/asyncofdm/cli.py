@@ -20,7 +20,7 @@ import yaml
 
 from . import analytics, simulation, timing as timing_mod
 from .link import OfdmConfig, empirical_power_profile
-from .sinr import NetworkParams, hypothesis_set
+from .sinr import NetworkParams, db_to_linear, hypothesis_set
 from .simulation import SimSpec
 
 DEFAULTS = {
@@ -48,6 +48,7 @@ _ALLOWED = {
     "hypotheses": {"n1", "n2", "delta"},
 }
 _SWEEP_KEYS = {"lo_db", "hi_db", "step_db"}
+_BUDGET = {"tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz", "noise_figure_db"}
 
 
 class ConfigError(ValueError):
@@ -57,42 +58,31 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     ofdm: OfdmConfig
-    network: dict  # validated raw network section
-    timing: dict  # validated raw timing section
+    network: NetworkParams  # at threshold_db
+    timing: timing_mod.TimingModel  # the configured model
     threshold_db: float
     sweep_db: tuple[float, float, float] | None
     sim: SimSpec
     hypotheses: tuple[float, ...] | None
 
     def params(self, threshold_db: float) -> NetworkParams:
-        net = self.network
-        if "snr_db" in net:
-            from .sinr import db_to_linear
-            return NetworkParams(net["density_per_m2"], net["alpha"],
-                                 db_to_linear(net["snr_db"]), db_to_linear(threshold_db))
-        return NetworkParams.from_budget(
-            net["density_per_m2"], net["alpha"], threshold_db,
-            net["tx_power_dbm"], net["bandwidth_hz"],
-            net["noise_psd_dbm_hz"], net["noise_figure_db"])
+        return self.network.with_threshold_db(threshold_db)
 
     def timing_model(self, sigma_over_n: float | None = None) -> timing_mod.TimingModel:
+        """The configured model, or a synchronized (0) or Gaussian one of sigma_over_n * N."""
+        if sigma_over_n is None:
+            return self.timing
         w = self.ofdm.domain_half_width
-        if sigma_over_n is not None:
-            if sigma_over_n == 0.0:
-                return timing_mod.delta(0.0, w)
-            return timing_mod.truncated_gaussian(sigma_over_n * self.ofdm.n, w)
-        t = self.timing
-        if t["kind"] == "delta":
-            return timing_mod.delta(t.get("offset", 0.0), w)
-        if t["kind"] == "uniform":
-            return timing_mod.uniform(t["lo"], t["hi"], w)
-        return timing_mod.truncated_gaussian(t["sigma_over_n"] * self.ofdm.n, w)
+        if sigma_over_n == 0.0:
+            return timing_mod.delta(0.0, w)
+        return timing_mod.truncated_gaussian(sigma_over_n * self.ofdm.n, w)
 
-    @property
-    def sigma_over_n(self) -> float:
-        if self.timing["kind"] == "truncated_gaussian":
-            return self.timing["sigma_over_n"]
-        return 0.0
+    def sweep_models(self, sigma_flag: str | None) -> list[tuple[float, timing_mod.TimingModel]]:
+        """(sigma / N, model) per sweep: one per value of a --sigma-over-n list, or else
+        the configured model alone, whose sigma is 0 unless it is Gaussian."""
+        if sigma_flag is None:
+            return [(self.timing.sigma / self.ofdm.n, self.timing)]
+        return [(s, self.timing_model(s)) for s in map(float, sigma_flag.split(","))]
 
     def sweep_grid(self) -> list[float]:
         if self.sweep_db is not None:
@@ -125,7 +115,8 @@ def _check_keys(section: str, data: dict, allowed: set) -> None:
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Parse and validate the YAML run configuration; defaults fill gaps."""
+    """Parse the YAML run configuration and build every object of the run once;
+    defaults fill gaps, and an explicit null means the default."""
     raw = {}
     if path is not None:
         try:
@@ -147,82 +138,84 @@ def load_config(path: str | None) -> RunConfig:
         if not isinstance(user, dict):
             raise ConfigError(f"'{section}' must be a mapping")
         _check_keys(section, user, allowed)
-        merged.setdefault(section, {}).update(user)
+        raw[section] = {k: v for k, v in user.items() if v is not None}
+        merged.setdefault(section, {}).update(raw[section])
 
-    ofdm = merged["ofdm"]
-    lo, hi = ofdm["used_range"]
-    config = OfdmConfig.centered(int(ofdm["n"]), int(ofdm["n_cp"]), int(lo), int(hi))
+    section = "ofdm"  # the section being built, named in any error it raises
+    try:
+        o = merged["ofdm"]
+        lo, hi = o["used_range"]
+        ofdm = OfdmConfig.centered(o["n"], o["n_cp"], lo, hi)
+        w = ofdm.domain_half_width
 
-    net = merged["network"]
-    if "snr_db" in net:
-        budget = {"tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz", "noise_figure_db"}
-        if raw.get("network") and budget & set(raw["network"]):
+        section, net = "network", merged["network"]
+        if "snr_db" not in net:  # built at 0 dB, then moved to threshold_db below
+            network = NetworkParams.from_budget(
+                net["density_per_m2"], net["alpha"], 0.0, net["tx_power_dbm"],
+                net["bandwidth_hz"], net["noise_psd_dbm_hz"], net["noise_figure_db"])
+        elif _BUDGET & set(raw["network"]):
             raise ConfigError("network: give either snr_db or the power budget, not both")
-        for k in budget:
-            net.pop(k, None)
-    if net["alpha"] <= 2:
-        raise ConfigError("network.alpha must exceed 2")
-    if net["density_per_m2"] <= 0:
-        raise ConfigError("network.density_per_m2 must be positive")
+        else:
+            network = NetworkParams(net["density_per_m2"], net["alpha"],
+                                    db_to_linear(net["snr_db"]), 1.0)
 
-    tim = merged["timing"]
-    if tim["kind"] not in ("delta", "truncated_gaussian", "uniform"):
-        raise ConfigError(f"timing.kind '{tim['kind']}' not one of delta/truncated_gaussian/uniform")
-    if tim["kind"] == "truncated_gaussian" and tim.get("sigma_over_n", 0) <= 0:
-        raise ConfigError("timing.sigma_over_n must be positive for truncated_gaussian")
+        section, tim = "timing", merged["timing"]
+        if tim["kind"] == "delta":
+            timing = timing_mod.delta(tim.get("offset", 0.0), w)
+        elif tim["kind"] == "uniform":
+            timing = timing_mod.uniform(tim["lo"], tim["hi"], w)
+        elif tim["kind"] != "truncated_gaussian":
+            raise ConfigError(f"timing.kind '{tim['kind']}' not one of "
+                              "delta/truncated_gaussian/uniform")
+        elif not tim["sigma_over_n"] > 0:
+            raise ConfigError("timing.sigma_over_n must be positive for truncated_gaussian")
+        else:
+            timing = timing_mod.truncated_gaussian(tim["sigma_over_n"] * ofdm.n, w)
 
-    det = merged["detection"]
-    threshold_db = det.get("threshold_db")
-    if threshold_db is None:  # an explicit null means the default
-        threshold_db = DEFAULTS["detection"]["threshold_db"]
-    sweep_db = None
-    if "sweep" in det:
-        sweep = det["sweep"]
-        _check_keys("detection.sweep", sweep, _SWEEP_KEYS)
-        missing = _SWEEP_KEYS - set(sweep)
-        if missing:
-            raise ConfigError(f"detection.sweep missing {sorted(missing)}")
-        sweep_db = _sweep(sweep["lo_db"], sweep["hi_db"], sweep["step_db"], "detection.sweep")
+        section, det = "detection", merged["detection"]
+        threshold_db = det["threshold_db"]
+        network = network.with_threshold_db(threshold_db)
+        sweep_db = None
+        if "sweep" in det:
+            section, sweep = "detection.sweep", det["sweep"]
+            _check_keys(section, sweep, _SWEEP_KEYS)
+            sweep_db = _sweep(sweep["lo_db"], sweep["hi_db"], sweep["step_db"], section)
 
-    sim = merged["sim"]
-    spec = SimSpec(int(sim["trials"]), int(sim["seed"]), int(sim["expected_points"]))
+        section, sim = "sim", merged["sim"]
+        spec = SimSpec(sim["trials"], sim["seed"], sim["expected_points"])
 
-    hyp = None
-    if "hypotheses" in merged and merged["hypotheses"]:
-        h = merged["hypotheses"]
-        for k in ("n1", "n2", "delta"):
-            if k not in h:
-                raise ConfigError(f"hypotheses.{k} is required when hypotheses are given")
-        hyp = hypothesis_set(int(h["n1"]), int(h["n2"]), float(h["delta"]))
-
-    return RunConfig(config, net, tim, threshold_db, sweep_db, spec, hyp)
+        section, hyp = "hypotheses", None
+        if merged.get("hypotheses"):
+            h = merged["hypotheses"]
+            hyp = hypothesis_set(h["n1"], h["n2"], h["delta"])
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{section}.{exc.args[0]} is required") from None
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+    return RunConfig(ofdm, network, timing, threshold_db, sweep_db, spec, hyp)
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "workers", 1) < 1:
+    if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.sim = replace(cfg.sim, master_seed=args.seed)
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         cfg.sim = replace(cfg.sim, trials=args.trials)
-    if getattr(args, "sweep", None) is not None:
+    if args.sweep is not None:
         parts = args.sweep.split(":")
         if len(parts) != 3:
             raise ConfigError("--sweep expects LO:HI:STEP in dB")
         cfg.sweep_db = _sweep(*parts, "--sweep")
-    if getattr(args, "hypotheses", None) is not None:
+    if args.hypotheses is not None:
         try:
             n1, n2, delta = args.hypotheses.split(",")
             cfg.hypotheses = hypothesis_set(int(n1), int(n2), float(delta))
         except ValueError:
             raise ConfigError("--hypotheses expects N1,N2,DELTA")
     return cfg
-
-
-def _sigmas(cfg: RunConfig, args) -> list[float]:
-    if getattr(args, "sigma_over_n", None) is not None:
-        return [float(s) for s in args.sigma_over_n.split(",")]
-    return [cfg.sigma_over_n]
 
 
 def _writer(path):
@@ -253,10 +246,9 @@ def cmd_nearest(cfg: RunConfig, args) -> int:
 
 def _sweep_command(cfg, args, analytic_fn, mc_fn) -> int:
     grid = cfg.sweep_grid()
-    sigmas = _sigmas(cfg, args)
-    models = [cfg.timing_model(sigma) for sigma in sigmas]
+    sigmas, models = zip(*cfg.sweep_models(args.sigma_over_n))
     runs = [None] * len(models)
-    if args.with_mc:  # one pass for every sigma, at the sweep's lowest threshold
+    if args.with_mc:  # one pass for every model, at the sweep's lowest threshold
         runs = simulation.run_trials_each(cfg.params(min(grid)), models, cfg.ofdm, cfg.sim,
                                           workers=args.workers)
     fh, w = _writer(args.out)
@@ -304,11 +296,11 @@ def cmd_throughput(cfg: RunConfig, args) -> int:
     grid = cfg.sweep_grid()
     if len(grid) < 2:
         grid = [x * 0.5 for x in range(-30, 21)]  # default -15..10 dB step 0.5
+    models = cfg.sweep_models(args.sigma_over_n)
     fh, w = _writer(args.out)
     with fh:
         w.writerow(["row_type", "threshold_db", "sigma_over_n", "throughput"])
-        for sigma in _sigmas(cfg, args):
-            tm = cfg.timing_model(sigma)
+        for sigma, tm in models:
             best_db, best_val, values = analytics.optimize_threshold(
                 cfg.params(grid[0]), tm, cfg.ofdm, grid)
             for t_db, val in zip(grid, values):

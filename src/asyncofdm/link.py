@@ -27,7 +27,6 @@ __all__ = [
     "modulate_symbol",
     "receive_window",
     "demodulate_window",
-    "used_outputs",
     "closed_form_outputs",
     "analytic_power_profile",
     "empirical_power_profile",
@@ -119,17 +118,12 @@ class OfdmConfig:
     @classmethod
     def centered(cls, n: int, n_cp: int, lo: int, hi: int) -> "OfdmConfig":
         """Config with the contiguous subcarrier range lo..hi inclusive."""
-        return cls(n, n_cp, tuple(range(lo, hi + 1)))
+        return cls(n, n_cp, tuple(range(_integer("lo", lo), _integer("hi", hi) + 1)))
 
     @property
     def domain_half_width(self) -> int:
         """Half-width of the admissible timing-offset domain."""
         return self.n + self.n_cp
-
-    def check_offset(self, d) -> None:
-        w = self.domain_half_width
-        if not -w <= d < w:
-            raise ValueError(f"timing offset {d} outside [-{w}, {w})")
 
     def used_array(self) -> np.ndarray:
         return np.asarray(self.used, dtype=int)
@@ -204,10 +198,10 @@ def modulate_symbol(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndar
 
 
 def _sample_offset(config: OfdmConfig, d) -> int:
-    if d != int(d):
-        raise ValueError(f"timing offset {d} is not an integer number of samples")
-    d = int(d)
-    config.check_offset(d)
+    """d as an integer number of samples in [-(n+n_cp), n+n_cp)."""
+    d, w = _integer("timing offset", d), config.domain_half_width
+    if not -w <= d < w:
+        raise ValueError(f"timing offset {d} outside [-{w}, {w})")
     return d
 
 
@@ -242,13 +236,6 @@ def demodulate_window(window: np.ndarray) -> np.ndarray:
     if window.ndim != 1:
         raise ValueError("window must be one-dimensional")
     return np.fft.fft(window)
-
-
-def used_outputs(config: OfdmConfig, outputs: np.ndarray) -> np.ndarray:
-    """Demodulator outputs restricted to the used subcarriers, in config order."""
-    if len(outputs) != config.n:
-        raise ValueError(f"expected {config.n} demodulator outputs, got {len(outputs)}")
-    return outputs[config.used_array() % config.n]
 
 
 def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "run_trials",
     "run_trials_each",
     "estimate_mean_decodable",
-    "estimate_throughput",
     "estimate_distribution",
     "estimate_nearest_prob",
 ]
@@ -219,14 +218,6 @@ def estimate_mean_decodable(params: NetworkParams, timing: TimingModel, config: 
     if results is None:
         results = run_trials(params, timing, config, spec, workers)
     return _mean_ci(results.counts.astype(float))
-
-
-def estimate_throughput(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                        spec: SimSpec, workers: int = 1,
-                        results: TrialResults | None = None) -> Estimate:
-    est = estimate_mean_decodable(params, timing, config, spec, workers, results)
-    rate = math.log1p(params.threshold)
-    return Estimate(rate * est.mean, rate * est.ci_half_width, est.trials)
 
 
 def _wilson(successes: np.ndarray, n: int, z: float = 1.96):

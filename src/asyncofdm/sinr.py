@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import OfdmConfig
+from .link import OfdmConfig, _integer
 
 __all__ = [
     "NetworkParams",
     "NetworkSnapshot",
     "cp_weight",
     "cp_weight_clipped",
-    "self_interference_factor",
-    "snapshot_sinr",
     "snapshot_sinr_all",
     "hypothesis_set",
     "hypothesis_weight",
@@ -32,10 +30,6 @@ __all__ = [
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -111,23 +105,8 @@ def cp_weight_clipped(config: OfdmConfig, d):
     return (np.maximum(np.minimum(np.minimum(n + d, n), (n + ncp) - d), 0.0) / n) ** 2
 
 
-def self_interference_factor(config: OfdmConfig, tau: float, threshold: float):
-    """The fading-threshold multiplier h(tau, T); None when decoding is impossible.
-
-    Defined as T / ((1+T) g(tau) - T) whenever g(tau) > T/(1+T); always >= T,
-    with equality iff g(tau) = 1.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    g = cp_weight(config, tau)
-    denom = (1.0 + threshold) * g - threshold
-    if denom <= 0:
-        return None
-    return threshold / denom
-
-
 def _check_positive(distances: np.ndarray, fades: np.ndarray) -> None:
-    if (distances <= 0).any() or (fades <= 0).any():
+    if not ((distances > 0).all() and (fades > 0).all()):  # NaN fails too
         raise ValueError("distances and fades must be positive")
 
 
@@ -170,14 +149,9 @@ def snapshot_sinr_all(snapshot: NetworkSnapshot, config: OfdmConfig) -> np.ndarr
     return _sinr(config, snapshot.offsets, p, p.sum(), snapshot.noise_over_e)
 
 
-def snapshot_sinr(snapshot: NetworkSnapshot, i: int, config: OfdmConfig) -> float:
-    if len(snapshot) == 0:
-        raise ValueError("empty snapshot")
-    return float(snapshot_sinr_all(snapshot, config)[i])
-
-
 def hypothesis_set(n1: int, n2: int, delta: float) -> tuple[float, ...]:
     """Receiver timing hypotheses -n1*delta, ..., 0, ..., n2*delta."""
+    n1, n2 = _integer("n1", n1), _integer("n2", n2)
     if n1 < 0 or n2 < 0 or not 0 < delta < math.inf:
         raise ValueError("need n1, n2 >= 0 and finite delta > 0")
     return tuple(k * delta for k in range(-n1, n2 + 1))

@@ -11,7 +11,6 @@ from asyncofdm.analytics import (
     lambda_tilde_closed_form_alpha4,
     laplace_interference,
     mean_decodable,
-    mean_decodable_interference_limited,
     mean_decodable_upper_bound,
     mean_decodable_with_hypotheses,
     nearest_decoding_prob,
@@ -234,7 +233,7 @@ def test_upper_bound_values():
 def test_bound_attained_when_synchronized(cfg):
     for alpha, t_db in ((3.0, -6.0), (3.8, -12.0), (4.0, 0.0)):
         params = budget_params(1e-4, alpha, t_db)
-        il = mean_decodable_interference_limited(params, tm.delta(0.0, _w(cfg)), cfg)
+        il = mean_decodable(params.interference_limited(), tm.delta(0.0, _w(cfg)), cfg)
         assert il == pytest.approx(mean_decodable_upper_bound(alpha, params.threshold),
                                    rel=1e-6)
 
@@ -243,7 +242,7 @@ def test_bound_dominates_asynchronous(cfg):
     timing = tm.truncated_gaussian(0.2 * 1024, _w(cfg))
     for alpha in (3.0, 3.8, 4.5):
         params = budget_params(1e-4, alpha, -6.0)
-        il = mean_decodable_interference_limited(params, timing, cfg)
+        il = mean_decodable(params.interference_limited(), timing, cfg)
         assert il <= mean_decodable_upper_bound(alpha, params.threshold) + 1e-9
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from asyncofdm import analytics
 from asyncofdm.cli import ConfigError, _apply_flags, _sweep, build_parser, load_config, main
 
 
@@ -27,10 +28,10 @@ def test_empty_config_gives_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, ""))
     assert cfg.ofdm.n == 1024 and cfg.ofdm.n_cp == 72
     assert cfg.ofdm.used == tuple(range(-300, 300))
-    assert cfg.network["density_per_m2"] == pytest.approx(1.0 / 400 ** 2)
-    assert cfg.network["alpha"] == 3.8
-    assert cfg.timing["kind"] == "truncated_gaussian"
-    assert cfg.timing["sigma_over_n"] == 0.2
+    assert cfg.network.density == pytest.approx(1.0 / 400 ** 2)
+    assert cfg.network.alpha == 3.8
+    assert cfg.timing.kind == "truncated_gaussian"
+    assert cfg.timing.sigma == 0.2 * 1024
     assert cfg.threshold_db == -12.0
     assert cfg.sim.trials == 1000 and cfg.sim.master_seed == 1
 
@@ -117,6 +118,8 @@ def test_threshold_default_resolved_in_load_config(tmp_path):
     cfg = load_config(_write(tmp_path, "detection:\n  threshold_db: null\n"))
     assert cfg.threshold_db == -12.0
     assert load_config(_write(tmp_path, "detection:\n  threshold_db: -3\n")).threshold_db == -3
+    cfg = load_config(_write(tmp_path, "network: {alpha: null}\nsim: {trials: null}\n"))
+    assert cfg.network.alpha == 3.8 and cfg.sim.trials == 1000
 
 
 def test_timing_section_validation(tmp_path):
@@ -134,6 +137,22 @@ def test_hypotheses_section(tmp_path):
     assert cfg.hypotheses == (-72.0, 0.0, 72.0)
     with pytest.raises(ConfigError, match="hypotheses.delta"):
         load_config(_write(tmp_path, "hypotheses:\n  n1: 1\n  n2: 1\n"))
+
+
+@pytest.mark.parametrize("text, section", [
+    ("network: {alpha: '3'}", "network"),
+    ("timing: {sigma_over_n: x}", "timing"),
+    ("timing: {kind: uniform}", "timing"),
+    ("detection: {sweep: 5}", "detection"),
+    ("sim: {trials: 2.5}", "sim"),
+    ("hypotheses: {n1: 1.7, n2: 1, delta: 72}", "hypotheses"),
+    ("ofdm: {used_range: [1]}", "ofdm"),
+])
+def test_malformed_config_exits_2_naming_its_section(tmp_path, capsys, text, section):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", _write(tmp_path, text + "\n"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section}")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- commands
@@ -174,6 +193,28 @@ def test_nearest_command(tmp_path):
     rows = _rows(out)
     assert rows[0][:3] == ["threshold_db", "sigma_over_n", "analytic_value"]
     assert 0.0 <= float(rows[1][2]) <= 1.0
+
+
+@pytest.mark.parametrize("timing", ["{kind: uniform, lo: -1000, hi: 1000}",
+                                    "{kind: delta, offset: -600}"])
+def test_sweep_commands_use_the_configured_timing_model(tmp_path, timing):
+    path = _write(tmp_path, f"timing: {timing}\n")
+    cfg = load_config(path)
+    model, params, grid = cfg.timing_model(), cfg.params(-12.0), [-12.0, -10.0]
+    thresholds = [cfg.params(t_db).threshold for t_db in grid]
+    for command, fn in (("mean-decodable", analytics.mean_decodable),
+                        ("nearest", analytics.nearest_decoding_prob)):
+        out = str(tmp_path / f"{command}.csv")
+        assert main([command, "--config", path, "--sweep=-12:-10:2", "--out", out]) == 0
+        rows = _rows(out)[1:]
+        assert [row[1] for row in rows] == ["0", "0"]  # sigma / N of the model used
+        expect = fn(params, model, cfg.ofdm, thresholds=thresholds)
+        assert [float(row[2]) for row in rows] == pytest.approx(expect, rel=1e-9)
+    out = str(tmp_path / "thr.csv")
+    assert main(["throughput", "--config", path, "--sweep=-12:-10:2", "--out", out]) == 0
+    _, _, expect = analytics.optimize_threshold(params, model, cfg.ofdm, grid)
+    data = [row for row in _rows(out)[1:] if row[0] == "data"]
+    assert [float(row[3]) for row in data] == pytest.approx(expect, rel=1e-9)
 
 
 def test_link_profile_command(tmp_path):

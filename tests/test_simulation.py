@@ -15,7 +15,6 @@ from asyncofdm.simulation import (
     estimate_distribution,
     estimate_mean_decodable,
     estimate_nearest_prob,
-    estimate_throughput,
     run_trials,
     sample_snapshot,
 )
@@ -150,18 +149,6 @@ def test_mean_estimate_covers_analytic_value(cfg):
     analytic = analytics.mean_decodable(params, timing, cfg)
     assert abs(est.mean - analytic) <= est.ci_half_width
     assert est.trials == 2000 and est.ci_half_width > 0.0
-
-
-def test_throughput_estimate_consistent_scaling(cfg):
-    params = budget_params(1 / 20 ** 2, 3.8, -4.0)
-    timing = tm.delta(0.0, _w(cfg))
-    spec = SimSpec(200, 4)
-    res = run_trials(params, timing, cfg, spec)
-    mean = estimate_mean_decodable(params, timing, cfg, spec, results=res)
-    thr = estimate_throughput(params, timing, cfg, spec, results=res)
-    rate = math.log1p(params.threshold)
-    assert thr.mean == pytest.approx(rate * mean.mean)
-    assert thr.ci_half_width == pytest.approx(rate * mean.ci_half_width)
 
 
 def test_sparse_limit_mean_near_zero(cfg):

@@ -11,9 +11,6 @@ from asyncofdm.sinr import (
     db_to_linear,
     hypothesis_set,
     hypothesis_weight,
-    linear_to_db,
-    self_interference_factor,
-    snapshot_sinr,
     snapshot_sinr_all,
 )
 from tests.conftest import budget_params
@@ -45,7 +42,7 @@ def test_params_reject_non_finite():
 def test_power_budget_snr():
     # 23 dBm minus (-174 + 70 + 9) dBm noise floor = 118 dB
     p = budget_params(1 / 400 ** 2, 3.8, -12.0)
-    assert linear_to_db(p.snr) == pytest.approx(118.0, abs=1e-9)
+    assert 10.0 * math.log10(p.snr) == pytest.approx(118.0, abs=1e-9)
     assert p.threshold == pytest.approx(db_to_linear(-12.0))
 
 
@@ -137,37 +134,12 @@ def test_weight_rejects_nan(cfg):
             hypothesis_weight(cfg, (0.0, math.nan), 10.0)
 
 
-# ----------------------------------------------------- self-interference factor
-
-def test_factor_inside_cp_equals_threshold(cfg):
-    for t in (0.1, 1.0, 4.0):
-        assert self_interference_factor(cfg, 10.0, t) == pytest.approx(t)
-
-
-def test_factor_hand_value(cfg):
-    t = 10.0 ** -1.2
-    h = self_interference_factor(cfg, -512.0, t)  # g = 0.25
-    assert h == pytest.approx(t / ((1.0 + t) * 0.25 - t), rel=1e-12)
-    assert h == pytest.approx(0.3113, abs=1e-4)
-    assert h >= t
-
-
-def test_factor_excluded_at_boundary(cfg):
-    # g = 0.5 at d = n(sqrt(0.5)-1); with T=1 the denominator hits zero there,
-    # so anything at or below that weight is excluded (nudge for float rounding)
-    d = cfg.n * (math.sqrt(0.5) - 1.0) - 1e-9
-    assert self_interference_factor(cfg, d, 1.0) is None
-    assert self_interference_factor(cfg, -1050.0, 0.1) is None
-    with pytest.raises(ValueError):
-        self_interference_factor(cfg, 0.0, 0.0)
-
-
 # -------------------------------------------------------------- snapshot SINR
 
 def test_single_transmitter_noise_only(cfg):
     snap = NetworkSnapshot([10.0], [2.0], [0.0], noise_over_e=1e-4, alpha=4.0)
     expect = 2.0 * 10.0 ** -4.0 / 1e-4
-    assert snapshot_sinr(snap, 0, cfg) == pytest.approx(expect)
+    assert snapshot_sinr_all(snap, cfg)[0] == pytest.approx(expect)
 
 
 def test_two_equal_transmitters_symmetric(cfg):
@@ -178,7 +150,7 @@ def test_two_equal_transmitters_symmetric(cfg):
 
 def test_fully_misaligned_transmitter_zero(cfg):
     snap = NetworkSnapshot([5.0, 7.0], [1.0, 1.0], [-1050.0, 0.0], 0.0, 3.8)
-    assert snapshot_sinr(snap, 0, cfg) == 0.0
+    assert snapshot_sinr_all(snap, cfg)[0] == 0.0
 
 
 def test_scale_invariance_without_noise(cfg):
@@ -204,8 +176,8 @@ def test_snapshot_validation(cfg):
         NetworkSnapshot([1.0], [1.0, 2.0], [0.0], 0.0, 4.0)
     with pytest.raises(ValueError):
         NetworkSnapshot([-1.0], [1.0], [0.0], 0.0, 4.0)
-    with pytest.raises(ValueError):
-        snapshot_sinr(NetworkSnapshot([], [], [], 0.0, 4.0), 0, cfg)
+    with pytest.raises(ValueError):  # NaN is not positive
+        NetworkSnapshot([1.0, math.nan], [math.nan, 1.0], [0.0, 0.0], 0.0, 4.0)
 
 
 # ------------------------------------------------------------------ hypotheses
