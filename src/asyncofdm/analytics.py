@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .link import OfdmConfig
-from .quadrature import QuadratureError, integrate, integrate_halfline, sinc
+from .quadrature import QuadratureError, integrate, integrate_halfline
 from .sinr import NetworkParams, _check_hypotheses, hypothesis_weight
 from .timing import TimingModel
 
@@ -194,7 +194,7 @@ def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     not depend on h: one I per call.
     """
     alpha = params.alpha
-    sc = float(sinc(2.0 / alpha))
+    sc = float(np.sinc(2.0 / alpha))
     a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
     scale = sc * float(_exp_power_integral(a0, alpha / 2.0, rtol)[0])
 
@@ -225,7 +225,7 @@ def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:
         raise ValueError("alpha must exceed 2")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    return float(sinc(2.0 / alpha) / threshold ** (2.0 / alpha))
+    return float(np.sinc(2.0 / alpha) / threshold ** (2.0 / alpha))
 
 
 def rho(x, alpha: float):
@@ -359,4 +359,4 @@ def laplace_interference(s: float, density: float, alpha: float) -> float:
         raise ValueError("s must be nonnegative")
     if alpha <= 2:
         raise ValueError("alpha must exceed 2")
-    return float(np.exp(-density * np.pi * s ** (2.0 / alpha) / sinc(2.0 / alpha)))
+    return float(np.exp(-density * np.pi * s ** (2.0 / alpha) / np.sinc(2.0 / alpha)))

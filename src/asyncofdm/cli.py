@@ -77,12 +77,12 @@ class RunConfig:
             return timing_mod.delta(0.0, w)
         return timing_mod.truncated_gaussian(sigma_over_n * self.ofdm.n, w)
 
-    def sweep_models(self, sigma_flag: str | None) -> list[tuple[float, timing_mod.TimingModel]]:
-        """(sigma / N, model) per sweep: one per value of a --sigma-over-n list, or else
+    def sweep_models(self, sigmas: list[float] | None) -> list[tuple[float, timing_mod.TimingModel]]:
+        """(sigma / N, model) per sweep: one per parsed --sigma-over-n value, or else
         the configured model alone, whose sigma is 0 unless it is Gaussian."""
-        if sigma_flag is None:
+        if sigmas is None:
             return [(self.timing.sigma / self.ofdm.n, self.timing)]
-        return [(s, self.timing_model(s)) for s in map(float, sigma_flag.split(","))]
+        return [(s, self.timing_model(s)) for s in sigmas]
 
     def sweep_grid(self) -> list[float]:
         if self.sweep_db is not None:
@@ -93,11 +93,15 @@ class RunConfig:
 
 
 def _sweep(lo, hi, step, where: str) -> tuple[float, float, float]:
-    """A threshold sweep (lo, hi, step) in dB whose step divides hi - lo."""
+    """A threshold sweep (lo, hi, step) in dB whose step divides hi - lo and whose
+    end points are finite, positive linear thresholds."""
     try:
         lo, hi, step = float(lo), float(hi), float(step)
+        linear = db_to_linear(lo), db_to_linear(hi)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} expects numbers, got {lo!r}:{hi!r}:{step!r}") from None
+    except OverflowError:  # 10.0 ** x raises rather than returning inf
+        linear = (math.inf,)
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ConfigError(f"{where} values must be finite, got {lo}:{hi}:{step}")
     if not (lo < hi and step > 0):
@@ -105,6 +109,9 @@ def _sweep(lo, hi, step, where: str) -> tuple[float, float, float]:
     steps = (hi - lo) / step
     if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * round(steps)):
         raise ConfigError(f"{where}: step {step} does not divide the range {lo}..{hi}")
+    if not all(0.0 < x < math.inf for x in linear):
+        raise ConfigError(f"{where}: the range {lo}..{hi} dB does not map to finite, "
+                          "positive linear thresholds")
     return lo, hi, step
 
 
@@ -215,101 +222,84 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
             cfg.hypotheses = hypothesis_set(int(n1), int(n2), float(delta))
         except ValueError:
             raise ConfigError("--hypotheses expects N1,N2,DELTA")
+    if args.sigma_over_n is not None:
+        try:
+            args.sigma_over_n = [float(s) for s in args.sigma_over_n.split(",")]
+            cfg.sweep_models(args.sigma_over_n)  # builds, and so checks, each model
+        except ValueError as exc:
+            raise ConfigError(f"--sigma-over-n: {exc}") from None
     return cfg
 
 
-def _writer(path):
-    fh = open(path, "w", newline="")
-    return fh, csv.writer(fh)
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def cmd_link_profile(cfg: RunConfig, args) -> int:
+def cmd_link_profile(cfg: RunConfig, args) -> None:
     profile = empirical_power_profile(cfg.ofdm, args.offset, cfg.sim.trials,
                                       cfg.sim.master_seed)
     profile.to_csv(args.out)
-    return 0
 
 
-def cmd_mean_decodable(cfg: RunConfig, args) -> int:
-    return _sweep_command(cfg, args, analytics.mean_decodable,
-                          simulation.estimate_mean_decodable)
-
-
-def cmd_nearest(cfg: RunConfig, args) -> int:
-    return _sweep_command(cfg, args, analytics.nearest_decoding_prob,
-                          simulation.estimate_nearest_prob)
-
-
-def _sweep_command(cfg, args, analytic_fn, mc_fn) -> int:
+def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
     grid = cfg.sweep_grid()
     sigmas, models = zip(*cfg.sweep_models(args.sigma_over_n))
     runs = [None] * len(models)
     if args.with_mc:  # one pass for every model, at the sweep's lowest threshold
         runs = simulation.run_trials_each(cfg.params(min(grid)), models, cfg.ofdm, cfg.sim,
                                           workers=args.workers)
-    fh, w = _writer(args.out)
     header = ["threshold_db", "sigma_over_n", "analytic_value"]
     if args.with_mc:
         header += ["mc_value", "mc_ci_half"]
-    w.writerow(header)
     points = [cfg.params(t_db) for t_db in grid]
     thresholds = [params.threshold for params in points]
-    with fh:
-        for sigma, tm, results in zip(sigmas, models, runs):
-            values = analytic_fn(points[0], tm, cfg.ofdm, thresholds=thresholds)
-            for t_db, params, value in zip(grid, points, values):
-                row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
-                if args.with_mc:
-                    est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results.at(params.threshold))
-                    row += [_fmt(est.mean), _fmt(est.ci_half_width)]
-                w.writerow(row)
-    return 0
+    rows = []
+    for sigma, tm, results in zip(sigmas, models, runs):
+        values = analytic_fn(points[0], tm, cfg.ofdm, thresholds=thresholds)
+        for t_db, params, value in zip(grid, points, values):
+            row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
+            if args.with_mc:
+                est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results.at(params.threshold))
+                row += [_fmt(est.mean), _fmt(est.ci_half_width)]
+            rows.append(row)
+    _write_csv(args.out, header, rows)
 
 
-def cmd_dist(cfg: RunConfig, args) -> int:
+def cmd_dist(cfg: RunConfig, args) -> None:
     params = cfg.params(cfg.threshold_db)
     tm = cfg.timing_model()
     bound = analytics.upsilon_upper_distribution(params, tm, cfg.ofdm)
     emp = simulation.estimate_distribution(params, tm, cfg.ofdm, cfg.sim,
                                            workers=args.workers)
     n_max = max(bound.support_max, int(emp.counts[-1]))
-    bound_ccdf = bound.ccdf()
-    emp_ccdf = emp.ccdf()
-    fh, w = _writer(args.out)
-    with fh:
-        w.writerow(["n", "bound_pmf", "bound_ccdf", "mc_pmf", "mc_ccdf", "mc_ci_half"])
-        for n in range(n_max + 1):
-            bp = bound.pmf[n] if n <= bound.support_max else 0.0
-            bc = bound_ccdf[n] if n <= bound.support_max else 0.0
-            mp = emp.pmf[n] if n < len(emp.pmf) else 0.0
-            mc = emp_ccdf[n] if n < len(emp.pmf) else 0.0
-            half = emp.ci_half_width[n] if n < len(emp.pmf) else 0.0
-            w.writerow([n, _fmt(bp), _fmt(bc), _fmt(mp), _fmt(mc), _fmt(half)])
-    return 0
+    columns = (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(), emp.ci_half_width)
+    rows = [[n] + [_fmt(c[n] if n < len(c) else 0.0) for c in columns]
+            for n in range(n_max + 1)]
+    _write_csv(args.out, ["n", "bound_pmf", "bound_ccdf", "mc_pmf", "mc_ccdf", "mc_ci_half"],
+               rows)
 
 
-def cmd_throughput(cfg: RunConfig, args) -> int:
+def cmd_throughput(cfg: RunConfig, args) -> None:
     grid = cfg.sweep_grid()
     if len(grid) < 2:
         grid = [x * 0.5 for x in range(-30, 21)]  # default -15..10 dB step 0.5
-    models = cfg.sweep_models(args.sigma_over_n)
-    fh, w = _writer(args.out)
-    with fh:
-        w.writerow(["row_type", "threshold_db", "sigma_over_n", "throughput"])
-        for sigma, tm in models:
-            best_db, best_val, values = analytics.optimize_threshold(
-                cfg.params(grid[0]), tm, cfg.ofdm, grid)
-            for t_db, val in zip(grid, values):
-                w.writerow(["data", _fmt(t_db), _fmt(sigma), _fmt(val)])
-            w.writerow(["optimal", _fmt(best_db), _fmt(sigma), _fmt(best_val)])
-    return 0
+    rows = []
+    for sigma, tm in cfg.sweep_models(args.sigma_over_n):
+        best_db, best_val, values = analytics.optimize_threshold(
+            cfg.params(grid[0]), tm, cfg.ofdm, grid)
+        rows += [["data", _fmt(t_db), _fmt(sigma), _fmt(val)] for t_db, val in zip(grid, values)]
+        rows.append(["optimal", _fmt(best_db), _fmt(sigma), _fmt(best_val)])
+    _write_csv(args.out, ["row_type", "threshold_db", "sigma_over_n", "throughput"], rows)
 
 
-def cmd_hypotheses(cfg: RunConfig, args) -> int:
+def cmd_hypotheses(cfg: RunConfig, args) -> None:
     if cfg.hypotheses is None:
         raise ConfigError("the hypotheses command needs a hypotheses section or --hypotheses")
     tm = cfg.timing_model()
@@ -320,23 +310,20 @@ def cmd_hypotheses(cfg: RunConfig, args) -> int:
                analytics.mean_decodable_with_hypotheses(params, tm, cfg.ofdm, cfg.hypotheses,
                                                         thresholds=thresholds),
                analytics.mean_decodable(params, sync, cfg.ofdm, thresholds=thresholds)]
-    fh, w = _writer(args.out)
-    with fh:
-        w.writerow(["threshold_db", "baseline", "with_hypotheses", "synchronized",
-                    "recovered_fraction"])
-        for t_db, base, multi, ideal in zip(grid, *columns):
-            gap = ideal - base
-            frac = (multi - base) / gap if gap > 0 else 1.0
-            w.writerow([_fmt(t_db), _fmt(base), _fmt(multi), _fmt(ideal), _fmt(frac)])
-    return 0
+    rows = []
+    for t_db, base, multi, ideal in zip(grid, *columns):
+        gap = ideal - base
+        frac = (multi - base) / gap if gap > 0 else 1.0
+        rows.append([_fmt(t_db), _fmt(base), _fmt(multi), _fmt(ideal), _fmt(frac)])
+    _write_csv(args.out, ["threshold_db", "baseline", "with_hypotheses", "synchronized",
+                          "recovered_fraction"], rows)
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(cfg: RunConfig, args) -> None:
     params = cfg.params(cfg.threshold_db)
     results = simulation.run_trials(params, cfg.timing_model(), cfg.ofdm, cfg.sim,
                                     workers=args.workers)
     results.to_csv(args.out)
-    return 0
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
@@ -363,22 +350,26 @@ def cmd_validate(cfg: RunConfig, args) -> int:
               f"mc={est.mean:.6g} +/- {est.ci_half_width:.2g}")
         rows.append([name, _fmt(analytic), _fmt(est.mean), _fmt(est.ci_half_width),
                      "pass" if ok else "fail"])
-    fh, w = _writer(args.out)
-    with fh:
-        w.writerow(["scenario", "analytic", "mc_mean", "mc_ci_half", "status"])
-        w.writerows(rows)
+    _write_csv(args.out, ["scenario", "analytic", "mc_mean", "mc_ci_half", "status"], rows)
     return 1 if failed else 0
 
 
+_MC = {"trials", "seed", "workers"}  # read by mean-decodable and nearest only with --with-mc
+_SWEEP = {"sweep", "sigma_over_n", "with_mc"}
+
+# command: (function, the run flags it reads); --config and --out belong to every command.
+# The sweep entries look their functions up at call time, where a tracer may have wrapped them.
 COMMANDS = {
-    "link-profile": cmd_link_profile,
-    "mean-decodable": cmd_mean_decodable,
-    "nearest": cmd_nearest,
-    "dist": cmd_dist,
-    "throughput": cmd_throughput,
-    "hypotheses": cmd_hypotheses,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
+    "link-profile": (cmd_link_profile, {"offset", "trials", "seed"}),
+    "mean-decodable": (lambda cfg, args: _sweep_command(
+        cfg, args, analytics.mean_decodable, simulation.estimate_mean_decodable), _SWEEP),
+    "nearest": (lambda cfg, args: _sweep_command(
+        cfg, args, analytics.nearest_decoding_prob, simulation.estimate_nearest_prob), _SWEEP),
+    "dist": (cmd_dist, _MC),
+    "throughput": (cmd_throughput, {"sweep", "sigma_over_n"}),
+    "hypotheses": (cmd_hypotheses, {"hypotheses", "sweep"}),
+    "simulate": (cmd_simulate, _MC),
+    "validate": (cmd_validate, _MC),
 }
 
 
@@ -404,10 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command, reads = COMMANDS[args.command]
+    if args.with_mc:
+        reads = reads | _MC
+    unread = [flag for flag, value in vars(args).items()
+              if flag not in reads | {"command", "config", "out"}
+              and value != parser.get_default(flag)]
     try:
+        if unread:
+            raise ConfigError(f"{args.command} does not use --{unread[0].replace('_', '-')}")
         cfg = _apply_flags(load_config(args.config), args)
-        return COMMANDS[args.command](cfg, args)
+        return command(cfg, args) or 0  # only validate returns a status
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["QuadratureError", "sinc", "integrate", "integrate_halfline"]
+__all__ = ["QuadratureError", "integrate", "integrate_halfline"]
 
 
 class QuadratureError(RuntimeError):
     """Raised when panel bisection cannot reach the requested tolerance."""
-
-
-def sinc(x):
-    """sin(pi*x)/(pi*x) with the removable singularity at 0."""
-    return np.sinc(x)
 
 
 _NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -197,7 +198,7 @@ def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: O
     if len(jobs) == 1:
         chunks = [_trial_chunk(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:  # no idle workers
+        with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             chunks = list(pool.map(_trial_chunk, jobs))
     blocks = [block for chunk in chunks for block in chunk]  # trial order
     return [TrialResults(counts, near, params.threshold, sinr)

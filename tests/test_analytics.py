@@ -20,7 +20,7 @@ from asyncofdm.analytics import (
     upsilon_upper_distribution,
 )
 from asyncofdm.link import OfdmConfig
-from asyncofdm.quadrature import QuadratureError, integrate, integrate_halfline, sinc
+from asyncofdm.quadrature import QuadratureError, integrate, integrate_halfline
 from asyncofdm.sinr import NetworkParams, cp_weight_clipped, hypothesis_set, hypothesis_weight
 from tests.conftest import budget_params
 
@@ -66,7 +66,7 @@ def _reference_radial(h, params, rtol, nearest=False):
     if nearest:
         b = np.pi * params.density * (1.0 + _reference_rho(hf, alpha))
     else:
-        b = np.pi * params.density * hf ** (2.0 / alpha) / sinc(2.0 / alpha)
+        b = np.pi * params.density * hf ** (2.0 / alpha) / np.sinc(2.0 / alpha)
     if q == 0.0:
         out[finite] = 1.0 / b
         return out

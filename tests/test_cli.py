@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from asyncofdm import analytics
+from asyncofdm.quadrature import QuadratureError
 from asyncofdm.cli import ConfigError, _apply_flags, _sweep, build_parser, load_config, main
 
 
@@ -89,6 +90,8 @@ def test_sweep_validation(tmp_path):
     ("-15:10:30", "does not divide"),
     ("-15:10", "LO:HI:STEP"),
     ("a:10:1", "numbers"),
+    ("0:4000:1000", "positive linear"),
+    ("-4000:0:1000", "positive linear"),
 ])
 def test_sweep_flag_rejected_at_boundary(tmp_path, capsys, sweep, message):
     out = tmp_path / "out.csv"
@@ -100,7 +103,7 @@ def test_sweep_flag_rejected_at_boundary(tmp_path, capsys, sweep, message):
 
 def test_sweep_config_rejected_at_boundary(tmp_path):
     for lo, hi, step in (("-15", "10", "0.7"), (".nan", "0", "1"), ("0", "4", "0"),
-                         ("-4", "0", "'x'")):
+                         ("-4", "0", "'x'"), ("0", "4000", "1000"), ("-4000", "0", "1000")):
         text = f"detection:\n  sweep: {{lo_db: {lo}, hi_db: {hi}, step_db: {step}}}\n"
         with pytest.raises(ConfigError, match="detection.sweep"):
             load_config(_write(tmp_path, text))
@@ -324,6 +327,54 @@ def test_bad_run_flags_exit_2_before_any_output(tmp_path, command, flags):
         assert main([command, "--out", str(out)] + flags) == 2
     assert not out.exists()
     assert err.getvalue().startswith("error:")
+
+
+# The run flags each command reads; --config and --out belong to every command.
+# mean-decodable and nearest read --trials, --seed and --workers only with --with-mc.
+READS = {
+    "link-profile": {"--offset", "--trials", "--seed"},
+    "mean-decodable": {"--sweep", "--sigma-over-n", "--with-mc"},
+    "nearest": {"--sweep", "--sigma-over-n", "--with-mc"},
+    "dist": {"--trials", "--seed", "--workers"},
+    "throughput": {"--sweep", "--sigma-over-n"},
+    "hypotheses": {"--hypotheses", "--sweep"},
+    "simulate": {"--trials", "--seed", "--workers"},
+    "validate": {"--trials", "--seed", "--workers"},
+}
+FLAG_VALUES = {  # each a valid value other than the default
+    "--seed": ["--seed", "5"], "--trials": ["--trials", "50"], "--sweep": ["--sweep=-4:0:2"],
+    "--sigma-over-n": ["--sigma-over-n", "0"], "--hypotheses": ["--hypotheses", "1,1,72"],
+    "--workers": ["--workers", "2"], "--offset": ["--offset", "5"], "--with-mc": ["--with-mc"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in READS
+                                           for flag in FLAG_VALUES if flag not in READS[command]])
+def test_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    out = tmp_path / "out.csv"
+    absent = str(tmp_path / "absent.yaml")  # the flags are checked before the config is read
+    assert main([command, "--config", absent, "--out", str(out)] + FLAG_VALUES[flag]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {command} does not use {flag}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigmas", ["0,-1", "0.2,x", "nan", ""])
+def test_bad_sigma_over_n_exits_2_naming_the_flag(tmp_path, capsys, sigmas):
+    out = tmp_path / "out.csv"
+    assert main(["mean-decodable", "--sigma-over-n", sigmas, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --sigma-over-n: ")
+    assert not out.exists()
+
+
+def test_rows_that_fail_to_build_leave_no_output(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(analytics, "nearest_decoding_prob", fail)
+    out = tmp_path / "near.csv"
+    with pytest.raises(QuadratureError):
+        main(["nearest", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_seed_and_trials_flags_keep_the_rest_of_the_sim_section(tmp_path):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from asyncofdm import quadrature
-from asyncofdm.quadrature import QuadratureError, integrate, integrate_halfline, sinc
-
-
-def test_sinc_values():
-    assert sinc(0.0) == 1.0
-    assert abs(sinc(1.0)) < 1e-15
-    assert np.isclose(sinc(0.5), 2.0 / np.pi)
+from asyncofdm.quadrature import QuadratureError, integrate, integrate_halfline
 
 
 def test_polynomial_exact():

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -461,10 +462,12 @@ def test_workers_below_one_and_no_model_rejected(cfg):
         simulation.run_trials_each(params, [], cfg, SimSpec(3, 1))
 
 
-def test_pool_sized_to_the_non_empty_chunks(cfg, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of each pool started on a 4-CPU machine, whose chunks run in this process."""
     started = []
 
-    class RecordingPool:  # runs the chunks in this process
+    class RecordingPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -477,14 +480,28 @@ def test_pool_sized_to_the_non_empty_chunks(cfg, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
-    spec = SimSpec(3, 5)
-    ref = run_trials(params, _tg02(cfg), cfg, spec)
     monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-    res = run_trials(params, _tg02(cfg), cfg, spec, workers=8)
-    assert started == [3]  # three one-trial chunks, not eight workers
-    assert res.nearest_sinr.tobytes() == ref.nearest_sinr.tobytes()
-    assert np.array_equal(res.counts, ref.counts)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return started
+
+
+def _same_as_one_worker(cfg, trials, workers):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    spec = SimSpec(trials, 5)
+    ref = run_trials(params, _tg02(cfg), cfg, spec)
+    res = run_trials(params, _tg02(cfg), cfg, spec, workers=workers)
+    return (res.nearest_sinr.tobytes() == ref.nearest_sinr.tobytes()
+            and res.sinr.tobytes() == ref.sinr.tobytes() and np.array_equal(res.counts, ref.counts))
+
+
+def test_pool_sized_to_the_non_empty_chunks(cfg, pool_sizes):
+    assert _same_as_one_worker(cfg, 3, 8)
+    assert pool_sizes == [3]  # three one-trial chunks, not eight workers
+
+
+def test_pool_bounded_by_the_cpu_count(cfg, pool_sizes):
+    assert _same_as_one_worker(cfg, 64, 64)
+    assert pool_sizes == [4]  # 64 one-trial chunks on no more processes than CPUs
 
 
 try:
