@@ -28,7 +28,6 @@ from .analytics import (
     nearest_decoding_prob,
     optimize_threshold,
     rho,
-    system_throughput,
     upsilon_upper_distribution,
 )
 from .simulation import (

@@ -39,7 +39,6 @@ __all__ = [
     "upsilon_upper_distribution",
     "rho",
     "nearest_decoding_prob",
-    "system_throughput",
     "optimize_threshold",
     "laplace_interference",
 ]
@@ -85,12 +84,12 @@ def _breakpoints(config: OfdmConfig, timing: TimingModel, hypotheses):
     return sorted(brks)
 
 
-def _checked(value, err, rtol: float, what: str):
-    """value, once the summed error estimate err is within rtol * max(|value|, 1e-300)."""
+def _checked(value, err, what: str):
+    """value, once the summed error estimate err is within DEFAULT_RTOL * max(|value|, 1e-300)."""
     worst = float(np.max(err / np.maximum(np.abs(value), 1e-300), initial=0.0))
-    if worst > rtol:
+    if worst > DEFAULT_RTOL:
         raise QuadratureError(f"{what}: error estimate {worst:.3e} of |value| exceeds "
-                              f"rtol = {rtol:g}")
+                              f"rtol = {DEFAULT_RTOL:g}")
     return value
 
 
@@ -98,11 +97,11 @@ _laguerre = functools.lru_cache(maxsize=None)(np.polynomial.laguerre.laggauss)
 _CHUNK = 256  # components per Laguerre evaluation: memory stays flat in the grid length
 
 
-def _exp_power_integral(a, p: float, rtol: float) -> np.ndarray:
+def _exp_power_integral(a, p: float) -> np.ndarray:
     """I(a) = integral_0^inf exp(-w - a w^p) dw for each component of a >= 0.
 
     A 32/64-node Gauss-Laguerre pair; components where the two disagree by more
-    than rtol fall back to adaptive quadrature.
+    than DEFAULT_RTOL fall back to adaptive quadrature.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     (x32, w32), (x64, w64) = _laguerre(32), _laguerre(64)
@@ -111,7 +110,7 @@ def _exp_power_integral(a, p: float, rtol: float) -> np.ndarray:
         coarse[i:i + _CHUNK] = np.exp(-np.outer(a[i:i + _CHUNK], x32 ** p)) @ w32
         val[i:i + _CHUNK] = np.exp(-np.outer(a[i:i + _CHUNK], x64 ** p)) @ w64
     err = np.abs(val - coarse)
-    slow = ~(err < rtol * val)  # also where both rules underflow to 0 (large a)
+    slow = ~(err < DEFAULT_RTOL * val)  # also where both rules underflow to 0 (large a)
     if np.any(slow):
         a_slow = a[slow]
         step = np.minimum(1.0, a_slow ** (-1.0 / p))  # w = step * u decays on u ~ 1
@@ -120,12 +119,12 @@ def _exp_power_integral(a, p: float, rtol: float) -> np.ndarray:
             w = np.outer(u, step)
             return step * np.exp(-a_slow * w ** p - w)
 
-        val[slow], err[slow] = integrate_halfline(f, rtol=rtol)
-    return _checked(val, err, rtol, "radial integral")
+        val[slow], err[slow] = integrate_halfline(f, rtol=DEFAULT_RTOL)
+    return _checked(val, err, "radial integral")
 
 
 def _expect_over_timing(config: OfdmConfig, timing: TimingModel, thresholds: np.ndarray, F,
-                        rtol: float, hypotheses=(0.0,)) -> np.ndarray:
+                        hypotheses=(0.0,)) -> np.ndarray:
     """E_D[ 1{g(D) > T/(1+T)} F(g(D), T) ] for each T in `thresholds`, g the best
     weight over the hypotheses.
 
@@ -167,11 +166,11 @@ def _expect_over_timing(config: OfdmConfig, timing: TimingModel, thresholds: np.
         out[~ok] = 0.0
         return out
 
-    val, err = integrate(f, 0.0, float(n), rtol=rtol, breakpoints=range(1, n))
-    return _checked(val, err, rtol, "timing expectation")
+    val, err = integrate(f, 0.0, float(n), rtol=DEFAULT_RTOL, breakpoints=range(1, n))
+    return _checked(val, err, "timing expectation")
 
 
-def _expect(params: NetworkParams, timing: TimingModel, config: OfdmConfig, F, rtol: float,
+def _expect(params: NetworkParams, timing: TimingModel, config: OfdmConfig, F,
             thresholds=None, hypotheses=(0.0,)):
     """`_expect_over_timing` at params.threshold as a float, or as an array at each
     of `thresholds`, a non-empty 1-D sequence of finite positive values."""
@@ -181,12 +180,12 @@ def _expect(params: NetworkParams, timing: TimingModel, config: OfdmConfig, F, r
     bad = np.flatnonzero(~(np.isfinite(t) & (t > 0)))
     if bad.size:
         raise ValueError(f"thresholds[{bad[0]}] = {t[bad[0]]} is not finite and positive")
-    out = _expect_over_timing(config, timing, t, F, rtol, hypotheses)
+    out = _expect_over_timing(config, timing, t, F, hypotheses)
     return out if thresholds is not None else float(out[0])
 
 
 def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                rtol: float, hypotheses=(0.0,), thresholds=None):
+                hypotheses=(0.0,), thresholds=None):
     """pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] (Prop. 1).
 
     With b(h) = pi*lam*h^{2/alpha}/sinc(2/alpha) and w = b(h) v the radial
@@ -196,27 +195,26 @@ def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     alpha = params.alpha
     sc = float(np.sinc(2.0 / alpha))
     a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
-    scale = sc * float(_exp_power_integral(a0, alpha / 2.0, rtol)[0])
+    scale = sc * float(_exp_power_integral(a0, alpha / 2.0)[0])
 
     def F(g, t):  # pi*lam * I(a0)/b(h) with 1/h = ((1+T) g - T)/T
         return scale * (((1.0 + t) * g - t) / t) ** (2.0 / alpha)
 
-    return _expect(params, timing, config, F, rtol, thresholds, hypotheses)
+    return _expect(params, timing, config, F, thresholds, hypotheses)
 
 
-def mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                   rtol: float = DEFAULT_RTOL, *, thresholds=None):
+def mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig, *,
+                   thresholds=None):
     """Mean number of transmitters whose SINR clears the detection threshold; given
     linear `thresholds`, an array of the mean at each, and params.threshold is not read."""
-    return _mean_count(params, timing, config, rtol, thresholds=thresholds)
+    return _mean_count(params, timing, config, thresholds=thresholds)
 
 
 def mean_decodable_with_hypotheses(params: NetworkParams, timing: TimingModel,
-                                   config: OfdmConfig, hypotheses,
-                                   rtol: float = DEFAULT_RTOL, *, thresholds=None):
+                                   config: OfdmConfig, hypotheses, *, thresholds=None):
     """Mean decodable count when the receiver tries several timing hypotheses;
     `thresholds` works as in `mean_decodable`."""
-    return _mean_count(params, timing, config, rtol, _check_hypotheses(hypotheses), thresholds)
+    return _mean_count(params, timing, config, _check_hypotheses(hypotheses), thresholds)
 
 
 def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:
@@ -243,8 +241,8 @@ def rho(x, alpha: float):
     return out if out.ndim else float(out)
 
 
-def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                          rtol: float = DEFAULT_RTOL, *, thresholds=None):
+def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig, *,
+                          thresholds=None):
     """Probability that the packet from the nearest transmitter is decodable (Prop. 2).
 
     pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] with
@@ -257,13 +255,12 @@ def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: Of
         h = t / ((1.0 + t) * g - t)
         b = np.pi * params.density * (1.0 + rho(h, alpha))
         return np.pi * params.density * _exp_power_integral(q * h / b ** (alpha / 2.0),
-                                                            alpha / 2.0, rtol) / b
+                                                            alpha / 2.0) / b
 
-    return _expect(params, timing, config, F, rtol, thresholds)
+    return _expect(params, timing, config, F, thresholds)
 
 
-def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                 rtol: float = DEFAULT_RTOL) -> float:
+def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig) -> float:
     """Intensity of the noise-only-decodable point process dominating the count.
 
     pi*lam * int_0^inf E_D[ I(decodable) exp(-T v^{alpha/2} / (g(D) SNR)) ] dv
@@ -278,16 +275,16 @@ def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     def F(g, t):
         return scale * (g * params.snr / t) ** d
 
-    return _expect(params, timing, config, F, rtol)
+    return _expect(params, timing, config, F)
 
 
 def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
-                                    config: OfdmConfig, rtol: float = DEFAULT_RTOL) -> float:
+                                    config: OfdmConfig) -> float:
     """The alpha = 4 case: (pi^{3/2} lam / 2) sqrt(SNR/T) E_D[I(decodable) sqrt(g(D))]."""
     if params.alpha != 4.0:
         raise ValueError("closed form holds for alpha = 4 only")
     prefactor = np.pi ** 1.5 * params.density / 2.0 * math.sqrt(params.snr / params.threshold)
-    return prefactor * _expect(params, timing, config, lambda g, t: np.sqrt(g), rtol)
+    return prefactor * _expect(params, timing, config, lambda g, t: np.sqrt(g))
 
 
 @dataclass
@@ -307,15 +304,12 @@ class CountDistribution:
         out[0] = 1.0  # exact by construction; cumsum rounds
         return out
 
-    def mean(self) -> float:
-        return float(self.counts @ self.pmf)
-
 
 def upsilon_upper_distribution(params: NetworkParams, timing: TimingModel,
-                               config: OfdmConfig, rtol: float = DEFAULT_RTOL) -> CountDistribution:
+                               config: OfdmConfig) -> CountDistribution:
     """Poisson(lambda_tilde) truncated at floor((1+T)/T), renormalized."""
     n_max = math.floor((1.0 + params.threshold) / params.threshold)
-    lam = lambda_tilde(params, timing, config, rtol)
+    lam = lambda_tilde(params, timing, config)
     counts = np.arange(n_max + 1)
     if lam == 0.0:
         pmf = np.zeros(n_max + 1)
@@ -328,16 +322,10 @@ def upsilon_upper_distribution(params: NetworkParams, timing: TimingModel,
     return CountDistribution(counts, pmf)
 
 
-def system_throughput(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                      threshold: float | None = None, rtol: float = DEFAULT_RTOL) -> float:
-    """Mean sum rate ln(1+T) * E[decodable count]; natural log (argmax is base-free)."""
-    p = params if threshold is None else params.with_threshold(threshold)
-    return math.log1p(p.threshold) * mean_decodable(p, timing, config, rtol)
-
-
 def optimize_threshold(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                       grid_db, rtol: float = DEFAULT_RTOL):
-    """Grid argmax of system throughput over thresholds in dB; ties go to the lower T.
+                       grid_db):
+    """Grid argmax of system throughput, the mean sum rate ln(1+T) * E[decodable count]
+    (natural log: the argmax is base-free), over thresholds in dB; ties go to the lower T.
 
     Returns (best_db, best_throughput, throughput_per_grid_point).
     """
@@ -347,7 +335,7 @@ def optimize_threshold(params: NetworkParams, timing: TimingModel, config: OfdmC
     if any(b <= a for a, b in zip(grid_db, grid_db[1:])):
         raise ValueError("threshold grid must be strictly increasing")
     thresholds = [params.with_threshold_db(t).threshold for t in grid_db]
-    means = mean_decodable(params, timing, config, rtol, thresholds=thresholds)
+    means = mean_decodable(params, timing, config, thresholds=thresholds)
     values = [math.log1p(t) * float(m) for t, m in zip(thresholds, means)]
     best = int(np.argmax(values))  # first max = lowest T on ties
     return grid_db[best], values[best], values

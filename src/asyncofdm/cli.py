@@ -13,6 +13,7 @@ import argparse
 import copy
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -403,9 +404,12 @@ def main(argv=None) -> int:
     unread = [flag for flag, value in vars(args).items()
               if flag not in reads | {"command", "config", "out"}
               and value != parser.get_default(flag)]
+    out_dir = os.path.dirname(args.out) or "."
     try:
         if unread:
             raise ConfigError(f"{args.command} does not use --{unread[0].replace('_', '-')}")
+        if not os.path.isdir(out_dir):
+            raise ConfigError(f"--out: directory {out_dir} does not exist")
         cfg = _apply_flags(load_config(args.config), args)
         return command(cfg, args) or 0  # only validate returns a status
     except (ConfigError, ValueError) as exc:

@@ -1,9 +1,8 @@
 """Link-level OFDM: sample generation, misaligned receive windows, per-subcarrier powers.
 
-Sample period is normalized to 1, channel gain and symbol energy to 1 unless set
-otherwise.  Timing offsets here are integer samples; the receive window for an
-offset d splits into four regimes depending on which neighbouring symbols leak
-into the FFT window:
+Sample period, channel gain and symbol energy are normalized to 1.  Timing
+offsets here are integer samples; the receive window for an offset d splits into
+four regimes depending on which neighbouring symbols leak into the FFT window:
 
   1. d in [-(N+Ncp), -N): window drawn entirely from symbol m+1 (no useful power);
   2. d in [-N, 0):        splice of symbols m and m+1;
@@ -14,7 +13,7 @@ into the FFT window:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +133,7 @@ class SymbolStream:
     """Data symbols per (subcarrier, OFDM symbol); zero on unused subcarriers."""
 
     used: tuple[int, ...]
-    symbols: dict[int, np.ndarray] = field(default_factory=dict)
-    energy_per_sample: float = 1.0
+    symbols: dict[int, np.ndarray]
 
     def get(self, m: int) -> np.ndarray:
         if m not in self.symbols:
@@ -169,32 +167,29 @@ def _gaussian_symbols(rng: np.random.Generator, shape) -> np.ndarray:
     return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
 
 
-def _stream(draw, config: OfdmConfig, symbol_indices, rng: np.random.Generator,
-            energy_per_sample: float) -> SymbolStream:
+def _stream(draw, config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
     # one draw of shape (symbols, subcarriers) consumes the generator exactly
     # as one draw per symbol, in order, would
     indices = list(symbol_indices)
     syms = draw(rng, (len(indices), len(config.used)))
-    return SymbolStream(config.used, dict(zip(indices, syms)), energy_per_sample)
+    return SymbolStream(config.used, dict(zip(indices, syms)))
 
 
-def qpsk_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator,
-                energy_per_sample: float = 1.0) -> SymbolStream:
+def qpsk_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
     """Unit-modulus QPSK symbols, i.i.d. per (subcarrier, symbol), by `integers`: any rng state."""
-    return _stream(_qpsk_symbols, config, symbol_indices, rng, energy_per_sample)
+    return _stream(_qpsk_symbols, config, symbol_indices, rng)
 
 
-def gaussian_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator,
-                    energy_per_sample: float = 1.0) -> SymbolStream:
+def gaussian_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
     """Circularly-symmetric complex Gaussian symbols with unit variance."""
-    return _stream(_gaussian_symbols, config, symbol_indices, rng, energy_per_sample)
+    return _stream(_gaussian_symbols, config, symbol_indices, rng)
 
 
 def modulate_symbol(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndarray:
     """Time samples of OFDM symbol m, indices -n_cp .. n-1 (array index 0 is -n_cp)."""
-    # sample[t] = (sqrt(E)/N) sum_k S[k] e^{j 2 pi k t / N}  ==  sqrt(E) * ifft
+    # sample[t] = (1/N) sum_k S[k] e^{j 2 pi k t / N}  ==  ifft
     body = np.fft.ifft(stream.spectrum(config.n, m))
-    return np.sqrt(stream.energy_per_sample) * np.concatenate([body[-config.n_cp:], body])
+    return np.concatenate([body[-config.n_cp:], body])
 
 
 def _sample_offset(config: OfdmConfig, d) -> int:
@@ -248,13 +243,12 @@ def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int
     n, ncp = config.n, config.n_cp
     if d >= 0:
         raise ValueError("closed forms implemented for offsets in [-(n+n_cp), 0) only")
-    root_e = np.sqrt(stream.energy_per_sample)
     used = config.used_array()
 
     if d < -n:  # regime 1: phase-rotated copy of symbol m+1
         out = np.zeros(n, dtype=complex)
         phase = np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
-        out[used % n] = root_e * phase * stream.get(m + 1)
+        out[used % n] = phase * stream.get(m + 1)
         return out
 
     # regime 2
@@ -263,7 +257,7 @@ def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int
     rot_cur = s_cur * np.exp(-1j * 2 * np.pi * used * d / n)
     rot_nxt = s_nxt * np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
 
-    # inter-carrier terms: out[l] += (root_e/n) sum_{used k != l} f((k - l) mod n) v[k]
+    # inter-carrier terms: out[l] += (1/n) sum_{used k != l} f((k - l) mod n) v[k]
     # with the geometric-sum kernel f(j) = (1 - e^{j 2 pi j (n+d)/n}) / (1 - e^{j 2 pi j/n})
     # and f(0) = 0.  This is a length-n circular correlation of v with f, whose
     # DFT form is n * ifft(fft(v) * ifft(f)).  j (n+d) is reduced mod n first
@@ -274,8 +268,8 @@ def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int
                   / (1.0 - np.exp(1j * 2 * np.pi * j / n)))
     v = np.zeros(n, dtype=complex)
     v[used % n] = rot_cur - rot_nxt
-    out = root_e * np.fft.ifft(np.fft.fft(v) * np.fft.ifft(kernel))
-    out[used % n] += root_e * ((n + d) / n * rot_cur - d / n * rot_nxt)
+    out = np.fft.ifft(np.fft.fft(v) * np.fft.ifft(kernel))
+    out[used % n] += (n + d) / n * rot_cur - d / n * rot_nxt
     return out
 
 
@@ -329,24 +323,14 @@ def _ici_sum(config: OfdmConfig, width: float) -> np.ndarray:
 
 
 def analytic_power_profile(config: OfdmConfig, d: int) -> PowerProfile:
-    """Expected per-subcarrier powers at offset d, unit channel gain and energy."""
+    """Expected per-subcarrier powers at offset d, unit channel gain and energy: one
+    formula in the spill e, the window samples from a neighbouring symbol (n, -d, 0 and
+    d - n_cp in regimes 1-4).  ICI(e) = ICI(n - e), so regime 2 needs no ICI(n + d)."""
     d = _sample_offset(config, d)
-    n, ncp = config.n, config.n_cp
-    used = config.used_array()
-    k = len(used)
-
-    if d < -n:  # regime 1
-        useful = np.zeros(k)
-        total = np.ones(k)
-    elif d < 0:  # regime 2
-        useful = np.full(k, ((n + d) / n) ** 2)
-        total = ((n + d) ** 2 + d ** 2) / n ** 2 + 2.0 / n ** 2 * _ici_sum(config, n + d)
-    elif d < ncp:  # regime 3
-        useful = np.ones(k)
-        total = np.ones(k)
-    else:  # regime 4
-        useful = np.full(k, ((n + ncp - d) / n) ** 2)
-        total = ((n - d + ncp) ** 2 + (d - ncp) ** 2) / n ** 2 + 2.0 / n ** 2 * _ici_sum(config, d - ncp)
+    n, used = config.n, config.used_array()
+    e = min(max(-d, d - config.n_cp, 0), n)
+    useful = np.full(len(used), ((n - e) / n) ** 2)
+    total = ((n - e) ** 2 + e ** 2) / n ** 2 + 2.0 / n ** 2 * _ici_sum(config, e)
     return PowerProfile(d, used, useful, total)
 
 

@@ -9,6 +9,8 @@ outer quadrature node) in a single call.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["QuadratureError", "integrate", "integrate_halfline"]
@@ -18,13 +20,7 @@ class QuadratureError(RuntimeError):
     """Raised when panel bisection cannot reach the requested tolerance."""
 
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _NODE_CACHE:
-        _NODE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _NODE_CACHE[order]
+_nodes = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
 def _panel(f, lo: float, hi: float, order: int):
@@ -34,12 +30,13 @@ def _panel(f, lo: float, hi: float, order: int):
     return 0.5 * (hi - lo) * (w @ y)
 
 
-# Most panels one call may evaluate.  Bisection alone is bounded only by
-# 2**max_depth panels, which a NaN-valued or non-convergent integrand reaches.
+# Deepest panel bisection, and most panels one call may evaluate.  Bisection alone is
+# bounded only by 2**MAX_DEPTH panels, which a NaN-valued or non-convergent integrand reaches.
+MAX_DEPTH = 28
 MAX_PANELS = 10_000
 
 
-def integrate(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
+def integrate(f, a, b, rtol=1e-9, breakpoints=()):
     """Integrate f over [a, b]; returns (value, error_estimate).
 
     f maps an array of abscissae, shape (k,), to values of shape (k,) for scalar
@@ -69,8 +66,8 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
         fine = _panel(f, lo, hi, 32)
         local_err = np.abs(fine - coarse)
         tol = rtol * scale * (hi - lo) / (b - a)
-        if depth >= max_depth or np.all(local_err <= tol):
-            if depth >= max_depth and np.any(local_err > tol):
+        if depth >= MAX_DEPTH or np.all(local_err <= tol):
+            if depth >= MAX_DEPTH and np.any(local_err > tol):
                 stalled = True
             total = total + fine
             err = err + local_err

@@ -221,12 +221,11 @@ def estimate_mean_decodable(params: NetworkParams, timing: TimingModel, config: 
     return _mean_ci(results.counts.astype(float))
 
 
-def _wilson(successes: np.ndarray, n: int, z: float = 1.96):
+def _wilson(successes: np.ndarray, n: int):
+    z = 1.96  # 95%
     p = successes / n
     denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return center, half
+    return z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
 
 
 @dataclass
@@ -235,7 +234,6 @@ class EmpiricalDistribution:
 
     counts: np.ndarray  # n values 0..max observed
     pmf: np.ndarray
-    ci_center: np.ndarray
     ci_half_width: np.ndarray
     trials: int
 
@@ -254,8 +252,8 @@ def estimate_distribution(params: NetworkParams, timing: TimingModel, config: Of
     n_max = int(results.counts.max(initial=0))
     values = np.arange(n_max + 1)
     hist = np.bincount(results.counts, minlength=n_max + 1).astype(float)
-    center, half = _wilson(hist, results.trials)
-    return EmpiricalDistribution(values, hist / results.trials, center, half, results.trials)
+    return EmpiricalDistribution(values, hist / results.trials, _wilson(hist, results.trials),
+                                 results.trials)
 
 
 def estimate_nearest_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig,

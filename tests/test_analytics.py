@@ -16,7 +16,6 @@ from asyncofdm.analytics import (
     nearest_decoding_prob,
     optimize_threshold,
     rho,
-    system_throughput,
     upsilon_upper_distribution,
 )
 from asyncofdm.link import OfdmConfig
@@ -209,12 +208,42 @@ def test_mean_invariant_to_mass_inside_cp(cfg):
     assert mean_decodable(params, tm.delta(30.0, _w(cfg)), cfg) == pytest.approx(sync, rel=1e-9)
 
 
-def test_quadrature_tolerance_self_consistency(cfg):
+def test_quadrature_tolerance_self_consistency(cfg, monkeypatch):
     params = budget_params(1 / 20 ** 2, 3.8, -4.0)
     timing = tm.truncated_gaussian(0.4 * 1024, _w(cfg))
-    loose = mean_decodable(params, timing, cfg, rtol=1e-5)
-    tight = mean_decodable(params, timing, cfg, rtol=1e-8)
+    monkeypatch.setattr(analytics, "DEFAULT_RTOL", 1e-5)
+    loose = mean_decodable(params, timing, cfg)
+    monkeypatch.setattr(analytics, "DEFAULT_RTOL", 1e-8)
+    tight = mean_decodable(params, timing, cfg)
     assert loose == pytest.approx(tight, rel=1e-5)
+
+
+def test_tolerance_read_at_call_time(cfg, monkeypatch):
+    params = budget_params(1 / 400 ** 2, 4.0, -6.0)
+    timing = tm.truncated_gaussian(0.2 * 1024, _w(cfg))
+    calls = {
+        "mean_decodable": lambda: mean_decodable(params, timing, cfg),
+        "mean_decodable_with_hypotheses": lambda: mean_decodable_with_hypotheses(
+            params, timing, cfg, hypothesis_set(1, 1, 72.0)),
+        "nearest_decoding_prob": lambda: nearest_decoding_prob(params, timing, cfg),
+        "lambda_tilde": lambda: lambda_tilde(params, timing, cfg),
+        "lambda_tilde_closed_form_alpha4": lambda: lambda_tilde_closed_form_alpha4(
+            params, timing, cfg),
+        "upsilon_upper_distribution": lambda: upsilon_upper_distribution(params, timing, cfg),
+        "optimize_threshold": lambda: optimize_threshold(params, timing, cfg, [-6.0, 0.0]),
+    }
+    seen = []
+
+    def recording(f, a, b, rtol, **kwargs):
+        seen.append(rtol)
+        return integrate(f, a, b, rtol=rtol, **kwargs)
+
+    monkeypatch.setattr(analytics, "DEFAULT_RTOL", 3e-7)
+    monkeypatch.setattr(analytics, "integrate", recording)
+    for name, call in calls.items():
+        seen.clear()
+        call()
+        assert seen and set(seen) == {3e-7}, (name, seen)
 
 
 # -------------------------------------------------------------- bound (IL)
@@ -313,7 +342,7 @@ def test_distribution_bernoulli_case(cfg):
     assert dist.support_max == 1
     lam = lambda_tilde(params, timing, cfg)
     assert dist.pmf[1] == pytest.approx(lam / (1.0 + lam), rel=1e-10)
-    assert dist.mean() == pytest.approx(dist.pmf[1])
+    assert dist.counts @ dist.pmf == pytest.approx(dist.pmf[1])
 
 
 # ------------------------------------------------------------------ throughput
@@ -321,8 +350,7 @@ def test_distribution_bernoulli_case(cfg):
 def test_throughput_vanishes_at_small_threshold(cfg):
     params = budget_params(1 / 20 ** 2, 3.8, -12.0)
     timing = tm.delta(0.0, _w(cfg))
-    small = system_throughput(params, timing, cfg, threshold=1e-6)
-    smaller = system_throughput(params, timing, cfg, threshold=1e-8)
+    _, _, (smaller, small) = optimize_threshold(params, timing, cfg, [-80.0, -60.0])
     assert 0.0 < smaller < small < 1e-2
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from asyncofdm import analytics
+from asyncofdm import analytics, cli, simulation
 from asyncofdm.quadrature import QuadratureError
 from asyncofdm.cli import ConfigError, _apply_flags, _sweep, build_parser, load_config, main
 
@@ -375,6 +375,27 @@ def test_rows_that_fail_to_build_leave_no_output(tmp_path, monkeypatch):
     with pytest.raises(QuadratureError):
         main(["nearest", "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    for owner, names in ((cli, ["load_config", "empirical_power_profile"]),
+                         (analytics, ["mean_decodable", "mean_decodable_with_hypotheses",
+                                      "nearest_decoding_prob", "upsilon_upper_distribution",
+                                      "optimize_threshold"]),
+                         (simulation, ["run_trials", "run_trials_each",
+                                       "estimate_distribution"])):
+        for name in names:
+            monkeypatch.setattr(owner, name, fail)
+    out = tmp_path / "nodir" / "x.csv"
+    flags = ["--hypotheses", "1,1,72"] if command == "hypotheses" else []
+    assert main([command, "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"error: --out: directory {out.parent} does not exist\n"
+    assert not out.parent.exists()
 
 
 def test_seed_and_trials_flags_keep_the_rest_of_the_sim_section(tmp_path):

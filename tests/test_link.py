@@ -31,9 +31,9 @@ from asyncofdm.link import (
 from asyncofdm.sinr import cp_weight
 
 
-def _stream(cfg, seed, indices=(-1, 0, 1), energy=1.0, kind="qpsk"):
+def _stream(cfg, seed, indices=(-1, 0, 1), kind="qpsk"):
     gen = qpsk_stream if kind == "qpsk" else gaussian_stream
-    return gen(cfg, indices, np.random.default_rng(seed), energy)
+    return gen(cfg, indices, np.random.default_rng(seed))
 
 
 # Reference implementations: the direct forms that the library's circular
@@ -72,19 +72,34 @@ def _reference_receive_window(config, stream, d, m):
 def _reference_closed_form(config, stream, d, m):
     """Regime-2 closed form with the dense (n, used) geometric-sum kernel."""
     n, ncp = config.n, config.n_cp
-    root_e = np.sqrt(stream.energy_per_sample)
     used = config.used_array()
     ell = np.arange(n)
     rot_cur = stream.get(m) * np.exp(-1j * 2 * np.pi * used * d / n)
     rot_nxt = stream.get(m + 1) * np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
     out = np.zeros(n, dtype=complex)
-    out[used % n] = root_e * ((n + d) / n * rot_cur - d / n * rot_nxt)
+    out[used % n] = (n + d) / n * rot_cur - d / n * rot_nxt
     j = used[None, :] - ell[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         kernel = ((1.0 - np.exp(1j * 2 * np.pi * j * (n + d) / n))
                   / (1.0 - np.exp(1j * 2 * np.pi * j / n)))
     kernel = np.where(j % n == 0, 0.0, kernel)
-    return out + root_e / n * kernel @ (rot_cur - rot_nxt)
+    return out + 1.0 / n * kernel @ (rot_cur - rot_nxt)
+
+
+def _reference_analytic_profile(config, d):
+    """Expected (useful, total) per used subcarrier, one branch per regime."""
+    n, ncp = config.n, config.n_cp
+    k = len(config.used)
+    if d < -n:  # regime 1
+        return np.zeros(k), np.ones(k)
+    if d < 0:  # regime 2
+        useful = np.full(k, ((n + d) / n) ** 2)
+        return useful, ((n + d) ** 2 + d ** 2) / n ** 2 + 2.0 / n ** 2 * _ici_sum(config, n + d)
+    if d < ncp:  # regime 3
+        return np.ones(k), np.ones(k)
+    useful = np.full(k, ((n + ncp - d) / n) ** 2)  # regime 4
+    total = ((n - d + ncp) ** 2 + (d - ncp) ** 2) / n ** 2
+    return useful, total + 2.0 / n ** 2 * _ici_sum(config, d - ncp)
 
 
 def _reference_ici_sum(config, width):
@@ -176,9 +191,9 @@ def test_config_validation():
 def test_dc_tone_gives_constant_samples(small_cfg):
     syms = {0: np.zeros(len(small_cfg.used), dtype=complex)}
     syms[0][small_cfg.used.index(0)] = 1.0
-    stream = SymbolStream(small_cfg.used, syms, energy_per_sample=small_cfg.n ** 2)
+    stream = SymbolStream(small_cfg.used, syms)
     samples = modulate_symbol(small_cfg, stream, 0)
-    assert np.allclose(samples, 1.0)
+    assert np.allclose(samples, 1.0 / small_cfg.n)
 
 
 def test_all_zero_symbols(small_cfg):
@@ -257,9 +272,9 @@ def test_demodulate_rejects_bad_shape():
 
 
 def test_aligned_window_recovers_symbols(cfg):
-    stream = _stream(cfg, 6, energy=4.0)
+    stream = _stream(cfg, 6)
     y = demodulate_window(receive_window(cfg, stream, 0, 0))[cfg.used_array() % cfg.n]
-    expect = 2.0 * stream.get(0)
+    expect = stream.get(0)
     assert np.max(np.abs(y - expect)) / np.max(np.abs(expect)) < 1e-9
 
 
@@ -284,7 +299,7 @@ def test_closed_form_matches_dft(cfg, d):
 
 @pytest.mark.parametrize("d", [-1024, -1023, -700, -300, -6, -1])
 def test_closed_form_matches_dense_kernel(cfg, d):
-    stream = _stream(cfg, 8, kind="gaussian", energy=2.5)
+    stream = _stream(cfg, 8, kind="gaussian")
     closed = closed_form_outputs(cfg, stream, d, 0)
     assert _rel_to_max(closed, _reference_closed_form(cfg, stream, d, 0)) <= 1e-12
 
@@ -330,6 +345,19 @@ def test_analytic_profile_boundary_continuity(cfg):
     for d in (-(cfg.n + 1), -cfg.n, 0, cfg.n_cp):
         prof = analytic_power_profile(cfg, d)
         assert np.allclose(prof.total, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("config, offsets", [
+    (OfdmConfig.centered(64, 8, -24, 23), range(-72, 72)),
+    (OfdmConfig.centered(1024, 72, -300, 299),  # each regime boundary and its neighbours
+     [b + i for b in (-1096, -1024, 0, 72, 1096) for i in (-1, 0, 1) if -1096 <= b + i < 1096]),
+])
+def test_analytic_profile_matches_four_regime_reference(config, offsets):
+    for d in offsets:
+        prof = analytic_power_profile(config, d)
+        useful, total = _reference_analytic_profile(config, d)
+        assert np.array_equal(prof.useful, useful), d
+        assert np.max(np.abs(prof.total - total) / total) <= 1e-15, d
 
 
 def test_analytic_central_useful_small_offset(cfg):

@@ -79,7 +79,7 @@ def test_nan_integrand_stops_at_panel_cap():
 
 
 def test_panel_cap_leaves_hard_integrands_alone():
-    # a jump bisected to max_depth takes about 2 * 28 panels, far below the cap
+    # a jump bisected to MAX_DEPTH takes about 2 * 28 panels, far below the cap
     val, _ = integrate(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, rtol=1e-12)
     assert abs(val - 2.0 / 3.0) < 1e-6
 
