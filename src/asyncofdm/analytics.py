@@ -17,11 +17,11 @@ The radial integrals reduce to I(a) = integral_0^inf exp(-w - a w^{alpha/2}) dw.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .link import OfdmConfig
 from .quadrature import QuadratureError, integrate, integrate_halfline
@@ -226,18 +226,39 @@ def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:
     return float(np.sinc(2.0 / alpha) / threshold ** (2.0 / alpha))
 
 
+def _hyp2f1_11(c: float, w: np.ndarray) -> np.ndarray:
+    """2F1(1, 1; c; w) = sum_n n!/(c)_n w^n for c > 1 and 0 < w <= 1/2, by in-place Horner;
+    terms fall at least as w^n, so the largest w sets how many reach 2^-55: at most 56."""
+    n = min(56, math.ceil(55 * math.log(2.0) / -math.log(w.max(initial=1e-300))))
+    coef = list(itertools.accumulate(range(n), lambda a, k: a * (k + 1) / (c + k), initial=1.0))
+    out = np.full(w.shape, coef.pop())
+    for a in reversed(coef):
+        out *= w
+        out += a
+    return out
+
+
 def rho(x, alpha: float):
     """rho(x, alpha) = x^{2/alpha} * integral_{x^{-2/alpha}}^inf dv / (1 + v^{alpha/2}).
 
-    Closed form x 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -x) / (alpha/2 - 1); vectorized in x.
+    Closed form x 2F1(1, b; b+1; -x) / (alpha/2 - 1) with b = 1 - 2/alpha; vectorized in
+    x.  The 2F1 is (1+x)^-1 2F1(1, 1; b+1; x/(1+x)) below x = 1 (Pfaff), and from x = 1
+    on b pi/sin(pi b) x^-b + b/(b-1) (1+x)^-1 2F1(1, 1; 2-b; 1/(1+x)) (Abramowitz &
+    Stegun 15.3.7).  The branch goes by x: at alpha = 4 both series have c = 3/2.
     """
     if alpha <= 2:
         raise ValueError("alpha must exceed 2 (integral diverges otherwise)")
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(x_arr > 0):
-        raise ValueError("x must be positive")
-    d = 2.0 / alpha
-    out = x_arr * hyp2f1(1.0, 1.0 - d, 2.0 - d, -x_arr) / (alpha / 2.0 - 1.0)
+    if not np.all((x_arr > 0) & (x_arr < np.inf)):
+        raise ValueError("x must be positive and finite")
+    b = 1.0 - 2.0 / alpha
+    f, low = np.empty(x_arr.shape), x_arr < 1.0
+    xs = x_arr[low]
+    f[low] = _hyp2f1_11(1.0 + b, xs / (1.0 + xs)) / (1.0 + xs)
+    xs = x_arr[~low]
+    f[~low] = (b * math.pi / math.sin(math.pi * b) * xs ** -b
+               + b / (b - 1.0) * _hyp2f1_11(2.0 - b, 1.0 / (1.0 + xs)) / (1.0 + xs))
+    out = x_arr * f / (alpha / 2.0 - 1.0)
     return out if out.ndim else float(out)
 
 

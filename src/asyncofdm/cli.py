@@ -17,8 +17,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-import yaml
-
 from . import analytics, simulation, timing as timing_mod
 from .link import OfdmConfig, empirical_power_profile
 from .sinr import NetworkParams, db_to_linear, hypothesis_set
@@ -127,6 +125,7 @@ def load_config(path: str | None) -> RunConfig:
     defaults fill gaps, and an explicit null means the default."""
     raw = {}
     if path is not None:
+        import yaml  # only a run with a config file pays for the parser
         try:
             with open(path) as fh:
                 raw = yaml.safe_load(fh) or {}
@@ -410,6 +409,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} does not use --{unread[0].replace('_', '-')}")
         if not os.path.isdir(out_dir):
             raise ConfigError(f"--out: directory {out_dir} does not exist")
+        if os.path.isdir(args.out):
+            raise ConfigError(f"--out: {args.out} is a directory")
         cfg = _apply_flags(load_config(args.config), args)
         return command(cfg, args) or 0  # only validate returns a status
     except (ConfigError, ValueError) as exc:

@@ -16,6 +16,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # numpy 2 loads these on first use, an import that a signal handler
+import numpy.random  # can re-enter and recurse in; the engines load them with the package
 
 __all__ = [
     "OfdmConfig",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -198,6 +197,7 @@ def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: O
     if len(jobs) == 1:
         chunks = [_trial_chunk(jobs[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             chunks = list(pool.map(_trial_chunk, jobs))
     blocks = [block for chunk in chunks for block in chunk]  # trial order
@@ -245,10 +245,8 @@ class EmpiricalDistribution:
 
 
 def estimate_distribution(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                          spec: SimSpec, workers: int = 1,
-                          results: TrialResults | None = None) -> EmpiricalDistribution:
-    if results is None:
-        results = run_trials(params, timing, config, spec, workers)
+                          spec: SimSpec, workers: int = 1) -> EmpiricalDistribution:
+    results = run_trials(params, timing, config, spec, workers)
     n_max = int(results.counts.max(initial=0))
     values = np.arange(n_max + 1)
     hist = np.bincount(results.counts, minlength=n_max + 1).astype(float)

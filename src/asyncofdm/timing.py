@@ -8,10 +8,12 @@ inverse CDF so the number of random draws per sample is deterministic.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from ._special import ndtr, ndtri
 
 __all__ = ["TimingModel", "delta", "truncated_gaussian", "uniform"]
 
@@ -30,24 +32,11 @@ class TimingModel:
     def is_delta(self) -> bool:
         return self.kind == "delta"
 
+    @functools.cached_property
     def _gauss_mass(self) -> tuple[float, float]:
         a = ndtr((-self.half_width - self.mean) / self.sigma)
         b = ndtr((self.half_width - self.mean) / self.sigma)
         return a, b - a
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "delta":
-            out = np.where(x >= self.offset, 1.0, 0.0)
-        elif self.kind == "uniform":
-            out = np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        else:
-            a, z = self._gauss_mass()
-            out = (ndtr((x - self.mean) / self.sigma) - a) / z
-            out = np.clip(out, 0.0, 1.0)
-        out = np.where(x < -self.half_width, 0.0, out)
-        out = np.where(x >= self.half_width, 1.0, out)
-        return out if out.ndim else float(out)
 
     def density(self, x):
         """Density of the continuous kinds; raises for delta."""
@@ -58,7 +47,7 @@ class TimingModel:
         if self.kind == "uniform":
             out = np.where((x >= self.lo) & (x < self.hi), 1.0 / (self.hi - self.lo), 0.0)
         else:
-            _, z = self._gauss_mass()
+            _, z = self._gauss_mass
             u = (x - self.mean) / self.sigma
             out = np.exp(-0.5 * u * u) / (self.sigma * np.sqrt(2.0 * np.pi) * z)
         out = np.where(inside, out, 0.0)
@@ -71,7 +60,7 @@ class TimingModel:
             return np.full(u.shape, self.offset)
         if self.kind == "uniform":
             return self.lo + (self.hi - self.lo) * u
-        a, z = self._gauss_mass()
+        a, z = self._gauss_mass
         return self.mean + self.sigma * ndtri(a + u * z)
 
     def uniforms(self, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -480,6 +480,12 @@ def test_rho_matches_reference():
         rho(math.nan, 3.0)
 
 
+@pytest.mark.parametrize("x", [math.inf, [0.5, math.inf], [2.0, -math.inf]])
+def test_rho_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="finite"):
+        rho(x, 3.8)
+
+
 @pytest.mark.parametrize("alpha", (2.2, 3.0, 3.8, 4.0, 6.0))
 def test_counts_match_reference_over_alpha_and_threshold(cfg, alpha):
     models = _models(cfg)

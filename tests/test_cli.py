@@ -377,9 +377,9 @@ def test_rows_that_fail_to_build_leave_no_output(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", sorted(READS))
-def test_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                                            command):
+@pytest.fixture
+def no_work(monkeypatch):
+    """Makes every entry point that loads, computes or simulates fail the test."""
     def fail(*args, **kwargs):
         raise AssertionError("computed before --out was checked")
 
@@ -391,11 +391,28 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, mo
                                        "estimate_distribution"])):
         for name in names:
             monkeypatch.setattr(owner, name, fail)
+
+
+def _flags(command):
+    return ["--hypotheses", "1,1,72"] if command == "hypotheses" else []
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, no_work,
+                                                            command):
     out = tmp_path / "nodir" / "x.csv"
-    flags = ["--hypotheses", "1,1,72"] if command == "hypotheses" else []
-    assert main([command, "--out", str(out)] + flags) == 2
+    assert main([command, "--out", str(out)] + _flags(command)) == 2
     assert capsys.readouterr().err == f"error: --out: directory {out.parent} does not exist\n"
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_out_naming_a_directory_exits_2_before_any_work(tmp_path, capsys, no_work, command):
+    out = tmp_path / "outdir"
+    out.mkdir()
+    assert main([command, "--out", str(out)] + _flags(command)) == 2
+    assert capsys.readouterr().err == f"error: --out: {out} is a directory\n"
+    assert list(out.iterdir()) == []
 
 
 def test_seed_and_trials_flags_keep_the_rest_of_the_sim_section(tmp_path):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import hashlib
@@ -479,7 +480,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return started
 
