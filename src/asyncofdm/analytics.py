@@ -25,7 +25,8 @@ import numpy as np
 
 from .link import OfdmConfig
 from .quadrature import QuadratureError, integrate, integrate_halfline
-from .sinr import NetworkParams, _check_hypotheses, hypothesis_weight
+from .sinr import (NetworkParams, _check_alpha, _check_finite_positive, _check_hypotheses,
+                   hypothesis_weight)
 from .timing import TimingModel
 
 __all__ = [
@@ -219,10 +220,8 @@ def mean_decodable_with_hypotheses(params: NetworkParams, timing: TimingModel,
 
 def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:
     """sinc(2/alpha)/T^{2/alpha}; attained when all timing mass sits inside the CP."""
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    _check_alpha(alpha)
+    _check_finite_positive("threshold", threshold)
     return float(np.sinc(2.0 / alpha) / threshold ** (2.0 / alpha))
 
 
@@ -246,8 +245,7 @@ def rho(x, alpha: float):
     on b pi/sin(pi b) x^-b + b/(b-1) (1+x)^-1 2F1(1, 1; 2-b; 1/(1+x)) (Abramowitz &
     Stegun 15.3.7).  The branch goes by x: at alpha = 4 both series have c = 3/2.
     """
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2 (integral diverges otherwise)")
+    _check_alpha(alpha)
     x_arr = np.asarray(x, dtype=float)
     if not np.all((x_arr > 0) & (x_arr < np.inf)):
         raise ValueError("x must be positive and finite")
@@ -364,8 +362,8 @@ def optimize_threshold(params: NetworkParams, timing: TimingModel, config: OfdmC
 
 def laplace_interference(s: float, density: float, alpha: float) -> float:
     """E[exp(-s I)] for Rayleigh-faded interference from a Poisson field."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if alpha <= 2:
-        raise ValueError("alpha must exceed 2")
+    if not s >= 0:  # NaN fails too
+        raise ValueError(f"s must be nonnegative, got {s}")
+    _check_finite_positive("density", density)
+    _check_alpha(alpha)
     return float(np.exp(-density * np.pi * s ** (2.0 / alpha) / np.sinc(2.0 / alpha)))

@@ -1,7 +1,9 @@
 """Command-line front end: config ingestion, dispatch, CSV emission.
 
-All user-facing quantities are in dB/dBm/meters; conversion to linear units
-happens once, when the run configuration is assembled.  Precedence is
+All user-facing quantities are in dB/dBm/meters.  The run configuration holds the
+network at the configured threshold in linear units; the sweeps convert each grid
+point from dB through `RunConfig.params`, and `optimize_threshold` takes its grid in
+dB and converts it itself.  Precedence is
 flags > config file > defaults; the defaults reproduce the reference parameter
 set (N=1024, N_cp=72, lambda=1/400^2 per m^2, alpha=3.8, 23 dBm over 10 MHz
 with -174 dBm/Hz PSD and 9 dB noise figure, T=-12 dB, sigma=0.2N).
@@ -11,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 
 from . import analytics, simulation, timing as timing_mod
-from .link import OfdmConfig, empirical_power_profile
+from .link import OfdmConfig, _fmt, _write_csv, empirical_power_profile
 from .sinr import NetworkParams, db_to_linear, hypothesis_set
 from .simulation import SimSpec
 
@@ -34,7 +35,7 @@ DEFAULTS = {
     },
     "timing": {"kind": "truncated_gaussian", "sigma_over_n": 0.2},
     "detection": {"threshold_db": -12.0},
-    "sim": {"trials": 1000, "expected_points": 2000, "seed": 1},
+    "sim": {"trials": 1000, "expected_points": SimSpec.expected_points, "seed": 1},
 }
 
 _ALLOWED = {
@@ -59,6 +60,8 @@ class RunConfig:
     ofdm: OfdmConfig
     network: NetworkParams  # at threshold_db
     timing: timing_mod.TimingModel  # the configured model
+    # (sigma / N, model) per sweep: the configured model's, or one per --sigma-over-n value
+    sweep_timings: list[tuple[float, timing_mod.TimingModel]]
     threshold_db: float
     sweep_db: tuple[float, float, float] | None
     sim: SimSpec
@@ -75,13 +78,6 @@ class RunConfig:
         if sigma_over_n == 0.0:
             return timing_mod.delta(0.0, w)
         return timing_mod.truncated_gaussian(sigma_over_n * self.ofdm.n, w)
-
-    def sweep_models(self, sigmas: list[float] | None) -> list[tuple[float, timing_mod.TimingModel]]:
-        """(sigma / N, model) per sweep: one per parsed --sigma-over-n value, or else
-        the configured model alone, whose sigma is 0 unless it is Gaussian."""
-        if sigmas is None:
-            return [(self.timing.sigma / self.ofdm.n, self.timing)]
-        return [(s, self.timing_model(s)) for s in sigmas]
 
     def sweep_grid(self) -> list[float]:
         if self.sweep_db is not None:
@@ -201,7 +197,8 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"{section}.{exc.args[0]} is required") from None
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from None
-    return RunConfig(ofdm, network, timing, threshold_db, sweep_db, spec, hyp)
+    return RunConfig(ofdm, network, timing, [(timing.sigma / ofdm.n, timing)], threshold_db,
+                     sweep_db, spec, hyp)
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
@@ -224,22 +221,11 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
             raise ConfigError("--hypotheses expects N1,N2,DELTA")
     if args.sigma_over_n is not None:
         try:
-            args.sigma_over_n = [float(s) for s in args.sigma_over_n.split(",")]
-            cfg.sweep_models(args.sigma_over_n)  # builds, and so checks, each model
+            cfg.sweep_timings = [(s, cfg.timing_model(s))
+                                 for s in map(float, args.sigma_over_n.split(","))]
         except ValueError as exc:
             raise ConfigError(f"--sigma-over-n: {exc}") from None
     return cfg
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
 
 
 def cmd_link_profile(cfg: RunConfig, args) -> None:
@@ -250,7 +236,7 @@ def cmd_link_profile(cfg: RunConfig, args) -> None:
 
 def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
     grid = cfg.sweep_grid()
-    sigmas, models = zip(*cfg.sweep_models(args.sigma_over_n))
+    sigmas, models = zip(*cfg.sweep_timings)
     runs = [None] * len(models)
     if args.with_mc:  # one pass for every model, at the sweep's lowest threshold
         runs = simulation.run_trials_each(cfg.params(min(grid)), models, cfg.ofdm, cfg.sim,
@@ -266,7 +252,7 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
         for t_db, params, value in zip(grid, points, values):
             row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
             if args.with_mc:
-                est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results.at(params.threshold))
+                est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results)
                 row += [_fmt(est.mean), _fmt(est.ci_half_width)]
             rows.append(row)
     _write_csv(args.out, header, rows)
@@ -291,7 +277,7 @@ def cmd_throughput(cfg: RunConfig, args) -> None:
     if len(grid) < 2:
         grid = [x * 0.5 for x in range(-30, 21)]  # default -15..10 dB step 0.5
     rows = []
-    for sigma, tm in cfg.sweep_models(args.sigma_over_n):
+    for sigma, tm in cfg.sweep_timings:
         best_db, best_val, values = analytics.optimize_threshold(
             cfg.params(grid[0]), tm, cfg.ofdm, grid)
         rows += [["data", _fmt(t_db), _fmt(sigma), _fmt(val)] for t_db, val in zip(grid, values)]

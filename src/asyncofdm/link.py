@@ -54,6 +54,17 @@ def _integer(name: str, value) -> int:
     return as_int
 
 
+def _fmt(x: float) -> str:  # the number format of every CSV the package writes
+    return f"{x:.10g}"
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _hashmix(v: np.ndarray, k: int, rows: int, c: int = 0x43b0d7e5, mult: int = 0x931e8875):
     """numpy SeedSequence's hashmix as its calls k ... k + rows - 1, one per row of v."""
     h = [c * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(k, k + rows + 1)]
@@ -130,23 +141,19 @@ class OfdmConfig:
         return np.asarray(self.used, dtype=int)
 
 
-@dataclass
-class SymbolStream:
-    """Data symbols per (subcarrier, OFDM symbol); zero on unused subcarriers."""
+class SymbolStream(dict):
+    """Data symbols keyed by OFDM symbol m, one per subcarrier of the `OfdmConfig.used`
+    set they are read through; zero on unused subcarriers."""
 
-    used: tuple[int, ...]
-    symbols: dict[int, np.ndarray]
+    def __missing__(self, m):
+        raise ValueError(f"no data for OFDM symbol {m}")
 
-    def get(self, m: int) -> np.ndarray:
-        if m not in self.symbols:
-            raise ValueError(f"no data for OFDM symbol {m}")
-        return self.symbols[m]
 
-    def spectrum(self, n: int, m: int) -> np.ndarray:
-        """Length-n frequency grid with used entries placed at index k mod n."""
-        grid = np.zeros(n, dtype=complex)
-        grid[np.asarray(self.used, dtype=int) % n] = self.get(m)
-        return grid
+def _symbols(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndarray:
+    """Symbol m of the stream, checked to hold one symbol per subcarrier of config.used."""
+    if len(stream[m]) != len(config.used):
+        raise ValueError(f"OFDM symbol {m} does not hold one symbol per used subcarrier")
+    return stream[m]
 
 
 _QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
@@ -174,7 +181,7 @@ def _stream(draw, config: OfdmConfig, symbol_indices, rng: np.random.Generator) 
     # as one draw per symbol, in order, would
     indices = list(symbol_indices)
     syms = draw(rng, (len(indices), len(config.used)))
-    return SymbolStream(config.used, dict(zip(indices, syms)))
+    return SymbolStream(zip(indices, syms))
 
 
 def qpsk_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
@@ -189,8 +196,10 @@ def gaussian_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator
 
 def modulate_symbol(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndarray:
     """Time samples of OFDM symbol m, indices -n_cp .. n-1 (array index 0 is -n_cp)."""
-    # sample[t] = (1/N) sum_k S[k] e^{j 2 pi k t / N}  ==  ifft
-    body = np.fft.ifft(stream.spectrum(config.n, m))
+    # sample[t] = (1/N) sum_k S[k] e^{j 2 pi k t / N}  ==  ifft, S[k] at index k mod N
+    grid = np.zeros(config.n, dtype=complex)
+    grid[config.used_array() % config.n] = _symbols(config, stream, m)
+    body = np.fft.ifft(grid)
     return np.concatenate([body[-config.n_cp:], body])
 
 
@@ -250,12 +259,12 @@ def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int
     if d < -n:  # regime 1: phase-rotated copy of symbol m+1
         out = np.zeros(n, dtype=complex)
         phase = np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
-        out[used % n] = phase * stream.get(m + 1)
+        out[used % n] = phase * _symbols(config, stream, m + 1)
         return out
 
     # regime 2
-    s_cur = stream.get(m)
-    s_nxt = stream.get(m + 1)
+    s_cur = _symbols(config, stream, m)
+    s_nxt = _symbols(config, stream, m + 1)
     rot_cur = s_cur * np.exp(-1j * 2 * np.pi * used * d / n)
     rot_nxt = s_nxt * np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
 
@@ -289,11 +298,9 @@ class PowerProfile:
         stderr = self.stderr_total
         if stderr is None:
             stderr = np.zeros_like(self.total)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["subcarrier", "useful", "total", "stderr_total"])
-            for k, u, t, s in zip(self.subcarriers, self.useful, self.total, stderr):
-                w.writerow([int(k), f"{u:.10g}", f"{t:.10g}", f"{s:.10g}"])
+        _write_csv(path, ["subcarrier", "useful", "total", "stderr_total"],
+                   ([int(k), _fmt(u), _fmt(t), _fmt(s)]
+                    for k, u, t, s in zip(self.subcarriers, self.useful, self.total, stderr)))
 
     def sir_db(self, subcarrier: int) -> float:
         """Useful-to-self-interference ratio on one subcarrier, in dB."""

@@ -1,15 +1,15 @@
 """Seeded Monte Carlo simulation of Poisson transmitter fields.
 
-The receiver sits at the center of a disk of radius R holding 2000 expected points
-by default.  Interference from beyond R is dropped; its mean decays only like
-R^(2-alpha), which biases counts upward for alpha near 2 (open as ROADMAP item 1).
+The receiver sits at the center of a disk of radius R holding `SimSpec.expected_points`
+expected points by default.  Interference from beyond R is dropped; its mean decays
+only like R^(2-alpha), which biases counts upward for alpha near 2 (open as ROADMAP
+item 1).
 Each trial draws from its own RNG substream seeded by (master_seed, trial_index),
 so results do not depend on the workers, and every timing model sees the same fields.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .analytics import CountDistribution
-from .link import OfdmConfig, _integer, _trial_generators
+from .link import OfdmConfig, _fmt, _integer, _trial_generators, _write_csv
 from .sinr import NetworkParams, NetworkSnapshot, _check_positive, _sinr, snapshot_sinr_all
 from .timing import TimingModel
 
@@ -171,12 +171,10 @@ class TrialResults:
         return TrialResults(counts, self.nearest_sinr, threshold, self.sinr[keep])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["trial", "count", "nearest_sinr_db"])
-            for t, (c, s) in enumerate(zip(self.counts, self.nearest_sinr)):
-                sinr_db = "" if math.isnan(s) else f"{10 * math.log10(s) if s else -math.inf:.10g}"
-                w.writerow([t, int(c), sinr_db])
+        _write_csv(path, ["trial", "count", "nearest_sinr_db"],
+                   ([t, int(c), "" if math.isnan(s) else
+                     _fmt(10 * math.log10(s) if s else -math.inf)]
+                    for t, (c, s) in enumerate(zip(self.counts, self.nearest_sinr))))
 
 
 def run_trials(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
@@ -191,9 +189,9 @@ def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: O
     bits as a pass with that model alone; output independent of workers."""
     if not (timings and workers >= 1):
         raise ValueError(f"need a timing model and workers >= 1, got {len(timings)} and {workers}")
-    bounds = np.linspace(0, spec.trials, workers + 1, dtype=int)
+    bounds = np.linspace(0, spec.trials, min(workers, spec.trials) + 1, dtype=int)
     jobs = [(params, timings, config, spec, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+            for a, b in zip(bounds[:-1], bounds[1:])]
     if len(jobs) == 1:
         chunks = [_trial_chunk(jobs[0])]
     else:
@@ -216,9 +214,10 @@ def _mean_ci(x: np.ndarray) -> Estimate:
 def estimate_mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                             spec: SimSpec, workers: int = 1,
                             results: TrialResults | None = None) -> Estimate:
+    """Mean decodable count at params.threshold, of `results` if given, else of a fresh run."""
     if results is None:
         results = run_trials(params, timing, config, spec, workers)
-    return _mean_ci(results.counts.astype(float))
+    return _mean_ci(results.at(params.threshold).counts.astype(float))
 
 
 def _wilson(successes: np.ndarray, n: int):
@@ -257,9 +256,9 @@ def estimate_distribution(params: NetworkParams, timing: TimingModel, config: Of
 def estimate_nearest_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                           spec: SimSpec, workers: int = 1,
                           results: TrialResults | None = None) -> Estimate:
-    """Fraction of trials where the nearest transmitter decodes; empty trials fail."""
+    """Fraction of trials where the nearest transmitter decodes at params.threshold, of
+    `results` if given, else of a fresh run; empty trials fail."""
     if results is None:
         results = run_trials(params, timing, config, spec, workers)
-    ok = np.where(np.isnan(results.nearest_sinr), False,
-                  results.nearest_sinr >= params.threshold)
+    ok = results.at(params.threshold).nearest_sinr >= params.threshold  # NaN compares False
     return _mean_ci(ok.astype(float))

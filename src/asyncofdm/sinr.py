@@ -32,6 +32,18 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+def _check_alpha(alpha: float) -> None:
+    """The pathloss exponent is finite and above 2, where Poisson-field interference converges."""
+    if not 2 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be finite and exceed 2 for the interference to converge, "
+                         f"got {alpha}")
+
+
+def _check_finite_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Transmitter density, pathloss, power budget and detection threshold.
@@ -46,17 +58,11 @@ class NetworkParams:
     threshold: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.density, self.alpha, self.threshold))):
-            raise ValueError(f"density, alpha and threshold must be finite, got "
-                             f"{self.density}, {self.alpha}, {self.threshold}")
-        if self.density <= 0:
-            raise ValueError("density must be positive")
-        if self.alpha <= 2:
-            raise ValueError("alpha must exceed 2 for the interference to converge")
+        _check_finite_positive("density", self.density)
+        _check_alpha(self.alpha)
         if not self.snr > 0:  # also rejects NaN; inf is the interference-limited regime
             raise ValueError(f"snr must be positive, got {self.snr}")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        _check_finite_positive("threshold", self.threshold)
 
     @classmethod
     def from_budget(cls, density: float, alpha: float, threshold_db: float,

@@ -259,6 +259,13 @@ def test_upper_bound_values():
         mean_decodable_upper_bound(4.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha, threshold",
+                         [(math.nan, 0.1), (3.8, math.nan), (math.inf, 0.1), (3.8, math.inf)])
+def test_upper_bound_rejects_non_finite_inputs(alpha, threshold):
+    with pytest.raises(ValueError, match="finite"):
+        mean_decodable_upper_bound(alpha, threshold)
+
+
 def test_bound_attained_when_synchronized(cfg):
     for alpha, t_db in ((3.0, -6.0), (3.8, -12.0), (4.0, 0.0)):
         params = budget_params(1e-4, alpha, t_db)
@@ -480,6 +487,12 @@ def test_rho_matches_reference():
         rho(math.nan, 3.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_rho_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        rho(1.0, alpha)
+
+
 @pytest.mark.parametrize("x", [math.inf, [0.5, math.inf], [2.0, -math.inf]])
 def test_rho_rejects_non_finite_x(x):
     with pytest.raises(ValueError, match="finite"):
@@ -651,3 +664,11 @@ def test_laplace_transform_basics():
         laplace_interference(-1.0, 1e-3, 3.8)
     with pytest.raises(ValueError):
         laplace_interference(1.0, 1e-3, 2.0)
+
+
+@pytest.mark.parametrize("s, density, alpha", [
+    (1.0, -1.0, 3.8), (1.0, math.nan, 3.8), (1.0, math.inf, 3.8),
+    (math.nan, 1e-3, 3.8), (1.0, 1e-3, math.nan), (1.0, 1e-3, math.inf)])
+def test_laplace_transform_rejects_out_of_domain_inputs(s, density, alpha):
+    with pytest.raises(ValueError, match="nonnegative|finite"):
+        laplace_interference(s, density, alpha)

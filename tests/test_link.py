@@ -47,7 +47,7 @@ def _reference_stream(config, symbol_indices, rng, alphabet="qpsk"):
             syms[m] = np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, size=k)))
         else:
             syms[m] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-    return SymbolStream(config.used, syms)
+    return SymbolStream(syms)
 
 
 def _reference_receive_window(config, stream, d, m):
@@ -191,14 +191,14 @@ def test_config_validation():
 def test_dc_tone_gives_constant_samples(small_cfg):
     syms = {0: np.zeros(len(small_cfg.used), dtype=complex)}
     syms[0][small_cfg.used.index(0)] = 1.0
-    stream = SymbolStream(small_cfg.used, syms)
+    stream = SymbolStream(syms)
     samples = modulate_symbol(small_cfg, stream, 0)
     assert np.allclose(samples, 1.0 / small_cfg.n)
 
 
 def test_all_zero_symbols(small_cfg):
     syms = {0: np.zeros(len(small_cfg.used), dtype=complex)}
-    stream = SymbolStream(small_cfg.used, syms)
+    stream = SymbolStream(syms)
     assert np.allclose(modulate_symbol(small_cfg, stream, 0), 0.0)
 
 
@@ -206,6 +206,14 @@ def test_cyclic_prefix_identity(cfg):
     samples = modulate_symbol(cfg, _stream(cfg, 1), 0)
     assert len(samples) == cfg.n + cfg.n_cp
     assert np.allclose(samples[:cfg.n_cp], samples[-cfg.n_cp:])
+
+
+def test_stream_for_another_subcarrier_set_rejected():
+    drawn, other = OfdmConfig.centered(64, 8, -20, 19), OfdmConfig.centered(64, 8, -5, 4)
+    stream = qpsk_stream(drawn, (-1, 0, 1), np.random.default_rng(1))
+    for read in (receive_window, closed_form_outputs):
+        with pytest.raises(ValueError, match="per used subcarrier"):
+            read(other, stream, -6, 0)
 
 
 def test_missing_symbol_rejected(cfg):

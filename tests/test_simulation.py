@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,24 @@ def test_results_reject_lower_threshold(cfg):
     for bad in (params.threshold * 0.999, db_to_linear(-12.0), math.nan):
         with pytest.raises(ValueError, match="below"):
             res.at(bad)
+
+
+def test_estimators_cut_a_lower_pass_at_their_own_threshold(cfg):
+    low = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    params, spec = low.with_threshold_db(0.0), SimSpec(300, 3)
+    base = run_trials(low, _tg02(cfg), cfg, spec)
+    for estimate in (estimate_mean_decodable, estimate_nearest_prob):
+        assert (estimate(params, _tg02(cfg), cfg, spec, results=base)
+                == estimate(params, _tg02(cfg), cfg, spec))
+
+
+def test_estimators_reject_a_pass_above_their_threshold(cfg):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    spec = SimSpec(5, 3)
+    base = run_trials(params, _tg02(cfg), cfg, spec)
+    for estimate in (estimate_mean_decodable, estimate_nearest_prob):
+        with pytest.raises(ValueError, match="below"):
+            estimate(params.with_threshold_db(-15.0), _tg02(cfg), cfg, spec, results=base)
 
 
 def test_results_keep_only_decodable_sinrs(cfg):
@@ -502,6 +521,17 @@ def test_pool_sized_to_the_non_empty_chunks(cfg, pool_sizes):
 def test_pool_bounded_by_the_cpu_count(cfg, pool_sizes):
     assert _same_as_one_worker(cfg, 64, 64)
     assert pool_sizes == [4]  # 64 one-trial chunks on no more processes than CPUs
+
+
+def test_worker_count_beyond_the_trials_costs_no_memory(cfg, pool_sizes):
+    tracemalloc.start()
+    try:
+        assert _same_as_one_worker(cfg, 5, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20  # five one-trial chunks, not ten million bounds
+    assert pool_sizes == [4]
 
 
 try:
