@@ -77,11 +77,20 @@ def delta(offset: float, half_width: float) -> TimingModel:
     return TimingModel("delta", half_width, offset=offset)
 
 
+# Widest sigma in half-widths w: ndtr(w/sigma) - ndtr(-w/sigma) cancels to about 1e-16 sigma/w.
+MAX_SIGMA_OVER_HALF_WIDTH = 1e6
+
+
 def truncated_gaussian(sigma: float, half_width: float, mean: float = 0.0) -> TimingModel:
     if not (np.isfinite(sigma) and np.isfinite(mean)):
         raise ValueError(f"sigma and mean must be finite, got sigma={sigma}, mean={mean}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if sigma > MAX_SIGMA_OVER_HALF_WIDTH * half_width:
+        raise ValueError(f"sigma {sigma:g} exceeds {MAX_SIGMA_OVER_HALF_WIDTH:g} half-widths; the "
+                         f"limit is uniform(-{half_width}, {half_width}, {half_width})")
+    if not -half_width <= mean < half_width:
+        raise ValueError(f"mean {mean} outside [-{half_width}, {half_width})")
     return TimingModel("truncated_gaussian", half_width, mean=mean, sigma=sigma)
 
 

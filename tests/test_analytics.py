@@ -600,6 +600,96 @@ def test_quadrature_error_estimates_are_checked(cfg, monkeypatch):
     assert mean_decodable(params, tm.uniform(-1096.0, -1080.0, _w(cfg)), cfg) == 0.0
 
 
+def _quad_radial(a, p):
+    """I(a) by scipy.integrate.quad, in pieces that hold e^-w's decay and the turn of
+    e^{-a w^p} near w = a^{-1/p}."""
+    from scipy.integrate import quad
+
+    def f(w):
+        return math.exp(-w - a * w ** p)
+
+    pts = sorted({0.0, 1.0, 10.0, 50.0, min(a ** (-1.0 / p), 50.0) if a > 0 else 50.0})
+    return sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(pts, pts[1:] + [math.inf]))
+
+
+def _radial_tiers(monkeypatch, a, p):
+    """I(a), the error estimate each component is checked with, and how many
+    components reached integrate_halfline."""
+    seen = {"adaptive": 0}
+
+    def checked(val, err, what):
+        seen["err"] = np.array(err)
+        return real_checked(val, err, what)
+
+    def halfline(f, **kwargs):
+        val, err = integrate_halfline(f, **kwargs)
+        seen["adaptive"] += len(val)
+        return val, err
+
+    real_checked = analytics._checked
+    monkeypatch.setattr(analytics, "_checked", checked)
+    monkeypatch.setattr(analytics, "integrate_halfline", halfline)
+    return analytics._exp_power_integral(a, p), seen["err"], seen["adaptive"]
+
+
+def _series_tier(a, val, err, p):
+    """The components the series took: their error is its remainder bound
+    a^6 Gamma(1 + 6p)/6!, within 1e-12.  From p = 28.5 Gamma(1 + 6p) overflows."""
+    if p >= 28.5:
+        return np.zeros(a.shape, dtype=bool)
+    bound = math.gamma(1.0 + 6.0 * p) / math.factorial(6) * np.minimum(a, 1.0) ** 6  # a < 1 there
+    return (err == bound) & (err <= 1e-12 * val)
+
+
+@pytest.mark.parametrize("p", [1.001, 1.1, 1.5, 1.9, 2.5, 5.0, 10.0, 28.0, 28.5, 50.0])
+def test_radial_integral_within_its_stated_error(monkeypatch, p):
+    a = np.geomspace(1e-9, 1e-2, 15)
+    val, err, _ = _radial_tiers(monkeypatch, a, p)
+    ref = np.array([_quad_radial(x, p) for x in a])
+    series = _series_tier(a, val, err, p)
+    # within the series' remainder bound, up to quad's own tolerance
+    assert np.all(np.abs(val - ref)[series] <= (err + 1e-13 * ref)[series])
+    assert np.all(np.abs(val - ref) <= analytics.DEFAULT_RTOL * ref)
+    # the bound is within 1e-12 only for small a and p; from p = 28.5 (alpha = 57) the
+    # series is skipped, and the Laguerre pair's overflowing a w^p raises no warning
+    assert series.any() == (p <= 5.0)
+
+
+def test_every_radial_tier_is_reached(monkeypatch):
+    # series: a = 0 and 1e-5; Gauss-Laguerre: 0.05; adaptive: 1, 1e4, and 1e300, where
+    # both Laguerre rules underflow
+    a = np.array([0.0, 1e-5, 0.05, 1.0, 1e4, 1e300])
+    val, err, adaptive = _radial_tiers(monkeypatch, a, 1.9)
+    assert _series_tier(a, val, err, 1.9).tolist() == [True, True] + [False] * 4
+    assert adaptive == 3
+    assert val[:5] == pytest.approx([_quad_radial(x, 1.9) for x in a[:5]],
+                                    rel=analytics.DEFAULT_RTOL)
+    assert 0.0 < val[5] < 1e-150
+    # with the series skipped, the Laguerre pair takes the small a
+    val, err, adaptive = _radial_tiers(monkeypatch, a, 30.0)
+    assert adaptive == 5 and val[0] == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, parent", [(57.0, 5.4426007747804646e-05),
+                                           (100.0, 3.5097886443776096e-05)])
+def test_nearest_probability_at_large_alpha(cfg, alpha, parent):
+    # Gamma(1 + 3 alpha) overflows from alpha ~ 57: the series is skipped there without
+    # an OverflowError, and a w^p overflowing in the Laguerre rules raises no
+    # RuntimeWarning.  The values are those of the Laguerre-first implementation.
+    params = budget_params(1 / 400 ** 2, alpha, -12.0)
+    timing = tm.truncated_gaussian(0.2 * cfg.n, _w(cfg))
+    assert nearest_decoding_prob(params, timing, cfg) == pytest.approx(parent, rel=1e-8)
+
+
+def test_widest_gaussian_is_the_uniform_limit(cfg):
+    widest = tm.truncated_gaussian(tm.MAX_SIGMA_OVER_HALF_WIDTH * _w(cfg), _w(cfg))
+    flat = tm.uniform(-_w(cfg), _w(cfg), _w(cfg))
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    assert mean_decodable(params, widest, cfg) == pytest.approx(
+        mean_decodable(params, flat, cfg), rel=analytics.DEFAULT_RTOL)
+
+
 @given(st.floats(2.01, 2.3), st.floats(-15.0, 20.0))
 @settings(max_examples=25, deadline=None)
 def test_alpha_near_two(alpha, t_db):

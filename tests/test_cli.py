@@ -366,6 +366,23 @@ def test_bad_sigma_over_n_exits_2_naming_the_flag(tmp_path, capsys, sigmas):
     assert not out.exists()
 
 
+# Beyond 1e6 half-widths the truncated Gaussian's inside mass cancels: at 1e15 N the
+# analytics returned a wrong mean, and at 1e17 N they raised from deep inside.
+@pytest.mark.parametrize("command", ["mean-decodable", "simulate"])
+def test_sigma_beyond_the_gaussian_bound_exits_2_naming_uniform(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    if command == "mean-decodable":
+        assert main([command, "--sigma-over-n", "0.2,1e15", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --sigma-over-n: sigma ")
+        assert main([command, "--sigma-over-n", "1e17", "--out", str(out)]) == 2
+        assert "limit is uniform(" in capsys.readouterr().err
+    path = _write(tmp_path, "timing: {kind: truncated_gaussian, sigma_over_n: 1.0e+17}\n")
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: timing: sigma ") and "limit is uniform(" in err
+    assert not out.exists()
+
+
 def test_rows_that_fail_to_build_leave_no_output(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise QuadratureError("no convergence")

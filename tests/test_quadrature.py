@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -64,18 +65,32 @@ def test_empty_interval_rejected():
 def test_nan_integrand_stops_at_panel_cap():
     # NaN never meets the tolerance; without the cap bisection would visit
     # 2**28 panels
-    calls = []
+    nodes = []
 
     def f(x):
-        calls.append(1)
+        nodes.append(len(x))
         return np.full_like(x, np.nan)
 
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match="did not converge"):
         integrate(f, 0.0, 1.0)
     assert time.perf_counter() - start < 10.0
-    # the rough pass is the first panel's 16-point rule; then 2 rules per panel
-    assert len(calls) == 2 * quadrature.MAX_PANELS
+    # 48 abscissae per panel; rounds double, so the cap stops the round that would
+    # pass MAX_PANELS, after more than half of it
+    assert sum(nodes) % 48 == 0
+    assert 48 * quadrature.MAX_PANELS // 2 < sum(nodes) <= 48 * quadrature.MAX_PANELS
+    assert max(nodes) <= 48 * quadrature.SLICE
+
+
+def test_no_integrand_call_exceeds_the_slice():
+    # 300 breakpoint panels, then bisection of the panels around the kinks
+    kinks = np.linspace(0.0, 1.0, 301)[1:-1]
+    f, nodes = _counting(lambda x: np.abs(np.sin(300.0 * np.pi * x)) ** 1.5)
+    val, _ = integrate(f, 0.0, 1.0, rtol=1e-8, breakpoints=kinks)
+    exact = math.gamma(1.25) / (math.sqrt(math.pi) * math.gamma(1.75))  # mean of |sin|^1.5
+    assert val == pytest.approx(exact, rel=1e-7)
+    assert max(nodes) == 48 * quadrature.SLICE  # the first round is sliced
+    assert len(nodes) > 300 // quadrature.SLICE + 1  # and bisection rounds follow
 
 
 def test_panel_cap_leaves_hard_integrands_alone():
@@ -84,19 +99,25 @@ def test_panel_cap_leaves_hard_integrands_alone():
     assert abs(val - 2.0 / 3.0) < 1e-6
 
 
+def _panel(f, lo, hi, order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (hi - lo) * (w @ np.asarray(f(0.5 * (hi - lo) * x + 0.5 * (hi + lo))))
+
+
 def _integrate_with_rough_pass_repeated(f, a, b, rtol=1e-9, breakpoints=(), max_depth=28):
-    """Frozen copy of `integrate` as it was when each breakpoint panel's 16-point
-    rule ran twice: once in the rough pass and again when the panel was popped."""
+    """Frozen copy of `integrate` as it was when bisection went depth-first, one rule
+    per call of f, and each breakpoint panel's 16-point rule ran twice: once in the
+    rough pass and again when the panel was popped."""
     pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
     panels = [(lo, hi, 0) for lo, hi in zip(pts[:-1], pts[1:])]
-    rough = sum(quadrature._panel(f, lo, hi, 16) for lo, hi, _ in panels)
+    rough = sum(_panel(f, lo, hi, 16) for lo, hi, _ in panels)
     scale = np.maximum(np.abs(rough), 1e-300)
     total = np.zeros_like(np.asarray(rough, dtype=float))
     err = np.zeros_like(total)
     while panels:
         lo, hi, depth = panels.pop()
-        coarse = quadrature._panel(f, lo, hi, 16)
-        fine = quadrature._panel(f, lo, hi, 32)
+        coarse = _panel(f, lo, hi, 16)
+        fine = _panel(f, lo, hi, 32)
         local_err = np.abs(fine - coarse)
         if depth >= max_depth or np.all(local_err <= rtol * scale * (hi - lo) / (b - a)):
             total = total + fine
@@ -129,11 +150,14 @@ def test_rough_pass_is_reused_as_first_coarse_rule(f, a, b, breakpoints):
     old_f, old_nodes = _counting(f)
     val, err = integrate(new_f, a, b, breakpoints=breakpoints)
     ref_val, ref_err = _integrate_with_rough_pass_repeated(old_f, a, b, breakpoints=breakpoints)
-    assert np.array_equal(val, ref_val) and np.array_equal(err, ref_err)
-    # one 16-point rule fewer on each breakpoint panel, and the rough pass still first
+    # the same panels, summed in another order
+    np.testing.assert_allclose(val, ref_val, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(err, ref_err, rtol=0.0, atol=1e-14 * np.max(np.abs(ref_val)))
+    # one 16-point rule fewer on each breakpoint panel, and the rough pass first:
+    # one call over both rules of every breakpoint panel
     panels = 1 + len(breakpoints)
     assert sum(new_nodes) == sum(old_nodes) - 16 * panels
-    assert new_nodes[:panels] == [16] * panels
+    assert new_nodes[0] == 48 * panels
 
 
 try:

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 from asyncofdm.quadrature import integrate
-from asyncofdm.timing import delta, truncated_gaussian, uniform
+from asyncofdm.timing import MAX_SIGMA_OVER_HALF_WIDTH, delta, truncated_gaussian, uniform
 
 W = 1096.0  # offset domain half-width for N=1024, N_cp=72
 
@@ -102,6 +102,26 @@ def test_invalid_models_rejected():
         uniform(10.0, 10.0, W)
     with pytest.raises(ValueError):
         uniform(-2 * W, 0.0, W)
+
+
+def test_truncated_gaussian_rejects_sigma_beyond_bound():
+    widest = MAX_SIGMA_OVER_HALF_WIDTH * W
+    m = truncated_gaussian(widest, W)  # the bound itself is accepted, and stays accurate
+    assert m.density(0.0) == pytest.approx(1.0 / (2.0 * W), rel=1e-9)  # the uniform limit
+    x = m.sample(np.random.default_rng(1), 10_000)
+    assert np.all((x >= -W) & (x < W)) and abs(np.mean(x)) < 0.05 * W
+    # at 1e15 N the inside mass cancels to 4%, and from 1e17 N to 0
+    for sigma in (np.nextafter(widest, np.inf), 1e15 * 1024, 1e17 * 1024):
+        with pytest.raises(ValueError, match=r"limit is uniform\(-1096.0, 1096.0, 1096.0\)"):
+            truncated_gaussian(sigma, W)
+
+
+@pytest.mark.parametrize("mean", [W, 5000.0, np.nextafter(-W, -np.inf), -5000.0])
+def test_truncated_gaussian_rejects_mean_outside_domain(mean):
+    # mean 5000 left no mass inside: the density divided by zero
+    with pytest.raises(ValueError, match="outside"):
+        truncated_gaussian(10.0, W, mean=mean)
+    assert truncated_gaussian(10.0, W, mean=-W).mean == -W  # the left edge is inside
 
 
 def test_sampling_deterministic_per_seed():
