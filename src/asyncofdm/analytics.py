@@ -73,16 +73,9 @@ def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=(0.0,))
 
 
 def _breakpoints(config: OfdmConfig, timing: TimingModel, hypotheses):
-    """Kinks of g under every hypothesis shift, and where the timing density jumps
-    (uniform) or holds its mass (truncated Gaussian: beyond 8 sigma it is below
-    e^-32 of its peak, so a narrow one is not missed between quadrature nodes)."""
+    """Kinks of g under every hypothesis shift, and the timing model's own breakpoints."""
     edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
-    brks = {t + e for t in hypotheses for e in edges}
-    if timing.kind == "uniform":
-        brks |= {timing.lo, timing.hi}
-    elif timing.kind == "truncated_gaussian":
-        brks |= {timing.mean - 8.0 * timing.sigma, timing.mean + 8.0 * timing.sigma}
-    return sorted(brks)
+    return sorted({t + e for t in hypotheses for e in edges} | set(timing.breakpoints))
 
 
 def _checked(value, err, what: str):
@@ -133,10 +126,11 @@ def _exp_power_integral(a, p: float) -> np.ndarray:
     return _checked(val, err, "radial integral")
 
 
-def _expect_over_timing(config: OfdmConfig, timing: TimingModel, thresholds: np.ndarray, F,
-                        hypotheses=(0.0,)) -> np.ndarray:
-    """E_D[ 1{g(D) > T/(1+T)} F(g(D), T) ] for each T in `thresholds`, g the best
-    weight over the hypotheses.
+def _expect_over_timing(params: NetworkParams, timing: TimingModel, config: OfdmConfig, F,
+                        thresholds=None, hypotheses=(0.0,)):
+    """E_D[ 1{g(D) > T/(1+T)} F(g(D), T) ], g the best weight over the hypotheses: a float
+    at T = params.threshold, or an array at each T of `thresholds`, a non-empty 1-D
+    sequence of finite positive values.
 
     F maps arrays of weights and of their thresholds, every weight above
     T/(1+T), to an array of values.  The decodable intervals are split at the
@@ -146,16 +140,22 @@ def _expect_over_timing(config: OfdmConfig, timing: TimingModel, thresholds: np.
     the (tau - edge)^{2/alpha} behaviour where g meets T/(1+T).  Each T is one
     column of one stacked integral, padded by zero-width pieces at its last hi.
     """
-    c = thresholds / (1.0 + thresholds)
+    grid = np.asarray([params.threshold] if thresholds is None else thresholds, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"thresholds must be a non-empty 1-D sequence, got shape {grid.shape}")
+    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
+    if bad.size:
+        raise ValueError(f"thresholds[{bad[0]}] = {grid[bad[0]]} is not finite and positive")
+    c = grid / (1.0 + grid)
     if timing.is_delta:
         g0 = hypothesis_weight(config, hypotheses, timing.offset)
-        out, ok = np.zeros(len(thresholds)), g0 > c
-        out[ok] = F(np.full(np.count_nonzero(ok), g0), thresholds[ok])
-        return out
+        out, ok = np.zeros(len(grid)), g0 > c
+        out[ok] = F(np.full(np.count_nonzero(ok), g0), grid[ok])
+        return out if thresholds is not None else float(out[0])
 
     brks = _breakpoints(config, timing, hypotheses)
     columns = []
-    for t in thresholds:
+    for t in grid:
         pts = [[lo] + [b for b in brks if lo < b < hi] + [hi]
                for lo, hi in decodable_intervals(config, t, hypotheses)]
         columns.append([piece for p in pts for piece in zip(p[:-1], p[1:])])
@@ -172,25 +172,12 @@ def _expect_over_timing(config: OfdmConfig, timing: TimingModel, thresholds: np.
         g = hypothesis_weight(config, hypotheses, tau)
         out = 6.0 * r * (1.0 - r) * width[k] * timing.density(tau)
         ok = (g > c) & (width[k] > 0)
-        out[ok] *= F(g[ok], np.broadcast_to(thresholds, g.shape)[ok])
+        out[ok] *= F(g[ok], np.broadcast_to(grid, g.shape)[ok])
         out[~ok] = 0.0
         return out
 
     val, err = integrate(f, 0.0, float(n), rtol=DEFAULT_RTOL, breakpoints=range(1, n))
-    return _checked(val, err, "timing expectation")
-
-
-def _expect(params: NetworkParams, timing: TimingModel, config: OfdmConfig, F,
-            thresholds=None, hypotheses=(0.0,)):
-    """`_expect_over_timing` at params.threshold as a float, or as an array at each
-    of `thresholds`, a non-empty 1-D sequence of finite positive values."""
-    t = np.asarray([params.threshold] if thresholds is None else thresholds, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError(f"thresholds must be a non-empty 1-D sequence, got shape {t.shape}")
-    bad = np.flatnonzero(~(np.isfinite(t) & (t > 0)))
-    if bad.size:
-        raise ValueError(f"thresholds[{bad[0]}] = {t[bad[0]]} is not finite and positive")
-    out = _expect_over_timing(config, timing, t, F, hypotheses)
+    out = _checked(val, err, "timing expectation")
     return out if thresholds is not None else float(out[0])
 
 
@@ -210,7 +197,7 @@ def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     def F(g, t):  # pi*lam * I(a0)/b(h) with 1/h = ((1+T) g - T)/T
         return scale * (((1.0 + t) * g - t) / t) ** (2.0 / alpha)
 
-    return _expect(params, timing, config, F, thresholds, hypotheses)
+    return _expect_over_timing(params, timing, config, F, thresholds, hypotheses)
 
 
 def mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig, *,
@@ -285,7 +272,7 @@ def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: Of
         return np.pi * params.density * _exp_power_integral(q * h / b ** (alpha / 2.0),
                                                             alpha / 2.0) / b
 
-    return _expect(params, timing, config, F, thresholds)
+    return _expect_over_timing(params, timing, config, F, thresholds)
 
 
 def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig) -> float:
@@ -303,7 +290,7 @@ def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig)
     def F(g, t):
         return scale * (g * params.snr / t) ** d
 
-    return _expect(params, timing, config, F)
+    return _expect_over_timing(params, timing, config, F)
 
 
 def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
@@ -312,7 +299,7 @@ def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
     if params.alpha != 4.0:
         raise ValueError("closed form holds for alpha = 4 only")
     prefactor = np.pi ** 1.5 * params.density / 2.0 * math.sqrt(params.snr / params.threshold)
-    return prefactor * _expect(params, timing, config, lambda g, t: np.sqrt(g))
+    return prefactor * _expect_over_timing(params, timing, config, lambda g, t: np.sqrt(g))
 
 
 @dataclass

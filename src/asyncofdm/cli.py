@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 from . import analytics, simulation, timing as timing_mod
 from .link import OfdmConfig, _fmt, _write_csv, empirical_power_profile
+from .quadrature import QuadratureError
 from .sinr import NetworkParams, db_to_linear, hypothesis_set
 from .simulation import SimSpec
 
@@ -70,10 +71,8 @@ class RunConfig:
     def params(self, threshold_db: float) -> NetworkParams:
         return self.network.with_threshold_db(threshold_db)
 
-    def timing_model(self, sigma_over_n: float | None = None) -> timing_mod.TimingModel:
-        """The configured model, or a synchronized (0) or Gaussian one of sigma_over_n * N."""
-        if sigma_over_n is None:
-            return self.timing
+    def timing_model(self, sigma_over_n: float) -> timing_mod.TimingModel:
+        """The synchronized model (0), or a Gaussian one of sigma_over_n * N."""
         w = self.ofdm.domain_half_width
         if sigma_over_n == 0.0:
             return timing_mod.delta(0.0, w)
@@ -259,10 +258,8 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
 
 
 def cmd_dist(cfg: RunConfig, args) -> None:
-    params = cfg.params(cfg.threshold_db)
-    tm = cfg.timing_model()
-    bound = analytics.upsilon_upper_distribution(params, tm, cfg.ofdm)
-    emp = simulation.estimate_distribution(params, tm, cfg.ofdm, cfg.sim,
+    bound = analytics.upsilon_upper_distribution(cfg.network, cfg.timing, cfg.ofdm)
+    emp = simulation.estimate_distribution(cfg.network, cfg.timing, cfg.ofdm, cfg.sim,
                                            workers=args.workers)
     n_max = max(bound.support_max, int(emp.counts[-1]))
     columns = (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(), emp.ci_half_width)
@@ -288,14 +285,13 @@ def cmd_throughput(cfg: RunConfig, args) -> None:
 def cmd_hypotheses(cfg: RunConfig, args) -> None:
     if cfg.hypotheses is None:
         raise ConfigError("the hypotheses command needs a hypotheses section or --hypotheses")
-    tm = cfg.timing_model()
-    sync = cfg.timing_model(0.0)
     grid = cfg.sweep_grid()
     params, thresholds = cfg.params(grid[0]), [cfg.params(t_db).threshold for t_db in grid]
-    columns = [analytics.mean_decodable(params, tm, cfg.ofdm, thresholds=thresholds),
-               analytics.mean_decodable_with_hypotheses(params, tm, cfg.ofdm, cfg.hypotheses,
-                                                        thresholds=thresholds),
-               analytics.mean_decodable(params, sync, cfg.ofdm, thresholds=thresholds)]
+    columns = [analytics.mean_decodable(params, cfg.timing, cfg.ofdm, thresholds=thresholds),
+               analytics.mean_decodable_with_hypotheses(params, cfg.timing, cfg.ofdm,
+                                                        cfg.hypotheses, thresholds=thresholds),
+               analytics.mean_decodable(params, cfg.timing_model(0.0), cfg.ofdm,
+                                        thresholds=thresholds)]
     rows = []
     for t_db, base, multi, ideal in zip(grid, *columns):
         gap = ideal - base
@@ -306,8 +302,7 @@ def cmd_hypotheses(cfg: RunConfig, args) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, args) -> None:
-    params = cfg.params(cfg.threshold_db)
-    results = simulation.run_trials(params, cfg.timing_model(), cfg.ofdm, cfg.sim,
+    results = simulation.run_trials(cfg.network, cfg.timing, cfg.ofdm, cfg.sim,
                                     workers=args.workers)
     results.to_csv(args.out)
 
@@ -315,9 +310,9 @@ def cmd_simulate(cfg: RunConfig, args) -> None:
 def cmd_validate(cfg: RunConfig, args) -> int:
     """Analytic-vs-Monte-Carlo cross-checks; nonzero exit if any scenario fails."""
     sigmas = (0.0, 0.2, 0.4)
-    params = cfg.params(cfg.threshold_db)
     models = [cfg.timing_model(sigma) for sigma in sigmas]
-    runs = simulation.run_trials_each(params, models, cfg.ofdm, cfg.sim, workers=args.workers)
+    runs = simulation.run_trials_each(cfg.network, models, cfg.ofdm, cfg.sim,
+                                      workers=args.workers)
     scenarios = [(f"mean sigma={sigma}N", tm, results, analytics.mean_decodable,
                   simulation.estimate_mean_decodable)
                  for sigma, tm, results in zip(sigmas, models, runs)]
@@ -327,8 +322,8 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     rows = []
     failed = False
     for name, tm, results, analytic_fn, mc_fn in scenarios:
-        analytic = analytic_fn(params, tm, cfg.ofdm)
-        est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results)
+        analytic = analytic_fn(cfg.network, tm, cfg.ofdm)
+        est = mc_fn(cfg.network, tm, cfg.ofdm, cfg.sim, results=results)
         slack = max(est.ci_half_width, 0.02 * abs(analytic))
         ok = abs(est.mean - analytic) <= slack
         failed |= not ok
@@ -399,7 +394,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--out: {args.out} is a directory")
         cfg = _apply_flags(load_config(args.config), args)
         return command(cfg, args) or 0  # only validate returns a status
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

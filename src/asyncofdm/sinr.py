@@ -82,9 +82,6 @@ class NetworkParams:
     def with_threshold_db(self, threshold_db: float) -> "NetworkParams":
         return self.with_threshold(db_to_linear(threshold_db))
 
-    def interference_limited(self) -> "NetworkParams":
-        return NetworkParams(self.density, self.alpha, math.inf, self.threshold)
-
 
 def _check_offsets(config: OfdmConfig, d) -> np.ndarray:
     """d as a float array, after checking it lies in [-(n+n_cp), n+n_cp); NaN fails."""

@@ -2,7 +2,7 @@
 
 All models live on the fixed domain [-half_width, half_width), where half_width
 is the OFDM symbol length including the cyclic prefix (in samples).  The
-truncated Gaussian renormalizes the mass inside the domain; sampling is by
+zero-mean truncated Gaussian renormalizes the mass inside the domain; sampling is by
 inverse CDF so the number of random draws per sample is deterministic.
 """
 
@@ -23,7 +23,6 @@ class TimingModel:
     kind: str  # "delta" | "truncated_gaussian" | "uniform"
     half_width: float
     offset: float = 0.0
-    mean: float = 0.0
     sigma: float = 0.0
     lo: float = 0.0
     hi: float = 0.0
@@ -32,10 +31,21 @@ class TimingModel:
     def is_delta(self) -> bool:
         return self.kind == "delta"
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Where the density jumps (uniform) or holds its mass (truncated Gaussian: beyond
+        8 sigma it is below e^-32 of its peak, so quadrature split here does not miss a
+        narrow one between its nodes); none for delta."""
+        if self.kind == "uniform":
+            return self.lo, self.hi
+        if self.kind == "truncated_gaussian":
+            return -8.0 * self.sigma, 8.0 * self.sigma
+        return ()
+
     @functools.cached_property
     def _gauss_mass(self) -> tuple[float, float]:
-        a = ndtr((-self.half_width - self.mean) / self.sigma)
-        b = ndtr((self.half_width - self.mean) / self.sigma)
+        a = ndtr(-self.half_width / self.sigma)
+        b = ndtr(self.half_width / self.sigma)
         return a, b - a
 
     def density(self, x):
@@ -48,7 +58,7 @@ class TimingModel:
             out = np.where((x >= self.lo) & (x < self.hi), 1.0 / (self.hi - self.lo), 0.0)
         else:
             _, z = self._gauss_mass
-            u = (x - self.mean) / self.sigma
+            u = x / self.sigma
             out = np.exp(-0.5 * u * u) / (self.sigma * np.sqrt(2.0 * np.pi) * z)
         out = np.where(inside, out, 0.0)
         return out if out.ndim else float(out)
@@ -61,7 +71,7 @@ class TimingModel:
         if self.kind == "uniform":
             return self.lo + (self.hi - self.lo) * u
         a, z = self._gauss_mass
-        return self.mean + self.sigma * ndtri(a + u * z)
+        return self.sigma * ndtri(a + u * z)
 
     def uniforms(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """The `size` uniforms `sample` inverts; a delta draws nothing from rng."""
@@ -81,17 +91,15 @@ def delta(offset: float, half_width: float) -> TimingModel:
 MAX_SIGMA_OVER_HALF_WIDTH = 1e6
 
 
-def truncated_gaussian(sigma: float, half_width: float, mean: float = 0.0) -> TimingModel:
-    if not (np.isfinite(sigma) and np.isfinite(mean)):
-        raise ValueError(f"sigma and mean must be finite, got sigma={sigma}, mean={mean}")
+def truncated_gaussian(sigma: float, half_width: float) -> TimingModel:
+    if not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if sigma > MAX_SIGMA_OVER_HALF_WIDTH * half_width:
         raise ValueError(f"sigma {sigma:g} exceeds {MAX_SIGMA_OVER_HALF_WIDTH:g} half-widths; the "
                          f"limit is uniform(-{half_width}, {half_width}, {half_width})")
-    if not -half_width <= mean < half_width:
-        raise ValueError(f"mean {mean} outside [-{half_width}, {half_width})")
-    return TimingModel("truncated_gaussian", half_width, mean=mean, sigma=sigma)
+    return TimingModel("truncated_gaussian", half_width, sigma=sigma)
 
 
 def uniform(lo: float, hi: float, half_width: float) -> TimingModel:

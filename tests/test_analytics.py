@@ -20,7 +20,8 @@ from asyncofdm.analytics import (
 )
 from asyncofdm.link import OfdmConfig
 from asyncofdm.quadrature import QuadratureError, integrate, integrate_halfline
-from asyncofdm.sinr import NetworkParams, cp_weight_clipped, hypothesis_set, hypothesis_weight
+from asyncofdm.sinr import (NetworkParams, cp_weight_clipped, db_to_linear, hypothesis_set,
+                            hypothesis_weight)
 from tests.conftest import budget_params
 
 
@@ -177,6 +178,29 @@ def test_decodable_intervals_geometry(cfg):
     assert merged[0][1] == pytest.approx(hi + 10.0)
 
 
+def _kind_branching_breakpoints(config, timing, hypotheses):
+    """Reference: the kinks of g, and each kind's breakpoints written out from its parameters."""
+    edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
+    brks = {t + e for t in hypotheses for e in edges}
+    if timing.kind == "uniform":
+        brks |= {timing.lo, timing.hi}
+    elif timing.kind == "truncated_gaussian":
+        brks |= {-8.0 * timing.sigma, 8.0 * timing.sigma}
+    return sorted(brks)
+
+
+@pytest.mark.parametrize("hypotheses", [(0.0,), hypothesis_set(1, 1, 150.0),
+                                        hypothesis_set(2, 3, 36.0)])
+def test_breakpoints_are_the_kinks_and_the_model_breakpoints(cfg, hypotheses):
+    w = _w(cfg)
+    for timing in (tm.delta(-600.0, w), tm.delta(0.0, w), tm.uniform(-1000.0, 1000.0, w),
+                   tm.uniform(0.0, 72.0, w), tm.truncated_gaussian(0.05, w),
+                   tm.truncated_gaussian(0.2 * cfg.n, w), tm.truncated_gaussian(5.0 * cfg.n, w)):
+        got = analytics._breakpoints(cfg, timing, hypotheses)
+        want = _kind_branching_breakpoints(cfg, timing, hypotheses)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), timing
+
+
 # ------------------------------------------------------------ mean decodable
 
 def test_mean_synchronized_interference_limited_alpha4(cfg):
@@ -268,8 +292,8 @@ def test_upper_bound_rejects_non_finite_inputs(alpha, threshold):
 
 def test_bound_attained_when_synchronized(cfg):
     for alpha, t_db in ((3.0, -6.0), (3.8, -12.0), (4.0, 0.0)):
-        params = budget_params(1e-4, alpha, t_db)
-        il = mean_decodable(params.interference_limited(), tm.delta(0.0, _w(cfg)), cfg)
+        params = NetworkParams(1e-4, alpha, math.inf, db_to_linear(t_db))
+        il = mean_decodable(params, tm.delta(0.0, _w(cfg)), cfg)
         assert il == pytest.approx(mean_decodable_upper_bound(alpha, params.threshold),
                                    rel=1e-6)
 
@@ -277,8 +301,8 @@ def test_bound_attained_when_synchronized(cfg):
 def test_bound_dominates_asynchronous(cfg):
     timing = tm.truncated_gaussian(0.2 * 1024, _w(cfg))
     for alpha in (3.0, 3.8, 4.5):
-        params = budget_params(1e-4, alpha, -6.0)
-        il = mean_decodable(params.interference_limited(), timing, cfg)
+        params = NetworkParams(1e-4, alpha, math.inf, db_to_linear(-6.0))
+        il = mean_decodable(params, timing, cfg)
         assert il <= mean_decodable_upper_bound(alpha, params.threshold) + 1e-9
 
 
@@ -725,21 +749,20 @@ def test_high_threshold(alpha, t_db):
         _reference_expect(params, sync, cfg, nearest=True), rel=REF_RTOL)
 
 
-@given(st.floats(1e-3, 0.1), st.sampled_from((-200.0, -50.0, 36.0, 300.0)),
-       st.floats(-15.0, 0.0))
+@given(st.floats(1e-3, 0.1), st.floats(-15.0, 0.0))
 @settings(max_examples=25, deadline=None)
-def test_narrow_gaussian_converges_to_delta(sigma, mean, t_db):
-    # Each mean is at least 100 samples inside the decodable set and away from
-    # the kinks of g, so the gap is O(sigma^2): about 1e-5 relative at
-    # sigma = 1 sample for mean -200 at 0 dB, and 1e-7 at sigma = 0.1.
+def test_narrow_gaussian_converges_to_delta(sigma, t_db):
+    # Half the mass lies left of g's kink at 0, where g falls by 2/N per sample,
+    # so the gap below delta(0) is first order in sigma (in samples): about
+    # 8.2e-4 sigma relative for the mean count and 6.0e-4 sigma for nearest at
+    # 0 dB, less at lower T.  Without its +-8 sigma breakpoints the quadrature
+    # misses that mass between its nodes.
     cfg = OfdmConfig.centered(1024, 72, -300, 299)
     params = budget_params(1 / 400 ** 2, 3.8, t_db)
-    narrow = tm.truncated_gaussian(sigma, _w(cfg), mean=mean)
-    point = tm.delta(mean, _w(cfg))
-    assert mean_decodable(params, narrow, cfg) == pytest.approx(
-        mean_decodable(params, point, cfg), rel=REF_RTOL)
-    assert nearest_decoding_prob(params, narrow, cfg) == pytest.approx(
-        nearest_decoding_prob(params, point, cfg), rel=REF_RTOL)
+    narrow, point = tm.truncated_gaussian(sigma, _w(cfg)), tm.delta(0.0, _w(cfg))
+    for fn in (mean_decodable, nearest_decoding_prob):
+        gap = 1.0 - fn(params, narrow, cfg) / fn(params, point, cfg)
+        assert -REF_RTOL <= gap <= 1e-3 * sigma + REF_RTOL, fn.__name__
 
 
 # ------------------------------------------------------------ Laplace transform

@@ -457,7 +457,7 @@ def _uniform_from(a, b, w):
 
 def _model_lists(w, a, b):
     d = tm.delta(a * w, w)
-    gauss = tm.truncated_gaussian(b * 1024, w, mean=a * w)
+    gauss = tm.truncated_gaussian(b * 1024, w)
     unif = _uniform_from(a, b, w)
     return {"all-delta": [d, tm.delta(0.0, w)], "delta-first": [d, gauss, unif],
             "repeated": [gauss, d, gauss], "mixed": [unif, gauss]}
@@ -550,7 +550,7 @@ try:
                                                             b, seed):
         w = _w(cfg)
         timing = {"delta": lambda: tm.delta(a * w, w),
-                  "gauss": lambda: tm.truncated_gaussian(b * 1024, w, mean=a * w),
+                  "gauss": lambda: tm.truncated_gaussian(b * 1024, w),
                   "uniform": lambda: _uniform_from(a, b, w)}[kind]()
         params = NetworkParams(1 / 20 ** 2, alpha, db_to_linear(snr_db), db_to_linear(t_db))
         _assert_matches_reference(params, timing, cfg, SimSpec(4, seed, expected_points=300))

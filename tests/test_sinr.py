@@ -48,7 +48,7 @@ def test_power_budget_snr():
 
 def test_interference_limited_variant():
     p = budget_params(1e-4, 3.8, -6.0)
-    il = p.interference_limited()
+    il = NetworkParams(p.density, p.alpha, math.inf, p.threshold)
     assert math.isinf(il.snr) and il.noise_over_e == 0.0
     assert p.noise_over_e == pytest.approx(1.0 / p.snr)
 
