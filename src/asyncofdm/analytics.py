@@ -191,7 +191,11 @@ def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     """
     alpha = params.alpha
     sc = float(np.sinc(2.0 / alpha))
-    a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
+    try:
+        a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
+    except OverflowError:  # a float power raises rather than returning inf
+        raise ValueError(f"alpha = {alpha:g} is too large: (sinc(2/alpha)/(pi density))^(alpha/2) "
+                         f"overflows at density {params.density:g}") from None
     scale = sc * float(_exp_power_integral(a0, alpha / 2.0)[0])
 
     def F(g, t):  # pi*lam * I(a0)/b(h) with 1/h = ((1+T) g - T)/T

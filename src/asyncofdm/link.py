@@ -33,10 +33,10 @@ __all__ = [
     "empirical_power_profile",
 ]
 
-# trials per accumulation group in empirical_power_profile.  A group is reduced
-# over one F-ordered (group, K) output array, by numpy's pairwise sums down its
-# columns, and one C-ordered symbol array: this size and those layouts fix the
-# summation order, and with it the output bits.
+# trials per accumulation group in empirical_power_profile.  A group's powers are summed
+# down its (group, K) columns in numpy's pairwise order (`_pairwise_sum`), its cross
+# products row by row from one `y * np.conj(current)`, which numpy may evaluate in place in
+# the conj temporary, operands swapped: this size and those orders fix the output bits.
 _TRIAL_BLOCK = 64
 # trials per transform batch within a group; keeps the FFT work in cache
 _FFT_BATCH = 8
@@ -93,7 +93,8 @@ def _trial_generators(seed: int, lo: int, hi: int):
             r = np.uint32(0xca01f9dd) * pool[dst] - np.uint32(0x4973f715) * h
             pool[dst], k = r ^ r >> 16, k + len(dst)
         w = _hashmix(pool[[0, 1, 2, 3] * 2], 0, 8, 0x8b51f9dd, 0x58f38ded)  # generate_state
-        for s0, s1, i0, i1 in np.ascontiguousarray(w.T, "<u4").view("<u8").tolist():
+        for row in np.ascontiguousarray(w.T, "<u4").view("<u8"):  # no chunk-long list of ints
+            s0, s1, i0, i1 = row.tolist()
             inc = (i0 << 65 | i1 << 1 | 1) & (1 << 128) - 1
             state = (inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
             rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
@@ -163,17 +164,32 @@ def _qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
     return _QPSK[rng.integers(0, 4, size=shape)]
 
 
-def _qpsk_indices(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    """`rng.integers(0, 4, size=shape)` bit for bit on a generator with no buffered 32-bit
-    half-word: the top two bits of each half of PCG64's raw words, low half first."""
-    n = shape[0] * shape[1]
-    words = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8", copy=False)
-    return (words.view("<u4")[:n] >> 30).reshape(shape)
+def _qpsk_indices(words: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """`integers(0, 4, size=shape)` of a generator with no buffered half-word, per row of its
+    raw PCG64 `words`: the top two bits of each 32-bit half, low half first."""
+    halves = words.view("<u4")[..., :shape[0] * shape[1]]  # words are "<u8"
+    return (halves >> 30).reshape(*words.shape[:-1], *shape)
+
+
+def _gaussian_pairs(z: np.ndarray, out=None) -> np.ndarray:
+    """Unit-variance complex symbols from the normal pairs z[..., 0, :] and z[..., 1, :]."""
+    return np.divide(z[..., 0, :] + 1j * z[..., 1, :], np.sqrt(2.0), out=out)
 
 
 def _gaussian_symbols(rng: np.random.Generator, shape) -> np.ndarray:
-    z = rng.standard_normal((*shape[:-1], 2, shape[-1]))
-    return (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
+    return _gaussian_pairs(rng.standard_normal((*shape[:-1], 2, shape[-1])))
+
+
+# per alphabet, for empirical_power_profile: the shape and dtype of one trial's raw draw of
+# a (rows, k) symbol block, that draw into one row of a batch buffer, the batch's draws
+# indexed by symbol row, and the map of one such row onto symbols
+_ALPHABETS = {
+    "qpsk": (lambda rows, k: (-(-rows * k // 2),), "<u8",
+             lambda rng, out: np.copyto(out, rng.bit_generator.random_raw(len(out))),
+             _qpsk_indices, lambda idx, out: np.take(_QPSK, idx, out=out, mode="clip")),
+    "gaussian": (lambda rows, k: (rows, 2, k), float,
+                 lambda rng, out: rng.standard_normal(out=out), lambda z, shape: z, _gaussian_pairs),
+}
 
 
 def _stream(draw, config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
@@ -343,55 +359,82 @@ def analytic_power_profile(config: OfdmConfig, d: int) -> PowerProfile:
     return PowerProfile(d, used, useful, total)
 
 
+def _runs(index: np.ndarray) -> list[tuple[int, int, int]]:
+    """(a, b, index[a]) for each maximal run index[a:b] of consecutive integers."""
+    cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), len(index)]
+    return [(a, b, int(index[a])) for a, b in zip(cuts, cuts[1:])]
+
+
+def _pairwise_sum(p: np.ndarray) -> np.ndarray:
+    """p.sum(axis=0) in numpy's order down a contiguous column of at most 128 entries:
+    eight interleaved accumulators, a fixed tree over them, then the tail in turn."""
+    head = len(p) // 8 * 8
+    r = p[:8].copy()
+    for i in range(8, head, 8):
+        r += p[i:i + 8]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) if head else r[0]
+    for row in p[head or 1:]:
+        out += row
+    return out
+
+
 def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
                             alphabet: str = "qpsk") -> PowerProfile:
     """Monte Carlo per-subcarrier powers averaged over random symbol streams.
 
     The useful power is estimated from the correlation of the output with the desired
     symbol, |mean Y[l] conj(S[l;m])|^2, which is independent of the analytic per-regime
-    decomposition.  Deterministic per (seed, trial).  QPSK indices come from
-    `_qpsk_indices`, as each trial's generator is freshly seated and draws only them.
+    decomposition.  Deterministic per (seed, trial).  Each trial's freshly seated generator
+    draws only its raw words or normals; a batch maps the rows it reads onto symbols.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    kinds = {"qpsk": (_qpsk_indices, _QPSK.take), "gaussian": (_gaussian_symbols, np.asarray)}
-    if alphabet not in kinds:
+    if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)
     n, k = config.n, len(config.used)
     pieces = _window_pieces(config, d)
     read = [1 + s for s, _ in pieces]  # rows of the drawn symbols m-1, m, m+1
     rows = max(read) + 1  # draws stop at the last row read, which is row 1 (m) or later
-    used_mod = config.used_array() % n
+    used_runs = _runs(config.used_array() % n)
     # window sample j is entry gather[j] of a trial's flattened (pieces, n) IFFT output
-    gather = np.concatenate([i * n + (np.arange(p.start, p.stop) - config.n_cp) % n
-                             for i, (_, p) in enumerate(pieces)])
-    cuts = [0, *(np.flatnonzero(np.diff(used_mod) != 1) + 1).tolist(), k]
-    runs = [(a, b, used_mod[a]) for a, b in zip(cuts, cuts[1:])]  # contiguous runs of used_mod
-    draw, symbols = kinds[alphabet]
+    gather_runs = _runs(np.concatenate([i * n + (np.arange(p.start, p.stop) - config.n_cp) % n
+                                        for i, (_, p) in enumerate(pieces)]))
+    other = [r for r in read if r != 1]  # the one row besides m a regime may read
+    shape, dtype, draw, by_row, symbols = _ALPHABETS[alphabet]
+    raw = np.empty((_FFT_BATCH, *shape(rows, k)), dtype)
+    sym, window = np.empty((_FFT_BATCH, k), complex), np.empty((_FFT_BATCH, n), complex)
     grid = np.zeros((_FFT_BATCH, len(pieces), n), dtype=complex)
+    y, current = np.empty((2, _TRIAL_BLOCK, k), dtype=complex)  # outputs, symbols of m
     total_sum, total_sq, cross = np.zeros(k), np.zeros(k), np.zeros(k, dtype=complex)
     rngs = _trial_generators(seed, 0, trials)
     for first in range(0, trials, _TRIAL_BLOCK):
-        group = range(first, min(first + _TRIAL_BLOCK, trials))
-        y = np.empty((len(group), k), dtype=complex, order="F")  # see _TRIAL_BLOCK
-        current = np.empty((len(group), k), dtype=complex)  # see _TRIAL_BLOCK
-        for lo in range(0, len(group), _FFT_BATCH):
-            batch = group[lo:lo + _FFT_BATCH]
-            raw = np.stack([draw(next(rngs), (rows, k)) for _ in batch])
+        g = min(_TRIAL_BLOCK, trials - first)
+        for lo in range(0, g, _FFT_BATCH):
+            b = min(_FFT_BATCH, g - lo)
+            for out in raw[:b]:
+                draw(next(rngs), out)
+            drawn = by_row(raw[:b], (rows, k))
+            symbols(drawn[:, 1], current[lo:lo + b])
+            for r in other:
+                symbols(drawn[:, r], sym[:b])
             for i, r in enumerate(read):
-                for a, b, at in runs:
-                    grid[:len(batch), i, at:at + b - a] = symbols(raw[:, r, a:b])
-            body = np.fft.ifft(grid[:len(batch)], axis=-1).reshape(len(batch), -1)
-            y[lo:lo + len(batch)] = np.fft.fft(body[:, gather], axis=-1)[:, used_mod]
-            current[lo:lo + len(batch)] = symbols(raw[:, 1])
-        p = np.abs(y) ** 2
-        total_sum += p.sum(axis=0)
-        total_sq += (p ** 2).sum(axis=0)
-        cross += (y * np.conj(current)).sum(axis=0)
+                source = current[lo:lo + b] if r == 1 else sym[:b]
+                for a, e, at in used_runs:
+                    grid[:b, i, at:at + e - a] = source[:, a:e]
+            body = np.fft.ifft(grid[:b], axis=-1).reshape(b, -1)
+            for a, e, at in gather_runs:
+                window[:b, a:e] = body[:, at:at + e - a]
+            spectrum = np.fft.fft(window[:b], axis=-1)
+            for a, e, at in used_runs:
+                y[lo:lo + b, a:e] = spectrum[:, at:at + e - a]
+        p = np.abs(y[:g]) ** 2
+        total_sum += _pairwise_sum(p)
+        total_sq += _pairwise_sum(p ** 2)
+        cross += (y[:g] * np.conj(current[:g])).sum(axis=0)  # see _TRIAL_BLOCK
     total = total_sum / trials
     stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
     useful = np.abs(cross / trials) ** 2

@@ -109,7 +109,7 @@ def _candidates(params: NetworkParams, timing: TimingModel, rng: np.random.Gener
     if not len(distances):
         return distances, u, 0.0, -1
     i = distances.argmin()
-    _check_positive(distances[i], fades.min())  # the least of each stand for all
+    _check_positive(distances.item(i), float(fades.min()))  # the least of each stand for all
     p = np.multiply(fades, np.power(distances, -params.alpha, out=distances), out=fades)
     total = p.sum()
     keep = p >= cut * (total + params.noise_over_e)

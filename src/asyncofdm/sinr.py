@@ -108,8 +108,8 @@ def cp_weight_clipped(config: OfdmConfig, d):
     return (np.maximum(np.minimum(np.minimum(n + d, n), (n + ncp) - d), 0.0) / n) ** 2
 
 
-def _check_positive(distances: np.ndarray, fades: np.ndarray) -> None:
-    if not ((distances > 0).all() and (fades > 0).all()):  # NaN fails too
+def _check_positive(least_distance: float, least_fade: float) -> None:
+    if not (least_distance > 0 and least_fade > 0):  # NaN fails too
         raise ValueError("distances and fades must be positive")
 
 
@@ -135,7 +135,7 @@ class NetworkSnapshot:
         self.offsets = np.asarray(self.offsets, dtype=float)
         if not (len(self.distances) == len(self.fades) == len(self.offsets)):
             raise ValueError("per-transmitter arrays must have equal length")
-        _check_positive(self.distances, self.fades)
+        _check_positive(self.distances.min(initial=np.inf), self.fades.min(initial=np.inf))
         if self.noise_over_e < 0:
             raise ValueError("noise_over_e must be nonnegative")
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import math
 import tempfile
@@ -404,6 +405,34 @@ def test_a_quadrature_failure_exits_2_with_an_error_line(tmp_path, capsys):
     assert main(["nearest", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# sha256 of the outputs at alpha = 130, recorded before alpha's overflow was caught
+ALPHA_130_DIGESTS = {
+    "mean-decodable": "e200448e32c0544d26a02ed06733f27c47c19805d4c7978f84fdebdabb8e09a0",
+    "throughput": "1a77952802e1710800e3630331014c2624acaa813f05c017916a5fe10deaf376",
+}
+
+
+# From alpha ~ 140 at the default density, (sinc(2/alpha) / (pi lam))^(alpha/2) in the
+# noise term of the mean count overflows a float; alpha = 130 still runs, with the
+# underflow warnings of test_a_quadrature_failure_exits_2_with_an_error_line.
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_alpha_whose_noise_term_overflows_exits_2_with_an_error_line(tmp_path, capsys):
+    path = _write(tmp_path, "network: {alpha: 150}\n")
+    for command, flags in (("mean-decodable", []), ("throughput", []),
+                           ("hypotheses", ["--hypotheses", "1,1,72"]),
+                           ("validate", ["--trials", "5"])):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", path, "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha = 150 is too large"), err
+        assert not out.exists()
+    path = _write(tmp_path, "network: {alpha: 130}\n")
+    for command, digest in ALPHA_130_DIGESTS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture

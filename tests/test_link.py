@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from asyncofdm.link import (
     _SEED_CHUNK,
     _gaussian_symbols,
     _ici_sum,
+    _pairwise_sum,
     _qpsk_symbols,
     _window_pieces,
 )
@@ -531,6 +533,29 @@ def test_empirical_profile_across_seeding_chunks_equals_frozen_reference():
         assert np.array_equal(prof.useful, useful)
         assert np.array_equal(prof.total, total)
         assert np.array_equal(prof.stderr_total, stderr)
+
+
+def test_pairwise_sum_equals_numpy_column_sum():
+    # numpy sums each contiguous column of an F-ordered array pairwise; the helper
+    # reproduces that order on a C-ordered array, over a wide dynamic range and signs
+    rng = np.random.default_rng(18)
+    for group in range(1, 65):
+        p = rng.standard_normal((group, 37)) * 10.0 ** rng.uniform(-150, 150, (group, 37))
+        want = np.asfortranarray(p).sum(axis=0)
+        assert _pairwise_sum(np.ascontiguousarray(p)).tobytes() == want.tobytes(), group
+
+
+def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
+    # the working set is the 8-trial batch and the 64-trial group, not the trial count
+    peaks = []
+    for trials in (64, 2000):
+        tracemalloc.start()
+        try:
+            empirical_power_profile(cfg, -300, trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 # sha256 of the link-profile CSVs (--trials 130 --seed 3) and of the bytes of

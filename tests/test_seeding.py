@@ -4,8 +4,9 @@
 for a chunk of trials at once and re-seats one reused Generator per trial.  These
 tests hold it, and the engines that draw from it, to fresh `default_rng`
 generators, which stay the reference.  They also pin the two draw identities the
-engines rest on: `link._qpsk_indices`, read from PCG64's raw words, equals
-`integers(0, 4)`, and `standard_exponential` equals `exponential(1.0)`.  All of
+engines rest on: `link._qpsk_indices`, read per batch from each trial's raw PCG64
+words, equals `integers(0, 4)`, and `standard_exponential` equals
+`exponential(1.0)`.  All of
 this depends only on numpy's documented seeding and sampling algorithms, so CI
 also runs this file alone on the oldest supported numpy.
 """
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncofdm import timing as tm
-from asyncofdm.link import _QPSK, _SEED_CHUNK, _qpsk_indices, _trial_generators
+from asyncofdm.link import _ALPHABETS, _QPSK, _SEED_CHUNK, _qpsk_indices, _trial_generators
 from asyncofdm.simulation import SimSpec, sample_snapshot
 from tests.conftest import budget_params, frozen_snapshot
 
@@ -95,18 +96,36 @@ def _paired_generators(seed, lo, hi):
     return zip(range(lo, hi), _trial_generators(seed, lo, hi), _trial_generators(seed, lo, hi))
 
 
+def _words(rng, shape):
+    """One trial's raw draw as the link engine takes it."""
+    raw_shape, dtype, draw, _, _ = _ALPHABETS["qpsk"]
+    out = np.empty(raw_shape(*shape), dtype)
+    draw(rng, out)
+    return out
+
+
 def _assert_qpsk_indices_match(seed, lo, hi, shape):
-    for t, rng, ref in _paired_generators(seed, lo, hi):
-        got, want = _qpsk_indices(rng, shape), ref.integers(0, 4, size=shape)
-        assert got.shape == want.shape and np.array_equal(got, want), (seed, t, shape)
-        assert _QPSK.take(got).tobytes() == _QPSK[want].tobytes()
+    words, wants = [], []
+    for t, rng, ref in _paired_generators(seed, lo, hi):  # each generator is reused
+        words.append(_words(rng, shape))
+        wants.append(ref.integers(0, 4, size=shape))
         # the same 64-bit words consumed; only integers' buffered half may differ
         assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+    words = np.stack(words)  # one batch
+    _, _, _, by_row, to_symbols = _ALPHABETS["qpsk"]
+    indices = by_row(words, shape)
+    symbols = np.empty((len(words), *shape), dtype=complex)
+    for r in range(shape[0]):  # the engine maps one symbol row of a batch at a time
+        to_symbols(indices[:, r], symbols[:, r])
+    for t, got, row_symbols, want in zip(range(lo, hi), indices, symbols, wants):
+        assert got.shape == want.shape and np.array_equal(got, want), (seed, t, shape)
+        assert row_symbols.tobytes() == _QPSK[want].tobytes()
     # and no state leaks into the next trial
     rngs = _trial_generators(seed, lo, hi + 1)
     for t, rng in zip(range(lo, hi + 1), rngs):
         fresh = np.random.default_rng([seed, t])
-        assert np.array_equal(_qpsk_indices(rng, shape), fresh.integers(0, 4, size=shape))
+        got = _qpsk_indices(_words(rng, shape), shape)  # a single trial, no batch axis
+        assert np.array_equal(got, fresh.integers(0, 4, size=shape))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 7), (3, 600), (1, 5), (3, 7), (4, 5)])
