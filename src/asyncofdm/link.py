@@ -78,6 +78,8 @@ def _trial_generators(seed: int, lo: int, hi: int):
     `default_rng([seed, t])`, so with no buffered 32-bit half-word: SeedSequence as uint32
     arrays per chunk, PCG64 seeding in Python ints.  Finish a trial's draws before the next."""
     rng = np.random.Generator(np.random.PCG64())
+    pcg = {"state": 0, "inc": 0}  # one state dict, re-filled per trial
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
     seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     while lo < hi:
         t_words = -(-max(lo.bit_length(), 1) // 32)  # 32-bit words; constant over a chunk
@@ -95,10 +97,10 @@ def _trial_generators(seed: int, lo: int, hi: int):
         w = _hashmix(pool[[0, 1, 2, 3] * 2], 0, 8, 0x8b51f9dd, 0x58f38ded)  # generate_state
         for row in np.ascontiguousarray(w.T, "<u4").view("<u8"):  # no chunk-long list of ints
             s0, s1, i0, i1 = row.tolist()
-            inc = (i0 << 65 | i1 << 1 | 1) & (1 << 128) - 1
-            state = (inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                       "state": {"state": state & (1 << 128) - 1, "inc": inc}}
+            pcg["inc"] = inc = (i0 << 65 | i1 << 1 | 1) & (1 << 128) - 1
+            mixed = (inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+            pcg["state"] = mixed & (1 << 128) - 1
+            rng.bit_generator.state = state
             yield rng
         lo = stop
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -76,13 +75,13 @@ def _disk(params: NetworkParams, spec: SimSpec) -> tuple[float, float]:
     return radius, params.density * math.pi * radius ** 2
 
 
-def _draw(timing: TimingModel, rng: np.random.Generator, radius: float, mean: float):
-    """Distances, fades and timing uniforms of one trial from its generator, in draw order:
-    in place, the bits of radius * np.sqrt(rng.random(...)) and rng.exponential(1.0, ...)."""
+def _draw(rng: np.random.Generator, radius: float, mean: float):
+    """Distances and fades of one trial, its generator's first draws (timing uniforms come
+    next): in place, the bits of radius * np.sqrt(rng.random(...)) and rng.exponential(1.0, ...)."""
     d = rng.random(rng.poisson(mean))
     np.sqrt(d, out=d)
     d *= radius
-    return d, rng.standard_exponential(len(d)), timing.uniforms(rng, len(d))
+    return d, rng.standard_exponential(len(d))
 
 
 def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
@@ -92,8 +91,9 @@ def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
     if t < 0:
         raise ValueError(f"trial_index must be >= 0, got {t}")
     rng = np.random.default_rng([spec.master_seed, t])
-    distances, fades, u = _draw(timing, rng, *_disk(params, spec))
-    return NetworkSnapshot(distances, fades, timing.quantile(u), params.noise_over_e, params.alpha)
+    distances, fades = _draw(rng, *_disk(params, spec))
+    offsets = timing.sample(rng, len(distances))
+    return NetworkSnapshot(distances, fades, offsets, params.noise_over_e, params.alpha)
 
 
 def count_decodable(snapshot: NetworkSnapshot, threshold: float, config: OfdmConfig) -> int:
@@ -104,22 +104,36 @@ def count_decodable(snapshot: NetworkSnapshot, threshold: float, config: OfdmCon
 def _candidates(params: NetworkParams, timing: TimingModel, rng: np.random.Generator,
                 disk: tuple[float, float], cut: float):
     """Powers and timing uniforms of a trial's candidates (p >= cut * (total + N0/E),
-    and the nearest), its total power, and the nearest's place among them."""
-    distances, fades, u = _draw(timing, rng, *disk)
+    and the nearest), its total power, and the nearest's place among them.  The uniforms, the
+    trial's last draws, stop at its last candidate: random(k) is random(n)'s first k doubles."""
+    distances, fades = _draw(rng, *disk)
     if not len(distances):
-        return distances, u, 0.0, -1
+        return distances, fades, 0.0, -1
     i = distances.argmin()
-    _check_positive(distances.item(i), float(fades.min()))  # the least of each stand for all
+    _check_positive(distances.item(i), np.minimum.reduce(fades))  # the least stand for all
     p = np.multiply(fades, np.power(distances, -params.alpha, out=distances), out=fades)
-    total = p.sum()
+    total = np.add.reduce(p)  # the bits of p.sum()
     keep = p >= cut * (total + params.noise_over_e)
     keep[i] = True
     idx = keep.nonzero()[0]
-    return p[idx], u[idx], total, idx.searchsorted(i)
+    return p[idx], timing.uniforms(rng, idx[-1] + 1)[idx], total, idx.searchsorted(i)
 
 
-# Trials scored together; bounds the candidates' memory when T is low.
-_BLOCK = 256
+def _blocks(trials):
+    """Trials grouped into scoring blocks: within both limits, or a lone trial past the first."""
+    block, held = [], 0
+    for trial in trials:
+        if block and (held + len(trial[0]) > _BLOCK_CANDIDATES or len(block) == _BLOCK_TRIALS):
+            yield block
+            block, held = [], 0
+        block.append(trial)
+        held += len(trial[0])
+    if block:
+        yield block
+
+
+# Scoring limits: candidates bound the memory at low T, trials the per-trial arrays at high T.
+_BLOCK_CANDIDATES, _BLOCK_TRIALS = 1 << 16, 1024
 
 
 def _trial_chunk(args):
@@ -131,9 +145,8 @@ def _trial_chunk(args):
     cut = (1.0 - 1e-9) * params.threshold / (1.0 + params.threshold)  # 1e-9: rounding slack
     draw_with = next((m for m in timings if not m.is_delta), timings[0])
     rngs, disk, out = _trial_generators(spec.master_seed, start, stop), _disk(params, spec), []
-    for _ in range(start, stop, _BLOCK):
-        p, u, total, nearest = zip(*(_candidates(params, draw_with, rng, disk, cut)
-                                     for rng in islice(rngs, _BLOCK)))
+    for trials in _blocks(_candidates(params, draw_with, rng, disk, cut) for rng in rngs):
+        p, u, total, nearest = zip(*trials)
         sizes = np.fromiter(map(len, p), np.int64, len(p))
         p, u, total = np.concatenate(p), np.concatenate(u), np.repeat(total, sizes)
         trial = np.repeat(np.arange(len(sizes)), sizes)

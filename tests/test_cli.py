@@ -415,9 +415,8 @@ ALPHA_130_DIGESTS = {
 
 
 # From alpha ~ 140 at the default density, (sinc(2/alpha) / (pi lam))^(alpha/2) in the
-# noise term of the mean count overflows a float; alpha = 130 still runs, with the
-# underflow warnings of test_a_quadrature_failure_exits_2_with_an_error_line.
-@pytest.mark.filterwarnings("default::RuntimeWarning")
+# noise term of the mean count overflows a float; alpha = 130 still runs, and neither
+# value may warn on the way (pyproject turns a RuntimeWarning into an error).
 def test_alpha_whose_noise_term_overflows_exits_2_with_an_error_line(tmp_path, capsys):
     path = _write(tmp_path, "network: {alpha: 150}\n")
     for command, flags in (("mean-decodable", []), ("throughput", []),

@@ -336,10 +336,10 @@ def test_validate_analytic_column_matches_recorded_values(tmp_path):
 # threshold, p >= T/(1+T) (total + N0/E), plus the nearest.  Its output must
 # equal, bit for bit, scoring every transmitter of the same snapshots.
 
-def _full_vector_reference(params, timing, config, spec):
+def _full_vector_reference(params, timing, config, spec, snapshot=frozen_snapshot):
     counts, near, kept = [], [], []
     for t in range(spec.trials):
-        snap = frozen_snapshot(params, timing, spec, t)
+        snap = snapshot(params, timing, spec, t)
         s = simulation.snapshot_sinr_all(snap, config)
         counts.append(np.count_nonzero(s >= params.threshold))
         kept.append(s[s >= params.threshold])
@@ -347,9 +347,9 @@ def _full_vector_reference(params, timing, config, spec):
     return np.array(counts), np.array(near), np.concatenate(kept)
 
 
-def _assert_matches_reference(params, timing, config, spec, workers=1):
+def _assert_matches_reference(params, timing, config, spec, workers=1, snapshot=frozen_snapshot):
     res = run_trials(params, timing, config, spec, workers=workers)
-    counts, near, kept = _full_vector_reference(params, timing, config, spec)
+    counts, near, kept = _full_vector_reference(params, timing, config, spec, snapshot)
     assert np.array_equal(res.counts, counts)
     assert res.nearest_sinr.tobytes() == near.tobytes()  # bitwise, NaN for empty trials
     assert res.sinr.tobytes() == kept.tobytes()
@@ -381,11 +381,74 @@ def test_candidate_scoring_with_empty_trials(cfg):
     assert np.isnan(res.nearest_sinr).any() and res.counts.max() >= 1
 
 
-def test_candidate_scoring_across_score_blocks(cfg):
-    # one chunk of more trials than one scoring block, at a low threshold
+@pytest.fixture
+def scored(monkeypatch):
+    """The number of candidates in each scoring call of the engine."""
+    sizes, sinr = [], simulation._sinr
+
+    def spy(config, offsets, p, total, noise_over_e):
+        sizes.append(len(p))
+        return sinr(config, offsets, p, total, noise_over_e)
+
+    monkeypatch.setattr(simulation, "_sinr", spy)
+    return sizes
+
+
+# (candidate limit, trial limit), small enough for 40 trials at -25 dB to cross one;
+# with a limit of 1 candidate each trial is a block of its own
+SMALL_LIMITS = {"candidates": (300, 1024), "one-trial": (1, 1024), "trials": (1 << 16, 7)}
+
+
+def test_candidate_scoring_across_score_blocks(cfg, monkeypatch, scored):
+    # one chunk of more trials or candidates than one scoring block, at a low threshold
     params = NetworkParams(1 / 20 ** 2, 3.8, math.inf, db_to_linear(-25.0))
-    spec = SimSpec(simulation._BLOCK + 5, 8, expected_points=100)
-    _assert_matches_reference(params, _tg02(cfg), cfg, spec)
+    for limits, (candidates, trials) in SMALL_LIMITS.items():
+        monkeypatch.setattr(simulation, "_BLOCK_CANDIDATES", candidates)
+        monkeypatch.setattr(simulation, "_BLOCK_TRIALS", trials)
+        del scored[:]
+        _assert_matches_reference(params, _tg02(cfg), cfg, SimSpec(40, 8, expected_points=100))
+        assert len(scored) > 1, limits
+        if limits == "candidates":
+            assert max(scored) <= candidates
+        else:  # a block per trial, or per 7 trials
+            assert len(scored) == {"one-trial": 40, "trials": 6}[limits]
+
+
+def test_no_scoring_call_holds_more_than_the_candidate_limit(cfg, scored):
+    # at -100 dB nearly every transmitter of a 2,000-point field is a candidate
+    params = NetworkParams(1 / 400 ** 2, 3.8, math.inf, db_to_linear(-100.0))
+    run_trials(params, _tg02(cfg), cfg, SimSpec(120, 2))
+    assert sum(scored) > 3.5 * simulation._BLOCK_CANDIDATES
+    assert max(scored) <= simulation._BLOCK_CANDIDATES
+
+
+@pytest.fixture
+def uniforms_drawn(monkeypatch):
+    """The model and size of each `TimingModel.uniforms` call."""
+    calls, uniforms = [], tm.TimingModel.uniforms
+
+    def spy(self, rng, size):
+        calls.append((self, size))
+        return uniforms(self, rng, size)
+
+    monkeypatch.setattr(tm.TimingModel, "uniforms", spy)
+    return calls
+
+
+@pytest.mark.parametrize("t_db", [-100.0, 30.0])
+def test_uniforms_stop_at_the_last_candidate(cfg, uniforms_drawn, t_db):
+    # -100 dB: every transmitter is a candidate, the last one among them;
+    # +30 dB: only the nearest is
+    params = NetworkParams(1 / 20 ** 2, 3.8, math.inf, db_to_linear(t_db))
+    spec = SimSpec(12, 4, expected_points=300)
+    snaps = [sample_snapshot(params, _tg02(cfg), spec, t) for t in range(spec.trials)]
+    del uniforms_drawn[:]
+    _assert_matches_reference(params, _tg02(cfg), cfg, spec, snapshot=sample_snapshot)
+    sizes = [size for _, size in uniforms_drawn]
+    engine, reference = sizes[:spec.trials], sizes[spec.trials:]
+    assert reference == [len(s) for s in snaps]  # sample_snapshot draws them all
+    assert engine == [len(s) if t_db < 0 else int(np.argmin(s.distances)) + 1 for s in snaps]
+    assert sum(engine) < sum(reference) or t_db < 0
 
 
 def test_snapshot_positivity_still_checked(cfg, monkeypatch):
@@ -407,9 +470,9 @@ def test_snapshot_positivity_still_checked(cfg, monkeypatch):
 
     for fault in (zero_fade_first, zero_distance, zero_fade_elsewhere):
         def faulty(*args, fault=fault):
-            distances, fades, u = draw(*args)
+            distances, fades = draw(*args)
             fault(distances, fades)
-            return distances, fades, u
+            return distances, fades
 
         monkeypatch.setattr(simulation, "_draw", faulty)
         for call in (lambda: sample_snapshot(params, _tg02(cfg), SimSpec(1, 1), 0),
@@ -464,12 +527,33 @@ def _model_lists(w, a, b):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_one_pass_matches_separate_runs_across_blocks(cfg, workers):
-    # two scoring blocks in one chunk (1 worker), or a chunk boundary (2 workers)
+def test_one_pass_matches_separate_runs_across_blocks(cfg, monkeypatch, workers):
+    # several scoring blocks in one chunk (1 worker), and a chunk boundary (2 workers); the
+    # fields of test_candidate_scoring_across_score_blocks, shown there to cross each limit
     params = NetworkParams(1 / 20 ** 2, 3.8, math.inf, db_to_linear(-25.0))
-    spec = SimSpec(simulation._BLOCK + 5, 8, expected_points=100)
-    for timings in _model_lists(_w(cfg), -0.2, 0.3).values():
-        _assert_each_matches_separate_runs(params, timings, cfg, spec, workers)
+    spec = SimSpec(40, 8, expected_points=100)
+    for candidates, trials in SMALL_LIMITS.values():
+        monkeypatch.setattr(simulation, "_BLOCK_CANDIDATES", candidates)
+        monkeypatch.setattr(simulation, "_BLOCK_TRIALS", trials)
+        for timings in _model_lists(_w(cfg), -0.2, 0.3).values():
+            _assert_each_matches_separate_runs(params, timings, cfg, spec, workers)
+
+
+def test_all_delta_models_draw_no_uniforms_and_match_snapshots(cfg, uniforms_drawn):
+    # a delta's uniforms are zeros, never drawn; each model matches its own snapshots
+    params = NetworkParams(1 / 20 ** 2, 3.8, math.inf, db_to_linear(-12.0))
+    spec = SimSpec(12, 6, expected_points=300)
+    models = _model_lists(_w(cfg), -0.2, 0.3)["all-delta"]
+    results = simulation.run_trials_each(params, models, cfg, spec)
+    for timing, res in zip(models, results):
+        counts, near, kept = _full_vector_reference(params, timing, cfg, spec, sample_snapshot)
+        assert np.array_equal(res.counts, counts)
+        assert res.nearest_sinr.tobytes() == near.tobytes()
+        assert res.sinr.tobytes() == kept.tobytes()
+    assert uniforms_drawn and all(model.is_delta for model, _ in uniforms_drawn)
+    rng = np.random.default_rng(0)
+    assert [timing.uniforms(rng, 3).tolist() for timing in models] == [[0.0] * 3] * 2
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_workers_below_one_and_no_model_rejected(cfg):
