@@ -27,7 +27,7 @@ from .link import OfdmConfig
 from .quadrature import QuadratureError, integrate, integrate_halfline
 from .sinr import (NetworkParams, _check_alpha, _check_finite_positive, _check_hypotheses,
                    hypothesis_weight)
-from .timing import TimingModel
+from .timing import TimingModel, _check_domain
 
 __all__ = [
     "CountDistribution",
@@ -64,6 +64,8 @@ def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=(0.0,))
     With hypotheses the region is the union of the per-hypothesis shifts,
     clipped to the offset domain.
     """
+    _check_finite_positive("threshold", threshold)
+    hypotheses = _check_hypotheses(hypotheses)
     c = threshold / (1.0 + threshold)
     s = math.sqrt(c)
     lo = -config.n * (1.0 - s)
@@ -141,6 +143,7 @@ def _expect_over_timing(params: NetworkParams, timing: TimingModel, config: Ofdm
     the (tau - edge)^{2/alpha} behaviour where g meets T/(1+T).  Each T is one
     column of one stacked integral, padded by zero-width pieces at its last hi.
     """
+    _check_domain(timing, config)
     grid = np.asarray([params.threshold] if thresholds is None else thresholds, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"thresholds must be a non-empty 1-D sequence, got shape {grid.shape}")

@@ -1,9 +1,9 @@
 """Command-line front end: config ingestion, dispatch, CSV emission.
 
-All user-facing quantities are in dB/dBm/meters.  The run configuration holds the
-network at the configured threshold in linear units; the sweeps convert each grid
-point from dB through `RunConfig.params`, and `optimize_threshold` takes its grid in
-dB and converts it itself.  Precedence is
+All user-facing quantities are in dB/dBm/meters.  A run resolves once, into a frozen
+`RunConfig` that holds the network at the configured threshold in linear units and the
+threshold grid in dB; the analytic sweeps take the whole grid at once, and the Monte
+Carlo estimators each point through `RunConfig.params`.  Precedence is
 flags > config file > defaults; the defaults reproduce the reference parameter
 set (N=1024, N_cp=72, lambda=1/400^2 per m^2, alpha=3.8, 23 dBm over 10 MHz
 with -174 dBm/Hz PSD and 9 dB noise figure, T=-12 dB, sigma=0.2N).
@@ -38,6 +38,7 @@ DEFAULTS = {
     "detection": {"threshold_db": -12.0},
     "sim": {"trials": 1000, "expected_points": SimSpec.expected_points, "seed": 1},
 }
+THROUGHPUT_GRID_DB = tuple(x * 0.5 for x in range(-30, 21))  # -15..10 dB, when not swept
 
 _ALLOWED = {
     "ofdm": {"n", "n_cp", "used_range"},
@@ -56,15 +57,21 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+def _sigma_model(ofdm: OfdmConfig, sigma_over_n: float) -> timing_mod.TimingModel:
+    """The synchronized model (0), or a Gaussian one of sigma_over_n * N."""
+    if sigma_over_n == 0.0:
+        return timing_mod.delta(0.0, ofdm.domain_half_width)
+    return timing_mod.truncated_gaussian(sigma_over_n * ofdm.n, ofdm.domain_half_width)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     ofdm: OfdmConfig
-    network: NetworkParams  # at threshold_db
+    network: NetworkParams  # at detection.threshold_db
     timing: timing_mod.TimingModel  # the configured model
     # (sigma / N, model) per sweep: the configured model's, or one per --sigma-over-n value
-    sweep_timings: list[tuple[float, timing_mod.TimingModel]]
-    threshold_db: float
-    sweep_db: tuple[float, float, float] | None
+    sweep_timings: tuple[tuple[float, timing_mod.TimingModel], ...]
+    grid_db: tuple[float, ...]  # the threshold sweep in dB, or the configured threshold alone
     sim: SimSpec
     hypotheses: tuple[float, ...] | None
 
@@ -72,23 +79,12 @@ class RunConfig:
         return self.network.with_threshold_db(threshold_db)
 
     def timing_model(self, sigma_over_n: float) -> timing_mod.TimingModel:
-        """The synchronized model (0), or a Gaussian one of sigma_over_n * N."""
-        w = self.ofdm.domain_half_width
-        if sigma_over_n == 0.0:
-            return timing_mod.delta(0.0, w)
-        return timing_mod.truncated_gaussian(sigma_over_n * self.ofdm.n, w)
-
-    def sweep_grid(self) -> list[float]:
-        if self.sweep_db is not None:
-            lo, hi, step = self.sweep_db
-            n = int(round((hi - lo) / step))
-            return [lo + i * step for i in range(n + 1)]
-        return [self.threshold_db]
+        return _sigma_model(self.ofdm, sigma_over_n)
 
 
-def _sweep(lo, hi, step, where: str) -> tuple[float, float, float]:
-    """A threshold sweep (lo, hi, step) in dB whose step divides hi - lo and whose
-    end points are finite, positive linear thresholds."""
+def _sweep(lo, hi, step, where: str) -> tuple[float, ...]:
+    """The threshold grid lo, lo + step, ..., hi in dB, once step divides hi - lo and
+    the end points are finite, positive linear thresholds."""
     try:
         lo, hi, step = float(lo), float(hi), float(step)
         linear = db_to_linear(lo), db_to_linear(hi)
@@ -106,7 +102,7 @@ def _sweep(lo, hi, step, where: str) -> tuple[float, float, float]:
     if not all(0.0 < x < math.inf for x in linear):
         raise ConfigError(f"{where}: the range {lo}..{hi} dB does not map to finite, "
                           "positive linear thresholds")
-    return lo, hi, step
+    return tuple(lo + i * step for i in range(round(steps) + 1))
 
 
 def _check_keys(section: str, data: dict, allowed: set) -> None:
@@ -172,16 +168,15 @@ def load_config(path: str | None) -> RunConfig:
         elif not tim["sigma_over_n"] > 0:
             raise ConfigError("timing.sigma_over_n must be positive for truncated_gaussian")
         else:
-            timing = timing_mod.truncated_gaussian(tim["sigma_over_n"] * ofdm.n, w)
+            timing = _sigma_model(ofdm, tim["sigma_over_n"])
 
         section, det = "detection", merged["detection"]
-        threshold_db = det["threshold_db"]
-        network = network.with_threshold_db(threshold_db)
-        sweep_db = None
+        network = network.with_threshold_db(det["threshold_db"])
+        grid_db = (det["threshold_db"],)
         if "sweep" in det:
             section, sweep = "detection.sweep", det["sweep"]
             _check_keys(section, sweep, _SWEEP_KEYS)
-            sweep_db = _sweep(sweep["lo_db"], sweep["hi_db"], sweep["step_db"], section)
+            grid_db = _sweep(sweep["lo_db"], sweep["hi_db"], sweep["step_db"], section)
 
         section, sim = "sim", merged["sim"]
         spec = SimSpec(sim["trials"], sim["seed"], sim["expected_points"])
@@ -196,35 +191,36 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"{section}.{exc.args[0]} is required") from None
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from None
-    return RunConfig(ofdm, network, timing, [(timing.sigma / ofdm.n, timing)], threshold_db,
-                     sweep_db, spec, hyp)
+    return RunConfig(ofdm, network, timing, ((timing.sigma / ofdm.n, timing),), grid_db, spec, hyp)
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
+    """cfg with the run flags over it; a bad value is named by its flag."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    sim, changes = cfg.sim, {}
     if args.seed is not None:
-        cfg.sim = replace(cfg.sim, master_seed=args.seed)
+        sim = replace(sim, master_seed=args.seed)
     if args.trials is not None:
-        cfg.sim = replace(cfg.sim, trials=args.trials)
+        sim = replace(sim, trials=args.trials)
     if args.sweep is not None:
         parts = args.sweep.split(":")
         if len(parts) != 3:
             raise ConfigError("--sweep expects LO:HI:STEP in dB")
-        cfg.sweep_db = _sweep(*parts, "--sweep")
+        changes["grid_db"] = _sweep(*parts, "--sweep")
     if args.hypotheses is not None:
         try:
             n1, n2, delta = args.hypotheses.split(",")
-            cfg.hypotheses = hypothesis_set(int(n1), int(n2), float(delta))
+            changes["hypotheses"] = hypothesis_set(int(n1), int(n2), float(delta))
         except ValueError:
             raise ConfigError("--hypotheses expects N1,N2,DELTA")
     if args.sigma_over_n is not None:
         try:
-            cfg.sweep_timings = [(s, cfg.timing_model(s))
-                                 for s in map(float, args.sigma_over_n.split(","))]
+            changes["sweep_timings"] = tuple((s, cfg.timing_model(s))
+                                             for s in map(float, args.sigma_over_n.split(",")))
         except ValueError as exc:
             raise ConfigError(f"--sigma-over-n: {exc}") from None
-    return cfg
+    return replace(cfg, sim=sim, **changes)
 
 
 def cmd_link_profile(cfg: RunConfig, args) -> None:
@@ -234,21 +230,20 @@ def cmd_link_profile(cfg: RunConfig, args) -> None:
 
 
 def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
-    grid = cfg.sweep_grid()
     sigmas, models = zip(*cfg.sweep_timings)
     runs = [None] * len(models)
     if args.with_mc:  # one pass for every model, at the sweep's lowest threshold
-        runs = simulation.run_trials_each(cfg.params(min(grid)), models, cfg.ofdm, cfg.sim,
+        runs = simulation.run_trials_each(cfg.params(min(cfg.grid_db)), models, cfg.ofdm, cfg.sim,
                                           workers=args.workers)
     header = ["threshold_db", "sigma_over_n", "analytic_value"]
     if args.with_mc:
         header += ["mc_value", "mc_ci_half"]
-    points = [cfg.params(t_db) for t_db in grid]
+    points = [cfg.params(t_db) for t_db in cfg.grid_db]
     thresholds = [params.threshold for params in points]
     rows = []
     for sigma, tm, results in zip(sigmas, models, runs):
-        values = analytic_fn(points[0], tm, cfg.ofdm, thresholds=thresholds)
-        for t_db, params, value in zip(grid, points, values):
+        values = analytic_fn(cfg.network, tm, cfg.ofdm, thresholds=thresholds)
+        for t_db, params, value in zip(cfg.grid_db, points, values):
             row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
             if args.with_mc:
                 est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results)
@@ -270,13 +265,10 @@ def cmd_dist(cfg: RunConfig, args) -> None:
 
 
 def cmd_throughput(cfg: RunConfig, args) -> None:
-    grid = cfg.sweep_grid()
-    if len(grid) < 2:
-        grid = [x * 0.5 for x in range(-30, 21)]  # default -15..10 dB step 0.5
+    grid = cfg.grid_db if len(cfg.grid_db) > 1 else THROUGHPUT_GRID_DB
     rows = []
     for sigma, tm in cfg.sweep_timings:
-        best_db, best_val, values = analytics.optimize_threshold(
-            cfg.params(grid[0]), tm, cfg.ofdm, grid)
+        best_db, best_val, values = analytics.optimize_threshold(cfg.network, tm, cfg.ofdm, grid)
         rows += [["data", _fmt(t_db), _fmt(sigma), _fmt(val)] for t_db, val in zip(grid, values)]
         rows.append(["optimal", _fmt(best_db), _fmt(sigma), _fmt(best_val)])
     _write_csv(args.out, ["row_type", "threshold_db", "sigma_over_n", "throughput"], rows)
@@ -285,15 +277,14 @@ def cmd_throughput(cfg: RunConfig, args) -> None:
 def cmd_hypotheses(cfg: RunConfig, args) -> None:
     if cfg.hypotheses is None:
         raise ConfigError("the hypotheses command needs a hypotheses section or --hypotheses")
-    grid = cfg.sweep_grid()
-    params, thresholds = cfg.params(grid[0]), [cfg.params(t_db).threshold for t_db in grid]
+    params, thresholds = cfg.network, [db_to_linear(t_db) for t_db in cfg.grid_db]
     columns = [analytics.mean_decodable(params, cfg.timing, cfg.ofdm, thresholds=thresholds),
                analytics.mean_decodable_with_hypotheses(params, cfg.timing, cfg.ofdm,
                                                         cfg.hypotheses, thresholds=thresholds),
                analytics.mean_decodable(params, cfg.timing_model(0.0), cfg.ofdm,
                                         thresholds=thresholds)]
     rows = []
-    for t_db, base, multi, ideal in zip(grid, *columns):
+    for t_db, base, multi, ideal in zip(cfg.grid_db, *columns):
         gap = ideal - base
         frac = (multi - base) / gap if gap > 0 else 1.0
         rows.append([_fmt(t_db), _fmt(base), _fmt(multi), _fmt(ideal), _fmt(frac)])

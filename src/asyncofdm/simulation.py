@@ -19,7 +19,7 @@ import numpy as np
 from .analytics import CountDistribution
 from .link import OfdmConfig, _fmt, _integer, _trial_generators, _write_csv
 from .sinr import NetworkParams, NetworkSnapshot, _check_positive, _sinr, snapshot_sinr_all
-from .timing import TimingModel
+from .timing import TimingModel, _check_domain
 
 __all__ = [
     "SimSpec",
@@ -202,6 +202,8 @@ def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: O
     bits as a pass with that model alone; output independent of workers."""
     if not (timings and workers >= 1):
         raise ValueError(f"need a timing model and workers >= 1, got {len(timings)} and {workers}")
+    for timing in timings:
+        _check_domain(timing, config)
     bounds = np.linspace(0, spec.trials, min(workers, spec.trials) + 1, dtype=int)
     jobs = [(params, timings, config, spec, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])]

@@ -1,9 +1,10 @@
 """Distributions of the receiver/transmitter timing misalignment.
 
 All models live on the fixed domain [-half_width, half_width), where half_width
-is the OFDM symbol length including the cyclic prefix (in samples).  The
-zero-mean truncated Gaussian renormalizes the mass inside the domain; sampling is by
-inverse CDF so the number of random draws per sample is deterministic.
+is the OFDM symbol length including the cyclic prefix (in samples); both engines
+reject a model built for another domain.  The zero-mean truncated Gaussian
+renormalizes the mass inside the domain; sampling is by inverse CDF so the number
+of random draws per sample is deterministic.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import ndtr, ndtri
+from .sinr import _check_finite_positive
 
 __all__ = ["TimingModel", "delta", "truncated_gaussian", "uniform"]
 
@@ -81,7 +83,15 @@ class TimingModel:
         return self.quantile(self.uniforms(rng, size))
 
 
+def _check_domain(timing: TimingModel, config) -> None:
+    """A model's mass is spread over the domain it was built for: it must be config's."""
+    if timing.half_width != config.domain_half_width:
+        raise ValueError(f"timing model built for half-width {timing.half_width}, but the "
+                         f"offset domain has half-width {config.domain_half_width}")
+
+
 def delta(offset: float, half_width: float) -> TimingModel:
+    _check_finite_positive("half_width", half_width)
     if not -half_width <= offset < half_width:
         raise ValueError(f"offset {offset} outside [-{half_width}, {half_width})")
     return TimingModel("delta", half_width, offset=offset)
@@ -92,6 +102,7 @@ MAX_SIGMA_OVER_HALF_WIDTH = 1e6
 
 
 def truncated_gaussian(sigma: float, half_width: float) -> TimingModel:
+    _check_finite_positive("half_width", half_width)
     if not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma <= 0:
@@ -103,6 +114,7 @@ def truncated_gaussian(sigma: float, half_width: float) -> TimingModel:
 
 
 def uniform(lo: float, hi: float, half_width: float) -> TimingModel:
+    _check_finite_positive("half_width", half_width)
     if not (-half_width <= lo < hi <= half_width):
         raise ValueError(f"[{lo}, {hi}) must lie inside [-{half_width}, {half_width})")
     return TimingModel("uniform", half_width, lo=lo, hi=hi)

@@ -178,6 +178,27 @@ def test_decodable_intervals_geometry(cfg):
     assert merged[0][1] == pytest.approx(hi + 10.0)
 
 
+def test_decodable_intervals_reject_bad_inputs(cfg):
+    for t in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
+            decodable_intervals(cfg, t)
+    with pytest.raises(ValueError, match="non-empty"):
+        decodable_intervals(cfg, 1.0, hypotheses=())
+    with pytest.raises(ValueError, match="must be finite"):
+        decodable_intervals(cfg, 1.0, hypotheses=(0.0, math.nan))
+
+
+@pytest.mark.parametrize("model", [tm.uniform(-2000.0, 2000.0, 2000.0), tm.delta(0.0, 2000.0),
+                                   tm.truncated_gaussian(100.0, 500.0)])
+def test_timing_model_for_another_domain_rejected(cfg, model):
+    # a model's density is normalised over the domain it was built for, not the config's
+    params = NetworkParams(1 / 400 ** 2, 3.8, math.inf, db_to_linear(-12.0))
+    message = f"built for half-width {model.half_width}, but the offset domain has half-width 1096"
+    for call in (mean_decodable, nearest_decoding_prob):
+        with pytest.raises(ValueError, match=message):
+            call(params, model, cfg)
+
+
 def _kind_branching_breakpoints(config, timing, hypotheses):
     """Reference: the kinks of g, and each kind's breakpoints written out from its parameters."""
     edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
@@ -268,6 +289,22 @@ def test_tolerance_read_at_call_time(cfg, monkeypatch):
         seen.clear()
         call()
         assert seen and set(seen) == {3e-7}, (name, seen)
+
+
+def test_count_bound_with_no_decodable_offset_is_a_point_mass_at_zero(cfg):
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    late = tm.delta(-1090.0, _w(cfg))  # g = (6/1024)^2, far below T/(1+T)
+    assert lambda_tilde(params, late, cfg) == 0.0
+    dist = upsilon_upper_distribution(params, late, cfg)
+    assert dist.support_max == 16
+    assert dist.pmf[0] == 1.0 and not dist.pmf[1:].any()
+    assert dist.ccdf().tolist() == [1.0] + [0.0] * 16
+
+
+def test_alpha4_closed_form_rejects_other_alpha(cfg):
+    params = budget_params(1 / 400 ** 2, 3.8, -6.0)
+    with pytest.raises(ValueError, match="alpha = 4 only"):
+        lambda_tilde_closed_form_alpha4(params, tm.delta(0.0, _w(cfg)), cfg)
 
 
 # -------------------------------------------------------------- bound (IL)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -34,14 +35,14 @@ def test_empty_config_gives_defaults(tmp_path):
     assert cfg.network.alpha == 3.8
     assert cfg.timing.kind == "truncated_gaussian"
     assert cfg.timing.sigma == 0.2 * 1024
-    assert cfg.threshold_db == -12.0
+    assert cfg.grid_db == (-12.0,)
     assert cfg.sim.trials == 1000 and cfg.sim.master_seed == 1
 
 
 def test_no_config_path_gives_defaults():
     cfg = load_config(None)
     assert cfg.ofdm.n == 1024
-    assert cfg.sweep_grid() == [-12.0]
+    assert cfg.grid_db == (-12.0,)
 
 
 def test_unknown_key_named_in_error(tmp_path):
@@ -73,7 +74,7 @@ def test_missing_file_and_bad_yaml(tmp_path):
 
 def test_sweep_validation(tmp_path):
     cfg = load_config(_write(tmp_path, "detection:\n  sweep: {lo_db: -4, hi_db: 0, step_db: 2}\n"))
-    assert cfg.sweep_grid() == [-4.0, -2.0, 0.0]
+    assert cfg.grid_db == (-4.0, -2.0, 0.0)
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "detection:\n  sweep: {lo_db: 0, hi_db: -4, step_db: 2}\n"))
     with pytest.raises(ConfigError):
@@ -115,13 +116,13 @@ def test_sweep_steps_within_rounding_accepted(tmp_path):
     assert main(["mean-decodable", "--sweep=-1.2:0:0.1", "--out", out]) == 0
     assert len(_rows(out)) == 1 + 13
     cfg = load_config(_write(tmp_path, "detection:\n  sweep: {lo_db: 0, hi_db: 1, step_db: 0.1}\n"))
-    assert len(cfg.sweep_grid()) == 11
+    assert len(cfg.grid_db) == 11
 
 
 def test_threshold_default_resolved_in_load_config(tmp_path):
     cfg = load_config(_write(tmp_path, "detection:\n  threshold_db: null\n"))
-    assert cfg.threshold_db == -12.0
-    assert load_config(_write(tmp_path, "detection:\n  threshold_db: -3\n")).threshold_db == -3
+    assert cfg.grid_db == (-12.0,)
+    assert load_config(_write(tmp_path, "detection:\n  threshold_db: -3\n")).grid_db == (-3,)
     cfg = load_config(_write(tmp_path, "network: {alpha: null}\nsim: {trials: null}\n"))
     assert cfg.network.alpha == 3.8 and cfg.sim.trials == 1000
 
@@ -156,6 +157,44 @@ def test_malformed_config_exits_2_naming_its_section(tmp_path, capsys, text, sec
     out = tmp_path / "out.csv"
     assert main(["simulate", "--config", _write(tmp_path, text + "\n"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {section}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("- 5", "top-level config must be a mapping"),
+    ("5", "top-level config must be a mapping"),
+    ("network: 5", "'network' must be a mapping"),
+    ("sim: [1, 2]", "'sim' must be a mapping"),
+])
+def test_non_mapping_config_exits_2(tmp_path, capsys, text, message):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", _write(tmp_path, text + "\n"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_config_is_frozen_and_flags_give_a_new_one(tmp_path):
+    path = _write(tmp_path, "detection:\n  sweep: {lo_db: -6, hi_db: 0, step_db: 2}\n")
+    cfg = load_config(path)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid_db = (0.0,)
+    new = _apply_flags(cfg, build_parser().parse_args(
+        ["mean-decodable", "--out", "x.csv", "--sweep=-3:-1:1", "--sigma-over-n", "0,0.1",
+         "--hypotheses", "1,1,72", "--trials", "5"]))
+    assert new.grid_db == (-3.0, -2.0, -1.0)
+    assert [s for s, _ in new.sweep_timings] == [0.0, 0.1]
+    assert new.hypotheses == (-72.0, 0.0, 72.0) and new.sim.trials == 5
+    assert cfg == load_config(path)  # the flags changed nothing in place
+    out = str(tmp_path / "out.csv")  # the flag's sweep overrides the config's
+    assert main(["mean-decodable", "--config", path, "--sweep=-3:-1:1", "--out", out]) == 0
+    assert [row[0] for row in _rows(out)[1:]] == ["-3", "-2", "-1"]
+
+
+@pytest.mark.parametrize("value", ["1,1", "1,1,72,3", "a,1,72", "1,1,x", "-1,1,72", "1,1,0"])
+def test_malformed_hypotheses_flag_exits_2(tmp_path, capsys, value):
+    out = tmp_path / "out.csv"
+    assert main(["hypotheses", f"--hypotheses={value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --hypotheses expects N1,N2,DELTA\n"
     assert not out.exists()
 
 
@@ -499,9 +538,7 @@ try:
             assert not out.exists()
         assert err.getvalue().startswith("error: --sweep") and "does not divide" in err.getvalue()
         # the same range and step with a whole number of steps is accepted, end points included
-        cfg = load_config(None)
-        cfg.sweep_db = _sweep(lo, lo + (whole + 1) * step, step, "--sweep")
-        grid = cfg.sweep_grid()
+        grid = _sweep(lo, lo + (whole + 1) * step, step, "--sweep")
         assert len(grid) == whole + 2 and grid[0] == lo
 except ImportError:  # pragma: no cover - property tests are optional extras
     pass

@@ -176,6 +176,9 @@ def test_config_validation():
         OfdmConfig(64, 8, (0, 0))
     with pytest.raises(ValueError):
         OfdmConfig(64, 8, (32,))  # outside [-32, 32)
+    for n in (0, -64):
+        with pytest.raises(ValueError, match="n and n_cp must be positive"):
+            OfdmConfig(n, 8, (0,))
     c = OfdmConfig(64, 8, (3, -1, 0))
     assert c.used == (-1, 0, 3)  # sorted
     assert c.domain_half_width == 72

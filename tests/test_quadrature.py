@@ -93,6 +93,12 @@ def test_no_integrand_call_exceeds_the_slice():
     assert len(nodes) > 300 // quadrature.SLICE + 1  # and bisection rounds follow
 
 
+def test_singularity_between_breakpoints_stalls_at_max_depth():
+    # the panel around x = 0.3 is bisected MAX_DEPTH times without meeting rtol
+    with pytest.raises(QuadratureError, match="stalled at max depth"):
+        integrate(lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)), 0.0, 1.0)
+
+
 def test_panel_cap_leaves_hard_integrands_alone():
     # a jump bisected to MAX_DEPTH takes about 2 * 28 panels, far below the cap
     val, _ = integrate(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0, rtol=1e-12)

@@ -45,6 +45,17 @@ def test_spec_validation():
     assert SimSpec(10, 1, window_radius=123.0).radius(1e-4) == 123.0
 
 
+def test_timing_model_for_another_domain_rejected_as_in_the_analytics(cfg):
+    params = NetworkParams(1 / 400 ** 2, 3.8, math.inf, db_to_linear(-12.0))
+    wide = tm.uniform(-2000.0, 2000.0, 2000.0)
+    with pytest.raises(ValueError) as mc:
+        simulation.run_trials_each(params, [_tg02(cfg), wide], cfg, SimSpec(10, 1))
+    with pytest.raises(ValueError) as analytic:
+        analytics.mean_decodable(params, wide, cfg)
+    assert str(mc.value) == str(analytic.value) == (
+        "timing model built for half-width 2000.0, but the offset domain has half-width 1096")
+
+
 def test_spec_rejects_non_finite_and_non_integral():
     for kwargs in (dict(window_radius=math.nan), dict(window_radius=math.inf),
                    dict(expected_points=math.nan), dict(expected_points=2000.5)):

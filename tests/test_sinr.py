@@ -178,6 +178,8 @@ def test_snapshot_validation(cfg):
         NetworkSnapshot([-1.0], [1.0], [0.0], 0.0, 4.0)
     with pytest.raises(ValueError):  # NaN is not positive
         NetworkSnapshot([1.0, math.nan], [math.nan, 1.0], [0.0, 0.0], 0.0, 4.0)
+    with pytest.raises(ValueError, match="noise_over_e must be nonnegative"):
+        NetworkSnapshot([1.0], [1.0], [0.0], -1e-9, 4.0)
 
 
 # ------------------------------------------------------------------ hypotheses

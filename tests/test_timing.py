@@ -102,6 +102,14 @@ def test_invalid_models_rejected():
         uniform(-2 * W, 0.0, W)
 
 
+@pytest.mark.parametrize("half_width", [0.0, -5.0, np.nan, np.inf])
+def test_constructors_reject_a_bad_half_width(half_width):
+    for build in (lambda: delta(0.0, half_width), lambda: uniform(-1.0, 1.0, half_width),
+                  lambda: truncated_gaussian(10.0, half_width)):
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            build()
+
+
 def test_truncated_gaussian_rejects_sigma_beyond_bound():
     widest = MAX_SIGMA_OVER_HALF_WIDTH * W
     m = truncated_gaussian(widest, W)  # the bound itself is accepted, and stays accurate
