@@ -26,7 +26,7 @@ import numpy as np
 from .link import OfdmConfig
 from .quadrature import QuadratureError, integrate, integrate_halfline
 from .sinr import (NetworkParams, _check_alpha, _check_finite_positive, _check_hypotheses,
-                   hypothesis_weight)
+                   db_to_linear, hypothesis_weight)
 from .timing import TimingModel, _check_domain
 
 __all__ = [
@@ -65,9 +65,12 @@ def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=(0.0,))
     clipped to the offset domain.
     """
     _check_finite_positive("threshold", threshold)
-    hypotheses = _check_hypotheses(hypotheses)
-    c = threshold / (1.0 + threshold)
-    s = math.sqrt(c)
+    return _intervals(config, threshold, _check_hypotheses(hypotheses))
+
+
+def _intervals(config: OfdmConfig, threshold: float, hypotheses):
+    """`decodable_intervals` without its checks, for callers that checked their inputs."""
+    s = math.sqrt(threshold / (1.0 + threshold))
     lo = -config.n * (1.0 - s)
     hi = config.n + config.n_cp - config.n * s
     w = config.domain_half_width
@@ -83,7 +86,7 @@ def _breakpoints(config: OfdmConfig, timing: TimingModel, hypotheses):
 def _checked(value, err, what: str):
     """value, once the summed error estimate err is within DEFAULT_RTOL * max(|value|, 1e-300)."""
     worst = float(np.max(err / np.maximum(np.abs(value), 1e-300), initial=0.0))
-    if worst > DEFAULT_RTOL:
+    if not worst <= DEFAULT_RTOL:  # NaN fails too
         raise QuadratureError(f"{what}: error estimate {worst:.3e} of |value| exceeds "
                               f"rtol = {DEFAULT_RTOL:g}")
     return value
@@ -159,9 +162,9 @@ def _expect_over_timing(params: NetworkParams, timing: TimingModel, config: Ofdm
 
     brks = _breakpoints(config, timing, hypotheses)
     columns = []
-    for t in grid:
+    for t in grid.tolist():
         pts = [[lo] + [b for b in brks if lo < b < hi] + [hi]
-               for lo, hi in decodable_intervals(config, t, hypotheses)]
+               for lo, hi in _intervals(config, t, hypotheses)]
         columns.append([piece for p in pts for piece in zip(p[:-1], p[1:])])
     n = max(1, max(map(len, columns)))
     lo, hi = np.array([p + [(p[-1][1] if p else 0.0,) * 2] * (n - len(p))
@@ -357,7 +360,7 @@ def optimize_threshold(params: NetworkParams, timing: TimingModel, config: OfdmC
         raise ValueError("threshold grid must be non-empty")
     if any(b <= a for a, b in zip(grid_db, grid_db[1:])):
         raise ValueError("threshold grid must be strictly increasing")
-    thresholds = [params.with_threshold_db(t).threshold for t in grid_db]
+    thresholds = [db_to_linear(t) for t in grid_db]
     means = mean_decodable(params, timing, config, thresholds=thresholds)
     values = [math.log1p(t) * float(m) for t, m in zip(thresholds, means)]
     best = int(np.argmax(values))  # first max = lowest T on ties

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import math
 import os
 import sys
@@ -77,6 +78,11 @@ class RunConfig:
 
     def params(self, threshold_db: float) -> NetworkParams:
         return self.network.with_threshold_db(threshold_db)
+
+    @property
+    def thresholds(self) -> list[float]:
+        """grid_db in linear units, as `params` converts each."""
+        return [db_to_linear(t_db) for t_db in self.grid_db]
 
     def timing_model(self, sigma_over_n: float) -> timing_mod.TimingModel:
         return _sigma_model(self.ofdm, sigma_over_n)
@@ -238,15 +244,13 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
     header = ["threshold_db", "sigma_over_n", "analytic_value"]
     if args.with_mc:
         header += ["mc_value", "mc_ci_half"]
-    points = [cfg.params(t_db) for t_db in cfg.grid_db]
-    thresholds = [params.threshold for params in points]
-    rows = []
+    thresholds, rows = cfg.thresholds, []
     for sigma, tm, results in zip(sigmas, models, runs):
         values = analytic_fn(cfg.network, tm, cfg.ofdm, thresholds=thresholds)
-        for t_db, params, value in zip(cfg.grid_db, points, values):
+        for t_db, t, value in zip(cfg.grid_db, thresholds, values):
             row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
             if args.with_mc:
-                est = mc_fn(params, tm, cfg.ofdm, cfg.sim, results=results)
+                est = mc_fn(cfg.network.with_threshold(t), tm, cfg.ofdm, cfg.sim, results=results)
                 row += [_fmt(est.mean), _fmt(est.ci_half_width)]
             rows.append(row)
     _write_csv(args.out, header, rows)
@@ -277,7 +281,7 @@ def cmd_throughput(cfg: RunConfig, args) -> None:
 def cmd_hypotheses(cfg: RunConfig, args) -> None:
     if cfg.hypotheses is None:
         raise ConfigError("the hypotheses command needs a hypotheses section or --hypotheses")
-    params, thresholds = cfg.network, [db_to_linear(t_db) for t_db in cfg.grid_db]
+    params, thresholds = cfg.network, cfg.thresholds
     columns = [analytics.mean_decodable(params, cfg.timing, cfg.ofdm, thresholds=thresholds),
                analytics.mean_decodable_with_hypotheses(params, cfg.timing, cfg.ofdm,
                                                         cfg.hypotheses, thresholds=thresholds),
@@ -345,6 +349,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one per process: parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asyncofdm",
                                      description="asynchronous OFDM network analysis")

@@ -116,19 +116,22 @@ class OfdmConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer("n", self.n))
         object.__setattr__(self, "n_cp", _integer("n_cp", self.n_cp))
-        object.__setattr__(self, "used",
-                           tuple(sorted(_integer("subcarrier", k) for k in self.used)))
+        used = tuple(self.used)
+        if set(map(type, used)) - {int}:  # bools, numpy and float integers: one at a time
+            used = (_integer("subcarrier", k) for k in used)
+        used = tuple(sorted(used))
+        object.__setattr__(self, "used", used)
         if self.n <= 0 or self.n_cp <= 0:
             raise ValueError("n and n_cp must be positive")
         if self.n_cp >= self.n:
             raise ValueError("cyclic prefix must be shorter than the FFT size")
-        if len(self.used) == 0:
+        if len(used) == 0:
             raise ValueError("at least one subcarrier must be used")
-        if len(set(self.used)) != len(self.used):
+        if len(set(used)) != len(used):
             raise ValueError("duplicate subcarrier indices")
-        for k in self.used:
-            if not -self.n // 2 <= k < self.n // 2:
-                raise ValueError(f"subcarrier {k} outside [-{self.n // 2}, {self.n // 2})")
+        if not -self.n // 2 <= used[0] <= used[-1] < self.n // 2:  # sorted: check the ends
+            k = next(k for k in used if not -self.n // 2 <= k < self.n // 2)
+            raise ValueError(f"subcarrier {k} outside [-{self.n // 2}, {self.n // 2})")
 
     @classmethod
     def centered(cls, n: int, n_cp: int, lo: int, hi: int) -> "OfdmConfig":

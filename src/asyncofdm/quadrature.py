@@ -38,7 +38,7 @@ def _rules(f, lo, hi):
 
 
 # Deepest panel bisection, and most panels one call may evaluate.  Bisection alone is
-# bounded only by 2**MAX_DEPTH panels, which a NaN-valued or non-convergent integrand reaches.
+# bounded only by 2**MAX_DEPTH panels, which a non-convergent integrand reaches.
 MAX_DEPTH = 28
 MAX_PANELS = 10_000
 SLICE = 64  # most panels per call of f: at most 48 * SLICE abscissae, however hard f is
@@ -50,7 +50,8 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=()):
     f maps an array of abscissae, shape (k,), to values of shape (k,) for scalar
     integrands or (k, m) for m stacked integrands sharing the same panels.
     Panels are split at `breakpoints` first and then bisected wherever the
-    16- and 32-point estimates disagree, for at most MAX_PANELS panels.  Each round of
+    16- and 32-point estimates disagree, for at most MAX_PANELS panels; a non-finite
+    estimate, which no bisection mends, raises at once.  Each round of
     the breadth-first bisection calls f once per SLICE panels.  A panel is accepted
     once every component's difference is within rtol * scale * (hi - lo) / (b - a),
     scale = |summed 16-point estimates of the breakpoint panels|, in any order.
@@ -73,6 +74,8 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=()):
         local_err = np.abs(fine - coarse)
         tol = rtol * np.reshape(scale, -1) * (hi - lo)[:, None] / (b - a)
         ok = np.all(local_err.reshape(len(lo), -1) <= tol, axis=1)
+        if not ok.all() and not np.isfinite(local_err).all():  # never accepted: stop now
+            raise QuadratureError(f"quadrature on [{a}, {b}]: the integrand is not finite")
         if depth == MAX_DEPTH:
             stalled, ok = not ok.all(), np.ones_like(ok)
         total = total + fine[ok].sum(axis=0)

@@ -661,6 +661,15 @@ def test_quadrature_error_estimates_are_checked(cfg, monkeypatch):
     assert mean_decodable(params, tm.uniform(-1096.0, -1080.0, _w(cfg)), cfg) == 0.0
 
 
+def test_checked_rejects_a_nan_value_or_error_estimate():
+    with pytest.raises(QuadratureError, match="x: error estimate nan"):
+        analytics._checked(np.array([np.nan, 1.0]), np.zeros(2), "x")
+    with pytest.raises(QuadratureError, match="x: error estimate nan"):
+        analytics._checked(np.ones(2), np.array([np.nan, 0.0]), "x")
+    ok = np.array([0.0, 2.0])
+    assert analytics._checked(ok, np.array([0.0, 1e-6]), "x") is ok
+
+
 def _quad_radial(a, p):
     """I(a) by scipy.integrate.quad, in pieces that hold e^-w's decay and the turn of
     e^{-a w^p} near w = a^{-1/p}."""

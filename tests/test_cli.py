@@ -190,6 +190,43 @@ def test_run_config_is_frozen_and_flags_give_a_new_one(tmp_path):
     assert [row[0] for row in _rows(out)[1:]] == ["-3", "-2", "-1"]
 
 
+def test_cached_parser_carries_no_state_between_runs(tmp_path):
+    runs = [["mean-decodable", "--sweep=-3:3:1"], ["mean-decodable"],
+            ["nearest", "--sigma-over-n", "0,0.4"], ["nearest"]]
+
+    def outputs(fresh):
+        got = []
+        for i, argv in enumerate(runs):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{i}.csv"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(argv + ["--out", str(out)]) == 0
+            got.append((out.read_bytes(), stdout.getvalue()))
+        return got
+
+    assert outputs(fresh=False) == outputs(fresh=True)
+    assert build_parser() is build_parser()
+
+
+def test_grid_thresholds_equal_the_per_point_params_bit_for_bit(monkeypatch):
+    grid = _sweep(-15, 10, 0.5, "--sweep") + (-12.0, 1e-3, 33.3, -0.1)
+    cfg = dataclasses.replace(load_config(None), grid_db=grid)
+    want = [cfg.params(t_db).threshold.hex() for t_db in grid]
+    assert [t.hex() for t in cfg.thresholds] == want
+    seen = []
+
+    def spy(params, timing, config, *, thresholds):
+        seen.extend(thresholds)
+        return [1.0] * len(thresholds)
+
+    monkeypatch.setattr(analytics, "mean_decodable", spy)
+    grid = sorted(set(grid))
+    analytics.optimize_threshold(cfg.network, cfg.timing, cfg.ofdm, grid)
+    assert [t.hex() for t in seen] == [cfg.params(t_db).threshold.hex() for t_db in grid]
+
+
 @pytest.mark.parametrize("value", ["1,1", "1,1,72,3", "a,1,72", "1,1,x", "-1,1,72", "1,1,0"])
 def test_malformed_hypotheses_flag_exits_2(tmp_path, capsys, value):
     out = tmp_path / "out.csv"
@@ -434,15 +471,16 @@ def test_rows_that_fail_to_build_leave_no_output(tmp_path, monkeypatch):
 
 
 # At alpha = 150 and 200 `nearest`'s b^{alpha/2} underflows to 0, its radial
-# integrand turns NaN and the quadrature raises QuadratureError, which the
-# command turns into exit 2.  The underflow is a RuntimeWarning that a command
+# integrand turns NaN and the quadrature raises QuadratureError in its first round,
+# which the command turns into exit 2.  The underflow is a RuntimeWarning that a command
 # line prints and goes on from, so this test lets it pass as the command line does.
 @pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_a_quadrature_failure_exits_2_with_an_error_line(tmp_path, capsys):
     path = _write(tmp_path, "network: {alpha: 200}\n")
     out = tmp_path / "near.csv"
     assert main(["nearest", "--config", path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the integrand is not finite" in err, err
     assert not out.exists()
 
 

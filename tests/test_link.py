@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from asyncofdm.cli import main
 from asyncofdm.link import (
@@ -24,6 +24,7 @@ from asyncofdm.link import (
 )
 from asyncofdm.link import (
     _SEED_CHUNK,
+    _integer,
     _gaussian_symbols,
     _ici_sum,
     _pairwise_sum,
@@ -189,6 +190,48 @@ def test_config_validation():
     c = OfdmConfig(64.0, np.int64(8), (np.int64(3), 1.0))
     assert (c.n, c.n_cp, c.used) == (64, 8, (1, 3))
     assert all(type(x) is int for x in (c.n, c.n_cp, *c.used))
+
+
+def _elementwise_used(n, used):
+    """OfdmConfig's subcarrier check one element at a time, as it was before the all-int
+    fast path: the sorted tuple, or the ValueError it raised."""
+    used = tuple(sorted(_integer("subcarrier", k) for k in used))
+    if len(used) == 0:
+        raise ValueError("at least one subcarrier must be used")
+    if len(set(used)) != len(used):
+        raise ValueError("duplicate subcarrier indices")
+    for k in used:
+        if not -n // 2 <= k < n // 2:
+            raise ValueError(f"subcarrier {k} outside [-{n // 2}, {n // 2})")
+    return used
+
+
+def _outcome(build):
+    try:
+        used = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    return used, tuple(map(type, used))
+
+
+_INDEX = st.integers(-40, 40)
+_SUBCARRIER = st.one_of(_INDEX, st.integers(), st.booleans(), _INDEX.map(np.int64),
+                        _INDEX.map(float), st.floats(-40.0, 40.0),
+                        st.sampled_from([math.nan, math.inf, -math.inf]), _INDEX.map(str))
+
+
+@given(st.sampled_from([63, 64]), st.one_of(st.lists(_INDEX, max_size=10),
+                                            st.lists(_INDEX, unique=True, max_size=10),
+                                            st.lists(_SUBCARRIER, max_size=10)))
+@example(64, [0, 35, 33])  # two past the top end: the lower one is named
+@example(64, [-40, 0, -33])
+@example(63, [-32, 31])  # odd n: the check admits -32, the message reads [-31, 31)
+@example(64, [True, 0])  # a bool goes in as the int it equals
+@settings(max_examples=300, deadline=None)
+def test_subcarrier_check_matches_the_elementwise_one(n, used):
+    # ints alone take the fast path; anything else goes one element at a time
+    assert (_outcome(lambda: OfdmConfig(n, 8, used).used)
+            == _outcome(lambda: _elementwise_used(n, used)))
 
 
 # ------------------------------------------------------------------ modulator

@@ -62,15 +62,32 @@ def test_empty_interval_rejected():
         integrate(lambda x: x, 2.0, 1.0)
 
 
-def test_nan_integrand_stops_at_panel_cap():
-    # NaN never meets the tolerance; without the cap bisection would visit
-    # 2**28 panels
-    nodes = []
+def test_nan_integrand_raises_after_one_call():
+    # bisection cannot mend a non-finite estimate, so the first round that has one raises
+    f, nodes = _counting(lambda x: np.full_like(x, np.nan))
+    with pytest.raises(QuadratureError, match=r"on \[0.0, 1.0\]: the integrand is not finite"):
+        integrate(f, 0.0, 1.0)
+    assert nodes == [48]
 
-    def f(x):
-        nodes.append(len(x))
-        return np.full_like(x, np.nan)
 
+def test_integrand_turning_nan_in_a_later_round_raises_then():
+    # finite at the first round's nodes, NaN at some of the second round's
+    first = 0.5 * quadrature._X + 0.5
+
+    def g(x):
+        return np.where(np.isin(x, first), np.sin(40.0 * x), np.nan)
+
+    f, nodes = _counting(g)
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate(f, 0.0, 1.0)
+    assert nodes == [48, 96]
+
+
+def test_nowhere_smooth_integrand_stops_at_panel_cap():
+    # finite, but its 16- and 32-point estimates disagree on any panel wider than its
+    # 1e-7 period (squared, so that the rules' symmetric node pairs do not cancel to the
+    # mean); without the cap bisection would visit 2**28 panels
+    f, nodes = _counting(lambda x: np.modf(x * 1e7)[0] ** 2)
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match="did not converge"):
         integrate(f, 0.0, 1.0)
