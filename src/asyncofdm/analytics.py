@@ -33,6 +33,7 @@ __all__ = [
     "CountDistribution",
     "decodable_intervals",
     "mean_decodable",
+    "mean_decodable_each",
     "mean_decodable_upper_bound",
     "mean_decodable_with_hypotheses",
     "lambda_tilde",
@@ -40,6 +41,7 @@ __all__ = [
     "upsilon_upper_distribution",
     "rho",
     "nearest_decoding_prob",
+    "nearest_decoding_prob_each",
     "optimize_threshold",
     "laplace_interference",
 ]
@@ -132,11 +134,11 @@ def _exp_power_integral(a, p: float) -> np.ndarray:
     return _checked(val, err, "radial integral")
 
 
-def _expect_over_timing(params: NetworkParams, timing: TimingModel, config: OfdmConfig, F,
+def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
                         thresholds=None, hypotheses=(0.0,)):
-    """E_D[ 1{g(D) > T/(1+T)} F(g(D), T) ], g the best weight over the hypotheses: a float
-    at T = params.threshold, or an array at each T of `thresholds`, a non-empty 1-D
-    sequence of finite positive values.
+    """E_D[ 1{g(D) > T/(1+T)} F(g(D), T) ], g the best weight over the hypotheses, for each
+    model of `timings`: a list of floats at T = params.threshold, or of arrays at each T of
+    `thresholds`, a non-empty 1-D sequence of finite positive values.
 
     F maps arrays of weights and of their thresholds, every weight above
     T/(1+T), to an array of values.  The decodable intervals are split at the
@@ -145,58 +147,71 @@ def _expect_over_timing(params: NetworkParams, timing: TimingModel, config: Ofdm
     Its Jacobian 6 r (1 - r)(hi - lo) vanishes at both ends, which smooths out
     the (tau - edge)^{2/alpha} behaviour where g meets T/(1+T).  Each T is one
     column of one stacked integral, padded by zero-width pieces at its last hi.
+    Non-delta models with one set of in-domain breakpoints share one integral, a block
+    each: every result is bit for bit the model's own call's.
     """
-    _check_domain(timing, config)
+    if len(timings) == 0:
+        raise ValueError("timings must be a non-empty sequence of timing models")
+    _check_domain(timings, config)
     grid = np.asarray([params.threshold] if thresholds is None else thresholds, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"thresholds must be a non-empty 1-D sequence, got shape {grid.shape}")
     bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
     if bad.size:
         raise ValueError(f"thresholds[{bad[0]}] = {grid[bad[0]]} is not finite and positive")
-    c = grid / (1.0 + grid)
-    if timing.is_delta:
-        g0 = hypothesis_weight(config, hypotheses, timing.offset)
-        out, ok = np.zeros(len(grid)), g0 > c
-        out[ok] = F(np.full(np.count_nonzero(ok), g0), grid[ok])
-        return out if thresholds is not None else float(out[0])
+    c, w = grid / (1.0 + grid), config.domain_half_width
+    values, groups = {}, {}
+    for i, timing in enumerate(timings):
+        if timing.is_delta:
+            g0 = hypothesis_weight(config, hypotheses, timing.offset)
+            values[i], ok = np.zeros(len(grid)), g0 > c
+            values[i][ok] = F(np.full(np.count_nonzero(ok), g0), grid[ok])
+        else:
+            groups.setdefault(tuple(b for b in timing.breakpoints if -w < b < w), []).append(i)
+    for members in groups.values():  # out-of-domain breakpoints split no piece
+        brks = _breakpoints(config, timings[members[0]], hypotheses)
+        columns = []
+        for t in grid.tolist():
+            pts = [[lo] + [b for b in brks if lo < b < hi] + [hi]
+                   for lo, hi in _intervals(config, t, hypotheses)]
+            columns.append([piece for p in pts for piece in zip(p[:-1], p[1:])])
+        n = max(1, max(map(len, columns)))
+        lo, hi = np.array([p + [(p[-1][1] if p else 0.0,) * 2] * (n - len(p))
+                           for p in columns]).T  # each (n, m); pads sit at the last hi
+        width = hi - lo
+        top = np.nextafter(hi, -np.inf)  # keeps a rounded tau off hi, maybe the domain's open end
 
-    brks = _breakpoints(config, timing, hypotheses)
-    columns = []
-    for t in grid.tolist():
-        pts = [[lo] + [b for b in brks if lo < b < hi] + [hi]
-               for lo, hi in _intervals(config, t, hypotheses)]
-        columns.append([piece for p in pts for piece in zip(p[:-1], p[1:])])
-    n = max(1, max(map(len, columns)))
-    lo, hi = np.array([p + [(p[-1][1] if p else 0.0,) * 2] * (n - len(p))
-                       for p in columns]).T  # each (n, m); pads sit at the last hi
-    width = hi - lo
-    top = np.nextafter(hi, -np.inf)  # keeps a rounded tau off hi, maybe the domain's open end
+        def f(s):  # integrate's panels never straddle the integer breakpoints
+            k = np.minimum(s.astype(int), n - 1)
+            r = (s - k)[:, None]
+            tau = np.minimum(lo[k] + width[k] * r * r * (3.0 - 2.0 * r), top[k])
+            g = hypothesis_weight(config, hypotheses, tau)
+            ok = (g > c) & (width[k] > 0)
+            at_ok = np.zeros(g.shape)  # F where decodable, else 0: jac * density is finite, >= 0
+            at_ok[ok] = F(g[ok], np.broadcast_to(grid, g.shape)[ok])
+            jac = 6.0 * r * (1.0 - r) * width[k]
+            out = np.empty((len(members),) + g.shape)  # each block C-contiguous, as if alone
+            for block, i in zip(out, members):
+                np.multiply(jac * timings[i].density(tau), at_ok, out=block)
+            return out.swapaxes(0, 1)
 
-    def f(s):  # integrate's panels never straddle the integer breakpoints
-        k = np.minimum(s.astype(int), n - 1)
-        r = (s - k)[:, None]
-        tau = np.minimum(lo[k] + width[k] * r * r * (3.0 - 2.0 * r), top[k])
-        g = hypothesis_weight(config, hypotheses, tau)
-        out = 6.0 * r * (1.0 - r) * width[k] * timing.density(tau)
-        ok = (g > c) & (width[k] > 0)
-        out[ok] *= F(g[ok], np.broadcast_to(grid, g.shape)[ok])
-        out[~ok] = 0.0
-        return out
-
-    val, err = integrate(f, 0.0, float(n), rtol=DEFAULT_RTOL, breakpoints=range(1, n))
-    out = _checked(val, err, "timing expectation")
-    return out if thresholds is not None else float(out[0])
+        val, err = integrate(f, 0.0, float(n), rtol=DEFAULT_RTOL, breakpoints=range(1, n),
+                             blocks=True)
+        values.update(zip(members, _checked(val, err, "timing expectation")))
+    return [v if thresholds is not None else float(v[0]) for _, v in sorted(values.items())]
 
 
-def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                hypotheses=(0.0,), thresholds=None):
-    """pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] (Prop. 1).
+def mean_decodable_each(params: NetworkParams, timings, config: OfdmConfig, hypotheses=(0.0,),
+                        *, thresholds=None):
+    """Mean number of transmitters whose SINR clears the detection threshold, a list over
+    the timing models `timings`, each bit for bit its model's own; given linear
+    `thresholds`, an array of the mean at each, and params.threshold is not read.
 
-    With b(h) = pi*lam*h^{2/alpha}/sinc(2/alpha) and w = b(h) v the radial
-    integral is I(a0)/b(h), where a0 = q (sinc(2/alpha)/(pi*lam))^{alpha/2} does
-    not depend on h: one I per call.
+    pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] (Prop. 1), g the best
+    weight over `hypotheses`.  With b(h) = pi*lam*h^{2/alpha}/sinc(2/alpha) and w = b(h) v the
+    radial integral is I(a0)/b(h), a0 = q (sinc(2/alpha)/(pi*lam))^{alpha/2}: one I per call.
     """
-    alpha = params.alpha
+    hypotheses, alpha = _check_hypotheses(hypotheses), params.alpha
     sc = float(np.sinc(2.0 / alpha))
     try:
         a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
@@ -208,21 +223,19 @@ def _mean_count(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     def F(g, t):  # pi*lam * I(a0)/b(h) with 1/h = ((1+T) g - T)/T
         return scale * (((1.0 + t) * g - t) / t) ** (2.0 / alpha)
 
-    return _expect_over_timing(params, timing, config, F, thresholds, hypotheses)
+    return _expect_over_timing(params, timings, config, F, thresholds, hypotheses)
 
 
 def mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig, *,
                    thresholds=None):
-    """Mean number of transmitters whose SINR clears the detection threshold; given
-    linear `thresholds`, an array of the mean at each, and params.threshold is not read."""
-    return _mean_count(params, timing, config, thresholds=thresholds)
+    """`mean_decodable_each` of the one model `timing`."""
+    return mean_decodable_each(params, [timing], config, thresholds=thresholds)[0]
 
 
 def mean_decodable_with_hypotheses(params: NetworkParams, timing: TimingModel,
                                    config: OfdmConfig, hypotheses, *, thresholds=None):
-    """Mean decodable count when the receiver tries several timing hypotheses;
-    `thresholds` works as in `mean_decodable`."""
-    return _mean_count(params, timing, config, _check_hypotheses(hypotheses), thresholds)
+    """`mean_decodable` when the receiver tries each of several timing `hypotheses`."""
+    return mean_decodable_each(params, [timing], config, hypotheses, thresholds=thresholds)[0]
 
 
 def mean_decodable_upper_bound(alpha: float, threshold: float) -> float:
@@ -267,9 +280,10 @@ def rho(x, alpha: float):
     return out if out.ndim else float(out)
 
 
-def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig, *,
-                          thresholds=None):
-    """Probability that the packet from the nearest transmitter is decodable (Prop. 2).
+def nearest_decoding_prob_each(params: NetworkParams, timings, config: OfdmConfig, *,
+                               thresholds=None):
+    """Probability that the packet from the nearest transmitter is decodable (Prop. 2),
+    as a list over the timing models `timings`, each entry bit for bit its model's own.
 
     pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] with
     b(h) = pi*lam*(1 + rho(h, alpha)); with w = b(h) v the radial integral is
@@ -283,7 +297,13 @@ def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: Of
         return np.pi * params.density * _exp_power_integral(q * h / b ** (alpha / 2.0),
                                                             alpha / 2.0) / b
 
-    return _expect_over_timing(params, timing, config, F, thresholds)
+    return _expect_over_timing(params, timings, config, F, thresholds)
+
+
+def nearest_decoding_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig, *,
+                          thresholds=None):
+    """`nearest_decoding_prob_each` of the one model `timing`."""
+    return nearest_decoding_prob_each(params, [timing], config, thresholds=thresholds)[0]
 
 
 def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig) -> float:
@@ -301,7 +321,7 @@ def lambda_tilde(params: NetworkParams, timing: TimingModel, config: OfdmConfig)
     def F(g, t):
         return scale * (g * params.snr / t) ** d
 
-    return _expect_over_timing(params, timing, config, F)
+    return _expect_over_timing(params, [timing], config, F)[0]
 
 
 def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
@@ -310,7 +330,7 @@ def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
     if params.alpha != 4.0:
         raise ValueError("closed form holds for alpha = 4 only")
     prefactor = np.pi ** 1.5 * params.density / 2.0 * math.sqrt(params.snr / params.threshold)
-    return prefactor * _expect_over_timing(params, timing, config, lambda g, t: np.sqrt(g))
+    return prefactor * _expect_over_timing(params, [timing], config, lambda g, t: np.sqrt(g))[0]
 
 
 @dataclass
@@ -361,8 +381,12 @@ def optimize_threshold(params: NetworkParams, timing: TimingModel, config: OfdmC
     if any(b <= a for a, b in zip(grid_db, grid_db[1:])):
         raise ValueError("threshold grid must be strictly increasing")
     thresholds = [db_to_linear(t) for t in grid_db]
-    means = mean_decodable(params, timing, config, thresholds=thresholds)
-    values = [math.log1p(t) * float(m) for t, m in zip(thresholds, means)]
+    return _best_threshold(grid_db, mean_decodable(params, timing, config, thresholds=thresholds))
+
+
+def _best_threshold(grid_db, means):
+    """`optimize_threshold`'s result from the mean count at each point of its grid."""
+    values = [math.log1p(db_to_linear(t)) * float(m) for t, m in zip(grid_db, means)]
     best = int(np.argmax(values))  # first max = lowest T on ties
     return grid_db[best], values[best], values
 

@@ -245,8 +245,8 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
     if args.with_mc:
         header += ["mc_value", "mc_ci_half"]
     thresholds, rows = cfg.thresholds, []
-    for sigma, tm, results in zip(sigmas, models, runs):
-        values = analytic_fn(cfg.network, tm, cfg.ofdm, thresholds=thresholds)
+    columns = analytic_fn(cfg.network, models, cfg.ofdm, thresholds=thresholds)
+    for sigma, tm, results, values in zip(sigmas, models, runs, columns):
         for t_db, t, value in zip(cfg.grid_db, thresholds, values):
             row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
             if args.with_mc:
@@ -270,9 +270,10 @@ def cmd_dist(cfg: RunConfig, args) -> None:
 
 def cmd_throughput(cfg: RunConfig, args) -> None:
     grid = cfg.grid_db if len(cfg.grid_db) > 1 else THROUGHPUT_GRID_DB
-    rows = []
-    for sigma, tm in cfg.sweep_timings:
-        best_db, best_val, values = analytics.optimize_threshold(cfg.network, tm, cfg.ofdm, grid)
+    (sigmas, models), rows = zip(*cfg.sweep_timings), []
+    for sigma, mean in zip(sigmas, analytics.mean_decodable_each(
+            cfg.network, models, cfg.ofdm, thresholds=[db_to_linear(t) for t in grid])):
+        best_db, best_val, values = analytics._best_threshold(grid, mean)
         rows += [["data", _fmt(t_db), _fmt(sigma), _fmt(val)] for t_db, val in zip(grid, values)]
         rows.append(["optimal", _fmt(best_db), _fmt(sigma), _fmt(best_val)])
     _write_csv(args.out, ["row_type", "threshold_db", "sigma_over_n", "throughput"], rows)
@@ -282,13 +283,12 @@ def cmd_hypotheses(cfg: RunConfig, args) -> None:
     if cfg.hypotheses is None:
         raise ConfigError("the hypotheses command needs a hypotheses section or --hypotheses")
     params, thresholds = cfg.network, cfg.thresholds
-    columns = [analytics.mean_decodable(params, cfg.timing, cfg.ofdm, thresholds=thresholds),
+    columns = [*analytics.mean_decodable_each(params, [cfg.timing, cfg.timing_model(0.0)],
+                                              cfg.ofdm, thresholds=thresholds),
                analytics.mean_decodable_with_hypotheses(params, cfg.timing, cfg.ofdm,
-                                                        cfg.hypotheses, thresholds=thresholds),
-               analytics.mean_decodable(params, cfg.timing_model(0.0), cfg.ofdm,
-                                        thresholds=thresholds)]
+                                                        cfg.hypotheses, thresholds=thresholds)]
     rows = []
-    for t_db, base, multi, ideal in zip(cfg.grid_db, *columns):
+    for t_db, base, ideal, multi in zip(cfg.grid_db, *columns):
         gap = ideal - base
         frac = (multi - base) / gap if gap > 0 else 1.0
         rows.append([_fmt(t_db), _fmt(base), _fmt(multi), _fmt(ideal), _fmt(frac)])
@@ -308,16 +308,15 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     models = [cfg.timing_model(sigma) for sigma in sigmas]
     runs = simulation.run_trials_each(cfg.network, models, cfg.ofdm, cfg.sim,
                                       workers=args.workers)
-    scenarios = [(f"mean sigma={sigma}N", tm, results, analytics.mean_decodable,
-                  simulation.estimate_mean_decodable)
+    values = analytics.mean_decodable_each(cfg.network, models, cfg.ofdm) + [
+        analytics.nearest_decoding_prob(cfg.network, models[1], cfg.ofdm)]
+    scenarios = [(f"mean sigma={sigma}N", tm, results, simulation.estimate_mean_decodable)
                  for sigma, tm, results in zip(sigmas, models, runs)]
-    scenarios.append(("nearest sigma=0.2N", models[1], runs[1],
-                      analytics.nearest_decoding_prob, simulation.estimate_nearest_prob))
+    scenarios.append(("nearest sigma=0.2N", models[1], runs[1], simulation.estimate_nearest_prob))
 
     rows = []
     failed = False
-    for name, tm, results, analytic_fn, mc_fn in scenarios:
-        analytic = analytic_fn(cfg.network, tm, cfg.ofdm)
+    for (name, tm, results, mc_fn), analytic in zip(scenarios, values):
         est = mc_fn(cfg.network, tm, cfg.ofdm, cfg.sim, results=results)
         slack = max(est.ci_half_width, 0.02 * abs(analytic))
         ok = abs(est.mean - analytic) <= slack
@@ -338,9 +337,9 @@ _SWEEP = {"sweep", "sigma_over_n", "with_mc"}
 COMMANDS = {
     "link-profile": (cmd_link_profile, {"offset", "trials", "seed"}),
     "mean-decodable": (lambda cfg, args: _sweep_command(
-        cfg, args, analytics.mean_decodable, simulation.estimate_mean_decodable), _SWEEP),
-    "nearest": (lambda cfg, args: _sweep_command(
-        cfg, args, analytics.nearest_decoding_prob, simulation.estimate_nearest_prob), _SWEEP),
+        cfg, args, analytics.mean_decodable_each, simulation.estimate_mean_decodable), _SWEEP),
+    "nearest": (lambda cfg, args: _sweep_command(cfg, args, analytics.nearest_decoding_prob_each,
+                                                  simulation.estimate_nearest_prob), _SWEEP),
     "dist": (cmd_dist, _MC),
     "throughput": (cmd_throughput, {"sweep", "sigma_over_n"}),
     "hypotheses": (cmd_hypotheses, {"hypotheses", "sweep"}),

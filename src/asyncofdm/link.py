@@ -131,7 +131,7 @@ class OfdmConfig:
             raise ValueError("duplicate subcarrier indices")
         if not -self.n // 2 <= used[0] <= used[-1] < self.n // 2:  # sorted: check the ends
             k = next(k for k in used if not -self.n // 2 <= k < self.n // 2)
-            raise ValueError(f"subcarrier {k} outside [-{self.n // 2}, {self.n // 2})")
+            raise ValueError(f"subcarrier {k} outside [{-self.n // 2}, {self.n // 2})")
 
     @classmethod
     def centered(cls, n: int, n_cp: int, lo: int, hi: int) -> "OfdmConfig":

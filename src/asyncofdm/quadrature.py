@@ -26,15 +26,14 @@ _nodes = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 _X, _W = map(np.concatenate, zip(_nodes(16), _nodes(32)))
 
 
-def _rules(f, lo, hi):
-    """16- and 32-point estimates on each panel [lo[i], hi[i]], shape (panels,) plus
-    the integrand's value shape, from one call of f on all their nodes."""
+def _rules(f, lo, hi, blocks):
+    """16- and 32-point estimates on each panel [lo[i], hi[i]], a pair per block, from one call."""
     t = 0.5 * (hi - lo)[:, None] * _X + 0.5 * (hi + lo)[:, None]
     w = 0.5 * (hi - lo)[:, None] * _W
     y = np.asarray(f(t.ravel()))
-    y = y.reshape(t.shape + y.shape[1:])
-    return (np.einsum("pj,pj...->p...", w[:, :16], y[:, :16]),
-            np.einsum("pj,pj...->p...", w[:, 16:], y[:, 16:]))
+    ys = (yb.reshape(t.shape + yb.shape[1:]) for yb in (y.swapaxes(0, 1) if blocks else [y]))
+    return [(np.einsum("pj,pj...->p...", w[:, :16], yb[:, :16]),
+             np.einsum("pj,pj...->p...", w[:, 16:], yb[:, 16:])) for yb in ys]
 
 
 # Deepest panel bisection, and most panels one call may evaluate.  Bisection alone is
@@ -44,7 +43,7 @@ MAX_PANELS = 10_000
 SLICE = 64  # most panels per call of f: at most 48 * SLICE abscissae, however hard f is
 
 
-def integrate(f, a, b, rtol=1e-9, breakpoints=()):
+def integrate(f, a, b, rtol=1e-9, breakpoints=(), blocks=False):
     """Integrate f over [a, b]; returns (value, error_estimate).
 
     f maps an array of abscissae, shape (k,), to values of shape (k,) for scalar
@@ -55,39 +54,47 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=()):
     the breadth-first bisection calls f once per SLICE panels.  A panel is accepted
     once every component's difference is within rtol * scale * (hi - lo) / (b - a),
     scale = |summed 16-point estimates of the breakpoint panels|, in any order.
+
+    With `blocks`, f's values are (k, B, ...): B blocks that share f's calls, not panels, each
+    integrated bit for bit as if alone when f(x)[:, j] is C-contiguous, under a leading B axis.
     """
     if not b > a:
         raise ValueError(f"empty integration interval [{a}, {b}]")
     pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
     lo, hi = pts[:-1], pts[1:]
-    total = err = 0.0
     stalled, evaluated, depth = False, 0, 0
-    while len(lo):
+    while True:
         if evaluated + len(lo) > MAX_PANELS:
             raise QuadratureError(f"quadrature on [{a}, {b}] did not converge within "
                                   f"{MAX_PANELS} panels")
         evaluated += len(lo)
-        coarse, fine = map(np.concatenate, zip(*(
-            _rules(f, lo[i:i + SLICE], hi[i:i + SLICE]) for i in range(0, len(lo), SLICE))))
-        if depth == 0:  # the rough pass sets the tolerance scale
-            scale = np.maximum(np.abs(coarse.sum(axis=0)), 1e-300)
-        local_err = np.abs(fine - coarse)
-        tol = rtol * np.reshape(scale, -1) * (hi - lo)[:, None] / (b - a)
-        ok = np.all(local_err.reshape(len(lo), -1) <= tol, axis=1)
-        if not ok.all() and not np.isfinite(local_err).all():  # never accepted: stop now
-            raise QuadratureError(f"quadrature on [{a}, {b}]: the integrand is not finite")
-        if depth == MAX_DEPTH:
-            stalled, ok = not ok.all(), np.ones_like(ok)
-        total = total + fine[ok].sum(axis=0)
-        err = err + local_err[ok].sum(axis=0)
-        mid = 0.5 * (lo + hi)[~ok]
-        lo, hi, depth = np.concatenate([lo[~ok], mid]), np.concatenate([mid, hi[~ok]]), depth + 1
-    if stalled and np.any(err > 100.0 * rtol * scale):
-        raise QuadratureError(
-            f"quadrature on [{a}, {b}] stalled at max depth; "
-            f"worst error estimate {float(np.max(err)):.3e}"
-        )
-    return total, err
+        rules = [tuple(map(np.concatenate, zip(*block))) for block in zip(*(_rules(
+            f, lo[i:i + SLICE], hi[i:i + SLICE], blocks) for i in range(0, len(lo), SLICE)))]
+        if depth == 0:  # the rough pass sets each block's tolerance scale; all panels open
+            scale = [np.maximum(np.abs(coarse.sum(axis=0)), 1e-300) for coarse, _ in rules]
+            total, err = [0.0] * len(rules), [0.0] * len(rules)
+            live = np.ones((len(lo), len(rules)), dtype=bool)
+        for j, (coarse, fine) in enumerate(rules):  # live[p, j]: block j still bisects panel p
+            on, local_err = live[:, j], np.abs(fine - coarse)
+            tol = rtol * np.reshape(scale[j], -1) * (hi - lo)[:, None] / (b - a)
+            ok = on & np.all(local_err.reshape(len(lo), -1) <= tol, axis=1)
+            left = on ^ ok
+            if left.any() and not np.isfinite(local_err[on]).all():  # never accepted: stop now
+                raise QuadratureError(f"quadrature on [{a}, {b}]: the integrand is not finite")
+            if depth == MAX_DEPTH:
+                stalled, ok, left = stalled or left.any(), on, np.zeros_like(left)
+            total[j] = total[j] + fine[ok].sum(axis=0)
+            err[j] = err[j] + local_err[ok].sum(axis=0)
+            live[:, j] = left
+        if not live.any():  # every block has accepted every panel
+            break
+        split = live.any(axis=1)
+        mid, live, depth = 0.5 * (lo + hi)[split], np.concatenate([live[split]] * 2), depth + 1
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    if stalled and any(np.any(e > 100.0 * rtol * s) for e, s in zip(err, scale)):
+        raise QuadratureError(f"quadrature on [{a}, {b}] stalled at max depth; worst error "
+                              f"estimate {max(float(np.max(e)) for e in err):.3e}")
+    return (np.array(total), np.array(err)) if blocks else (total[0], err[0])
 
 
 def integrate_halfline(f, rtol=1e-9, breakpoints=()):

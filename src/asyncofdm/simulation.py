@@ -202,8 +202,7 @@ def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: O
     bits as a pass with that model alone; output independent of workers."""
     if not (timings and workers >= 1):
         raise ValueError(f"need a timing model and workers >= 1, got {len(timings)} and {workers}")
-    for timing in timings:
-        _check_domain(timing, config)
+    _check_domain(timings, config)
     bounds = np.linspace(0, spec.trials, min(workers, spec.trials) + 1, dtype=int)
     jobs = [(params, timings, config, spec, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])]

@@ -83,11 +83,12 @@ class TimingModel:
         return self.quantile(self.uniforms(rng, size))
 
 
-def _check_domain(timing: TimingModel, config) -> None:
-    """A model's mass is spread over the domain it was built for: it must be config's."""
-    if timing.half_width != config.domain_half_width:
-        raise ValueError(f"timing model built for half-width {timing.half_width}, but the "
-                         f"offset domain has half-width {config.domain_half_width}")
+def _check_domain(timings, config) -> None:
+    """A model's mass is spread over the domain it was built for: each must be config's."""
+    for timing in timings:
+        if timing.half_width != config.domain_half_width:
+            raise ValueError(f"timing model built for half-width {timing.half_width}, but the "
+                             f"offset domain has half-width {config.domain_half_width}")
 
 
 def delta(offset: float, half_width: float) -> TimingModel:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from asyncofdm import analytics, timing as tm
 from asyncofdm.analytics import (
@@ -499,6 +499,80 @@ def test_threshold_grid_matches_scalar_calls(alpha, snr_db, timing, hypotheses, 
     one = fn(points[-1], timing, cfg, hypotheses, thresholds=[points[0].threshold])
     assert isinstance(one, np.ndarray) and one.shape == (1,)
     assert one[0] == scalar[0]  # bit for bit: the scalar call is the one-column grid
+
+
+# The model axis: delta, uniform, narrow Gaussians (each with breakpoints of its own) and
+# wide ones (none in the domain, so they share one integral).
+AXIS_TIMINGS = GRID_TIMINGS + ("uniform wide", "gauss 0.1N", "gauss 1.0N")
+
+
+def _axis_timing(cfg, name):
+    if name == "uniform wide":
+        return tm.uniform(-1000.0, 1000.0, _w(cfg))
+    return _grid_timing(cfg, name)
+
+
+def _axis_statistic(name, params, cfg, hypotheses, grid):
+    """The statistic as a function of a model list; "engine" is the bare primitive."""
+    if name == "mean":
+        return lambda models: analytics.mean_decodable_each(params, models, cfg, thresholds=grid,
+                                                            hypotheses=hypotheses)
+    if name == "nearest":
+        return lambda models: analytics.nearest_decoding_prob_each(params, models, cfg,
+                                                                   thresholds=grid)
+    return lambda models: analytics._expect_over_timing(
+        params, models, cfg, lambda g, t: np.sqrt(g) * np.log1p(1.0 / t), grid, hypotheses)
+
+
+@given(alpha=st.floats(2.2, 5.0), snr_db=st.one_of(st.none(), st.floats(30.0, 120.0)),
+       names=st.lists(st.sampled_from(AXIS_TIMINGS), min_size=1, max_size=5),
+       hypotheses=st.sampled_from(GRID_HYPOTHESES),
+       statistic=st.sampled_from(["mean", "nearest", "engine"]),
+       grid_db=st.lists(st.floats(-15.0, 20.0), min_size=1, max_size=51))
+@example(alpha=3.8, snr_db=118.0, names=["gauss 0.4N", "delta 0", "gauss 0.05N", "gauss 0.2N",
+                                        "uniform", "gauss 0.4N", "gauss 1.0N"],
+         hypotheses=GRID_HYPOTHESES[0], statistic="nearest",
+         grid_db=[-15.0 + 0.5 * i for i in range(51)])
+@example(alpha=2.5, snr_db=None, names=["gauss 0.2N", "gauss 0.1N", "uniform wide", "delta -600",
+                                        "gauss 0.1N", "gauss 1.0N"],
+         hypotheses=GRID_HYPOTHESES[1], statistic="mean", grid_db=[20.0, -15.0, 3.0, 3.0])
+@settings(max_examples=25, deadline=None)
+def test_model_axis_matches_one_model_calls_bit_for_bit(alpha, snr_db, names, hypotheses,
+                                                        statistic, grid_db):
+    cfg = OfdmConfig.centered(1024, 72, -300, 299)
+    models = [_axis_timing(cfg, name) for name in names]
+    grid = [db_to_linear(t_db) for t_db in grid_db]
+    each = _axis_statistic(statistic, _params(alpha, -12.0, snr_db), cfg, hypotheses, grid)
+    values = each(models)
+    assert isinstance(values, list) and len(values) == len(models)
+    for model, value in zip(models, values):
+        alone = each([model])[0]
+        assert value.shape == (len(grid),) and value.tobytes() == alone.tobytes(), model
+
+
+def test_model_axis_is_checked_before_any_work(cfg, monkeypatch):
+    w = _w(cfg)
+    good = [tm.delta(0.0, w), tm.truncated_gaussian(0.2 * cfg.n, w), tm.uniform(-cfg.n, 72, w)]
+    params = NetworkParams(1 / 400 ** 2, 3.8, math.inf, db_to_linear(-12.0))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the entry checks")
+
+    for name in ("integrate", "hypothesis_weight"):
+        monkeypatch.setattr(analytics, name, no_work)
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="timings must be a non-empty sequence"):
+            analytics._expect_over_timing(params, empty, cfg, no_work)
+    wrong = tm.truncated_gaussian(100.0, 500.0)
+    message = "built for half-width 500.0, but the offset domain has half-width 1096"
+    for i in range(len(good) + 1):
+        with pytest.raises(ValueError, match=message):
+            analytics._expect_over_timing(params, good[:i] + [wrong] + good[i:], cfg, no_work)
+    for each in (analytics.mean_decodable_each, analytics.nearest_decoding_prob_each):
+        with pytest.raises(ValueError, match="timings must be a non-empty sequence"):
+            each(params, [], cfg)
+        with pytest.raises(ValueError, match=message):
+            each(params, good + [wrong], cfg)
 
 
 @pytest.mark.parametrize("bad,match", (

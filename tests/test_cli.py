@@ -297,6 +297,23 @@ def test_sweep_commands_use_the_configured_timing_model(tmp_path, timing):
     assert [float(row[3]) for row in data] == pytest.approx(expect, rel=1e-9)
 
 
+# 0.05N has breakpoints of its own and 0.2N and 0.4N none, so the list makes a delta, a
+# one-model integral and a two-model one; each row must be its one-sigma run's, to the byte.
+@pytest.mark.parametrize("command", ["mean-decodable", "nearest", "throughput"])
+def test_sigma_list_rows_equal_the_one_sigma_runs_byte_for_byte(tmp_path, command):
+    sigmas = ("0", "0.05", "0.2", "0.4")
+
+    def lines(sigma_over_n):
+        out = tmp_path / f"{sigma_over_n}.csv"
+        assert main([command, "--sweep=-15:10:2.5", "--sigma-over-n", sigma_over_n,
+                     "--out", str(out)]) == 0
+        return out.read_bytes().splitlines()
+
+    together, apart = lines(",".join(sigmas)), [lines(s) for s in sigmas]
+    assert all(rows[0] == together[0] for rows in apart)  # one header
+    assert together[1:] == [row for rows in apart for row in rows[1:]]
+
+
 def test_link_profile_command(tmp_path):
     out = str(tmp_path / "profile.csv")
     assert main(["link-profile", "--out", out, "--offset", "-6", "--trials", "50"]) == 0
@@ -464,7 +481,7 @@ def test_rows_that_fail_to_build_leave_no_output(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise QuadratureError("no convergence")
 
-    monkeypatch.setattr(analytics, "nearest_decoding_prob", fail)
+    monkeypatch.setattr(analytics, "nearest_decoding_prob_each", fail)
     out = tmp_path / "near.csv"
     assert main(["nearest", "--out", str(out)]) == 2
     assert not out.exists()
@@ -518,8 +535,9 @@ def no_work(monkeypatch):
         raise AssertionError("computed before --out was checked")
 
     for owner, names in ((cli, ["load_config", "empirical_power_profile"]),
-                         (analytics, ["mean_decodable", "mean_decodable_with_hypotheses",
-                                      "nearest_decoding_prob", "upsilon_upper_distribution",
+                         (analytics, ["mean_decodable", "mean_decodable_each",
+                                      "mean_decodable_with_hypotheses", "nearest_decoding_prob",
+                                      "nearest_decoding_prob_each", "upsilon_upper_distribution",
                                       "optimize_threshold"]),
                          (simulation, ["run_trials", "run_trials_each",
                                        "estimate_distribution"])):

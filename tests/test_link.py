@@ -202,7 +202,7 @@ def _elementwise_used(n, used):
         raise ValueError("duplicate subcarrier indices")
     for k in used:
         if not -n // 2 <= k < n // 2:
-            raise ValueError(f"subcarrier {k} outside [-{n // 2}, {n // 2})")
+            raise ValueError(f"subcarrier {k} outside [{-n // 2}, {n // 2})")
     return used
 
 
@@ -225,13 +225,20 @@ _SUBCARRIER = st.one_of(_INDEX, st.integers(), st.booleans(), _INDEX.map(np.int6
                                             st.lists(_SUBCARRIER, max_size=10)))
 @example(64, [0, 35, 33])  # two past the top end: the lower one is named
 @example(64, [-40, 0, -33])
-@example(63, [-32, 31])  # odd n: the check admits -32, the message reads [-31, 31)
+@example(63, [-32, 31])  # odd n: the check admits -32, and the message names it
 @example(64, [True, 0])  # a bool goes in as the int it equals
 @settings(max_examples=300, deadline=None)
 def test_subcarrier_check_matches_the_elementwise_one(n, used):
     # ints alone take the fast path; anything else goes one element at a time
     assert (_outcome(lambda: OfdmConfig(n, 8, used).used)
             == _outcome(lambda: _elementwise_used(n, used)))
+
+
+def test_odd_n_subcarrier_message_names_the_bound_it_checks():
+    # -n // 2 is -32 at n = 63: the lower bound is -32, not -(n // 2) = -31
+    with pytest.raises(ValueError, match=r"^subcarrier -33 outside \[-32, 31\)$"):
+        OfdmConfig(63, 8, (-33,))
+    assert OfdmConfig(63, 8, (-32,)).used == (-32,)
 
 
 # ------------------------------------------------------------------ modulator
