@@ -8,9 +8,9 @@ transform of Poisson-field interference used as a simulation cross-check.
 
 Each statistic is an expectation over the timing offset D of a function of
 g(D) on the decodable set g(D) > T/(1+T), computed by `_expect_over_timing`
-for a whole grid of T at once: the decodable intervals are split exactly at the
-roots of g(tau) = T/(1+T) and at the branch edges of g, and each piece is
-integrated through a smoothstep map that flattens the integrand at both ends.
+for a whole grid of T at once: F(1) times the mass on the cyclic-prefix plateau,
+plus an integral over the spill (D's distance to it) in pieces, each through a
+smoothstep map that flattens the integrand at both ends.
 The radial integrals reduce to I(a) = integral_0^inf exp(-w - a w^{alpha/2}) dw.
 """
 
@@ -63,26 +63,13 @@ def _merge(intervals):
 def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=(0.0,)):
     """Offsets where decoding is possible: {tau : g(tau) > T/(1+T)}, as intervals.
 
-    With hypotheses the region is the union of the per-hypothesis shifts,
-    clipped to the offset domain.
+    With hypotheses the region is the union of the per-hypothesis shifts, clipped to the
+    offset domain: each merged plateau [t, t + N_cp] widened by the largest decodable spill.
     """
     _check_finite_positive("threshold", threshold)
-    return _intervals(config, threshold, _check_hypotheses(hypotheses))
-
-
-def _intervals(config: OfdmConfig, threshold: float, hypotheses):
-    """`decodable_intervals` without its checks, for callers that checked their inputs."""
-    s = math.sqrt(threshold / (1.0 + threshold))
-    lo = -config.n * (1.0 - s)
-    hi = config.n + config.n_cp - config.n * s
-    w = config.domain_half_width
-    return _merge((max(t + lo, -w), min(t + hi, w)) for t in hypotheses)
-
-
-def _breakpoints(config: OfdmConfig, timing: TimingModel, hypotheses):
-    """Kinks of g under every hypothesis shift, and the timing model's own breakpoints."""
-    edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
-    return sorted({t + e for t in hypotheses for e in edges} | set(timing.breakpoints))
+    e, w = config.n * (1.0 - math.sqrt(threshold / (1.0 + threshold))), config.domain_half_width
+    return _merge((max(a - e, -w), min(b + e, w))
+                  for a, b in _merge((t, t + config.n_cp) for t in _check_hypotheses(hypotheses)))
 
 
 def _checked(value, err, what: str):
@@ -140,15 +127,18 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
     model of `timings`: a list of floats at T = params.threshold, or of arrays at each T of
     `thresholds`, a non-empty 1-D sequence of finite positive values.
 
-    F maps arrays of weights and of their thresholds, every weight above
-    T/(1+T), to an array of values.  The decodable intervals are split at the
-    breakpoints into pieces [lo, hi], and piece k is integrated over s in
-    [k, k+1] through the smoothstep tau = lo + (hi - lo) r^2 (3 - 2r), r = s - k.
-    Its Jacobian 6 r (1 - r)(hi - lo) vanishes at both ends, which smooths out
-    the (tau - edge)^{2/alpha} behaviour where g meets T/(1+T).  Each T is one
-    column of one stacked integral, padded by zero-width pieces at its last hi.
-    Non-delta models with one set of in-domain breakpoints share one integral, a block
-    each: every result is bit for bit the model's own call's.
+    F maps arrays of weights and of their thresholds, every weight above T/(1+T), to an
+    array of values.  g = ((N - e)/N)^2 depends on D only through its spill e, the distance
+    to the merged plateaus [t, t + N_cp], and decodes while e < E = N(1 - sqrt(T/(1+T))):
+    the value is F(1, T) times the plateaus' `TimingModel.mass` plus the integral of F over
+    e in [0, E] against the spill's density, the model's density on the arms D = a - e and
+    D = b + e of each plateau [a, b] (each reaching half the gap to the next).  [0, E] is
+    split at that density's breakpoints (finite reaches; model breakpoints and domain ends
+    through each arm), and piece k, [lo, hi], is integrated over s in [k, k+1] through
+    e = lo + (hi - lo) r^2 (3 - 2r), r = s - k, whose Jacobian 6 r (1 - r)(hi - lo) vanishes
+    at both ends to smooth the (E - e)^{2/alpha} edge.  Each T is one column of one stacked
+    integral, padded by zero-width pieces at its E.  Non-delta models with one set of
+    breakpoints share one integral, a block each, bit for bit the model's own call's.
     """
     if len(timings) == 0:
         raise ValueError("timings must be a non-empty sequence of timing models")
@@ -159,45 +149,53 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
     bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
     if bad.size:
         raise ValueError(f"thresholds[{bad[0]}] = {grid[bad[0]]} is not finite and positive")
-    c, w = grid / (1.0 + grid), config.domain_half_width
+    c, w, n = grid / (1.0 + grid), config.domain_half_width, config.n
+    spill = n * (1.0 - np.sqrt(c))
+    e_max, plateaus = float(spill.max()), _merge((t, t + config.n_cp) for t in hypotheses)
+    half = [0.5 * (a - b) for (_, b), (a, _) in zip(plateaus, plateaus[1:])]
+    arms = list(zip([a for a, _ in plateaus], [-1.0] * len(plateaus), [math.inf] + half))
+    arms += zip([b for _, b in plateaus], [1.0] * len(plateaus), half + [math.inf])
+    arms = [(x, side, r) for x, side, r in arms if -w - min(r, e_max) < side * x < w]  # in reach
     values, groups = {}, {}
     for i, timing in enumerate(timings):
         if timing.is_delta:
             g0 = hypothesis_weight(config, hypotheses, timing.offset)
             values[i], ok = np.zeros(len(grid)), g0 > c
             values[i][ok] = F(np.full(np.count_nonzero(ok), g0), grid[ok])
-        else:
-            groups.setdefault(tuple(b for b in timing.breakpoints if -w < b < w), []).append(i)
-    for members in groups.values():  # out-of-domain breakpoints split no piece
-        brks = _breakpoints(config, timings[members[0]], hypotheses)
-        columns = []
-        for t in grid.tolist():
-            pts = [[lo] + [b for b in brks if lo < b < hi] + [hi]
-                   for lo, hi in _intervals(config, t, hypotheses)]
-            columns.append([piece for p in pts for piece in zip(p[:-1], p[1:])])
-        n = max(1, max(map(len, columns)))
-        lo, hi = np.array([p + [(p[-1][1] if p else 0.0,) * 2] * (n - len(p))
-                           for p in columns]).T  # each (n, m); pads sit at the last hi
-        width = hi - lo
-        top = np.nextafter(hi, -np.inf)  # keeps a rounded tau off hi, maybe the domain's open end
+        else:  # out-of-domain breakpoints split no piece
+            jumps = [x for x in timing.breakpoints if -w < x < w] + [-w, w]
+            cuts = {r for _, _, r in arms if r < e_max}  # finite reaches; each jump on each arm
+            cuts.update(e for x, side, r in arms for j in jumps
+                        if 0 < (e := side * (j - x)) < min(r, e_max))
+            groups.setdefault(tuple(sorted(cuts)), []).append(i)
+    if groups:
+        at_one = F(np.ones(len(grid)), grid)
+        anchor, sign, reach = np.array(arms).reshape(-1, 3).T[:, :, None, None]
+    for cuts, members in groups.items():
+        pts = np.minimum(np.array((0.0,) + cuts + (np.inf,))[:, None], spill)
+        lo, width = pts[:-1], pts[1:] - pts[:-1]  # each (pieces, m); pads sit at E
 
         def f(s):  # integrate's panels never straddle the integer breakpoints
-            k = np.minimum(s.astype(int), n - 1)
+            k = np.minimum(s.astype(int), len(lo) - 1)
             r = (s - k)[:, None]
-            tau = np.minimum(lo[k] + width[k] * r * r * (3.0 - 2.0 * r), top[k])
-            g = hypothesis_weight(config, hypotheses, tau)
+            e = lo[k] + width[k] * r * r * (3.0 - 2.0 * r)
+            g = ((n - e) / n) ** 2
             ok = (g > c) & (width[k] > 0)
             at_ok = np.zeros(g.shape)  # F where decodable, else 0: jac * density is finite, >= 0
             at_ok[ok] = F(g[ok], np.broadcast_to(grid, g.shape)[ok])
             jac = 6.0 * r * (1.0 - r) * width[k]
+            offsets, on = anchor + sign * e, e < reach  # each arm's D, while it is the nearest
             out = np.empty((len(members),) + g.shape)  # each block C-contiguous, as if alone
             for block, i in zip(out, members):
-                np.multiply(jac * timings[i].density(tau), at_ok, out=block)
+                q = np.where(on, timings[i].density(offsets), 0.0).sum(axis=0)
+                np.multiply(jac * q, at_ok, out=block)
             return out.swapaxes(0, 1)
 
-        val, err = integrate(f, 0.0, float(n), rtol=DEFAULT_RTOL, breakpoints=range(1, n),
-                             blocks=True)
-        values.update(zip(members, _checked(val, err, "timing expectation")))
+        val, err = integrate(f, 0.0, float(len(lo)), rtol=DEFAULT_RTOL,
+                             breakpoints=range(1, len(lo)), blocks=True)
+        for i, v, dv in zip(members, val, err):
+            mass = sum(timings[i].mass(a, b) for a, b in plateaus if b > -w and a < w)
+            values[i] = _checked(v + mass * at_one, dv, "timing expectation")
     return [v if thresholds is not None else float(v[0]) for _, v in sorted(values.items())]
 
 

@@ -65,6 +65,23 @@ class TimingModel:
         out = np.where(inside, out, 0.0)
         return out if out.ndim else float(out)
 
+    def cdf(self, x):
+        """P(D <= x), elementwise, with x clipped to the domain: 0 below it, 1 above."""
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), -self.half_width), self.half_width)
+        if self.kind == "delta":
+            return np.where(x >= self.offset, 1.0, 0.0)
+        if self.kind == "uniform":
+            return np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+        a, z = self._gauss_mass
+        u = np.array([ndtr(v) for v in (x / self.sigma).ravel().tolist()]).reshape(x.shape)
+        return (u - a) / z
+
+    def mass(self, lo: float, hi: float) -> float:
+        """P(lo < D <= hi), read left of 0 for a Gaussian, where its far tail does not cancel."""
+        mirror = self.kind == "truncated_gaussian" and lo + hi > 0.0
+        below, upto = self.cdf([-hi, -lo] if mirror else [lo, hi])
+        return float(upto - below)
+
     def quantile(self, u):
         """Inverse CDF, elementwise: the offsets that `sample` maps uniforms u to."""
         u = np.asarray(u, dtype=float)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,6 +144,70 @@ def _reference_lambda_tilde(params, timing, config, rtol=analytics.DEFAULT_RTOL)
     return float(np.pi * params.density * val)
 
 
+def _merge(intervals):
+    intervals = sorted((lo, hi) for lo, hi in intervals if hi > lo)
+    merged = []
+    for lo, hi in intervals:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def _intervals(config, threshold, hypotheses):
+    """The decodable offsets at one threshold, one interval per shift, merged and clipped."""
+    s = math.sqrt(threshold / (1.0 + threshold))
+    lo = -config.n * (1.0 - s)
+    hi = config.n + config.n_cp - config.n * s
+    w = config.domain_half_width
+    return _merge((max(t + lo, -w), min(t + hi, w)) for t in hypotheses)
+
+
+def _breakpoints(config, timing, hypotheses):
+    """Kinks of g under every hypothesis shift, and the timing model's own breakpoints."""
+    edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
+    return sorted({t + e for t in hypotheses for e in edges} | set(timing.breakpoints))
+
+
+def _tau_piece_expect(params, timing, config, F, thresholds, hypotheses):
+    """E_D[ 1{g(D) > T/(1+T)} F(g(D), T) ] at each T of `thresholds`, integrated over the
+    offset itself: each T's decodable intervals split at every kink of g and every model
+    breakpoint, one smoothstep-mapped piece each.  The primitive's form before it moved
+    to the spill variable, frozen as the reference for one model."""
+    grid = np.asarray(thresholds, dtype=float)
+    c = grid / (1.0 + grid)
+    if timing.is_delta:
+        g0 = hypothesis_weight(config, hypotheses, timing.offset)
+        out, ok = np.zeros(len(grid)), g0 > c
+        out[ok] = F(np.full(np.count_nonzero(ok), g0), grid[ok])
+        return out
+    brks = _breakpoints(config, timing, hypotheses)
+    columns = []
+    for t in grid.tolist():
+        pts = [[lo] + [b for b in brks if lo < b < hi] + [hi]
+               for lo, hi in _intervals(config, t, hypotheses)]
+        columns.append([piece for p in pts for piece in zip(p[:-1], p[1:])])
+    n = max(1, max(map(len, columns)))
+    lo, hi = np.array([p + [(p[-1][1] if p else 0.0,) * 2] * (n - len(p))
+                       for p in columns]).T  # each (n, m); pads sit at the last hi
+    width = hi - lo
+    top = np.nextafter(hi, -np.inf)  # keeps a rounded tau off hi, maybe the domain's open end
+
+    def f(s):
+        k = np.minimum(s.astype(int), n - 1)
+        r = (s - k)[:, None]
+        tau = np.minimum(lo[k] + width[k] * r * r * (3.0 - 2.0 * r), top[k])
+        g = hypothesis_weight(config, hypotheses, tau)
+        ok = (g > c) & (width[k] > 0)
+        at_ok = np.zeros(g.shape)
+        at_ok[ok] = F(g[ok], np.broadcast_to(grid, g.shape)[ok])
+        return 6.0 * r * (1.0 - r) * width[k] * timing.density(tau) * at_ok
+
+    val, _ = integrate(f, 0.0, float(n), rtol=analytics.DEFAULT_RTOL, breakpoints=range(1, n))
+    return val
+
+
 # -------------------------------------------------------------------- rho
 
 def test_rho_alpha4_closed_form():
@@ -199,27 +264,57 @@ def test_timing_model_for_another_domain_rejected(cfg, model):
             call(params, model, cfg)
 
 
-def _kind_branching_breakpoints(config, timing, hypotheses):
-    """Reference: the kinks of g, and each kind's breakpoints written out from its parameters."""
-    edges = (-config.domain_half_width, -config.n, 0.0, config.n_cp, config.domain_half_width)
-    brks = {t + e for t in hypotheses for e in edges}
+def _kind_branching_cuts(config, timing, hypotheses, top):
+    """Reference: where the spill's density may jump below `top`, with each kind's
+    breakpoints written out from its parameters.  The plateaus [t, t + N_cp] merge by
+    sorting; every arm that reaches the domain adds its reach, if finite, and each
+    breakpoint and domain end it meets within its reach."""
+    w = config.domain_half_width
+    t = np.unique(hypotheses)
+    gap = t[1:] > t[:-1] + config.n_cp
+    a, b = t[np.r_[True, gap]], t[np.r_[gap, True]] + config.n_cp
+    half = 0.5 * (a[1:] - b[:-1])
+    jumps = [-w, w]
     if timing.kind == "uniform":
-        brks |= {timing.lo, timing.hi}
+        jumps += [timing.lo, timing.hi]
     elif timing.kind == "truncated_gaussian":
-        brks |= {-8.0 * timing.sigma, 8.0 * timing.sigma}
-    return sorted(brks)
+        jumps += [j for j in (-8.0 * timing.sigma, 8.0 * timing.sigma) if -w < j < w]
+    cuts = set()
+    for anchor, side, reach in zip(np.r_[a, b], np.repeat([-1.0, 1.0], len(a)),
+                                   np.r_[np.inf, half, half, np.inf]):
+        span = min(reach, top)
+        if max(anchor, anchor + side * span) <= -w or min(anchor, anchor + side * span) >= w:
+            continue  # the arm never reaches the domain
+        cuts |= {reach} if reach < top else set()
+        cuts |= {side * (j - anchor) for j in jumps if 0 < side * (j - anchor) < span}
+    return sorted(cuts)
 
 
 @pytest.mark.parametrize("hypotheses", [(0.0,), hypothesis_set(1, 1, 150.0),
                                         hypothesis_set(2, 3, 36.0)])
-def test_breakpoints_are_the_kinks_and_the_model_breakpoints(cfg, hypotheses):
+def test_spill_pieces_are_the_reaches_and_the_mapped_breakpoints(cfg, hypotheses, monkeypatch):
     w = _w(cfg)
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    grid = [db_to_linear(t) for t in (-15.0, -3.0, 10.0)]
+    top = cfg.n * (1.0 - math.sqrt(grid[0] / (1.0 + grid[0])))  # the largest decodable spill
+    pieces = []
+
+    def counting(f, a, b, **kwargs):
+        pieces.append(b)
+        return integrate(f, a, b, **kwargs)
+
+    monkeypatch.setattr(analytics, "integrate", counting)
+    split = 0
     for timing in (tm.delta(-600.0, w), tm.delta(0.0, w), tm.uniform(-1000.0, 1000.0, w),
                    tm.uniform(0.0, 72.0, w), tm.truncated_gaussian(0.05, w),
                    tm.truncated_gaussian(0.2 * cfg.n, w), tm.truncated_gaussian(5.0 * cfg.n, w)):
-        got = analytics._breakpoints(cfg, timing, hypotheses)
-        want = _kind_branching_breakpoints(cfg, timing, hypotheses)
-        assert np.array(got).tobytes() == np.array(want).tobytes(), timing
+        pieces.clear()
+        analytics._expect_over_timing(params, [timing], cfg, lambda g, t: np.sqrt(g), grid,
+                                      hypotheses)
+        cuts = [] if timing.is_delta else _kind_branching_cuts(cfg, timing, hypotheses, top)
+        assert pieces == ([] if timing.is_delta else [len(cuts) + 1.0]), timing
+        split += len(cuts)
+    assert split > 0
 
 
 # ------------------------------------------------------------ mean decodable
@@ -883,6 +978,121 @@ def test_narrow_gaussian_converges_to_delta(sigma, t_db):
     for fn in (mean_decodable, nearest_decoding_prob):
         gap = 1.0 - fn(params, narrow, cfg) / fn(params, point, cfg)
         assert -REF_RTOL <= gap <= 1e-3 * sigma + REF_RTOL, fn.__name__
+
+
+# --------------------------------------- the spill form against the tau-piece form
+
+W = 1096.0  # the offset domain's half-width at N = 1024, N_cp = 72
+SPILL_MODELS = st.one_of(
+    st.floats(-W, W, exclude_max=True).map(lambda x: tm.delta(x, W)),
+    st.lists(st.floats(0.0, 72.0), min_size=2, max_size=2, unique=True).map(  # inside the CP
+        lambda x: tm.uniform(min(x), max(x), W)),
+    st.tuples(st.booleans(), st.floats(0.5, 600.0)).map(  # at an end of the domain
+        lambda x: tm.uniform(W - x[1], W, W) if x[0] else tm.uniform(-W, -W + x[1], W)),
+    st.lists(st.floats(-W, W), min_size=2, max_size=2, unique=True).map(
+        lambda x: tm.uniform(min(x), max(x), W)),
+    st.floats(math.log(0.5), math.log(512.0)).map(lambda x: tm.truncated_gaussian(math.exp(x), W)))
+SPILL_HYPOTHESES = st.one_of(
+    st.just((0.0,)),
+    st.builds(hypothesis_set, st.integers(0, 10), st.integers(0, 10), st.floats(0.5, 72.0)),
+    st.builds(hypothesis_set, st.integers(0, 3), st.integers(0, 3), st.floats(73.0, 500.0)),
+    st.lists(st.floats(-1160.0, -940.0) | st.floats(940.0, 1160.0), min_size=1, max_size=4),
+    st.lists(st.floats(-100.0, 100.0) | st.floats(2300.0, 1e4), min_size=1, max_size=4))
+
+
+def _integrand_of(call):
+    """The F that `call` hands to `_expect_over_timing`."""
+    with mock.patch.object(analytics, "_expect_over_timing",
+                           wraps=analytics._expect_over_timing) as spy:
+        call()
+    return spy.call_args.args[3]
+
+
+@given(model=SPILL_MODELS, hypotheses=SPILL_HYPOTHESES,
+       statistic=st.sampled_from(["mean", "nearest", "lambda_tilde"]),
+       alpha=st.floats(2.5, 5.0), interference_limited=st.booleans(),
+       grid_db=st.lists(st.floats(-15.0, 20.0), min_size=1, max_size=51))
+@example(model=tm.truncated_gaussian(0.1 * 1024, W), hypotheses=[-1050.0, 1050.0],
+         statistic="mean", alpha=3.8, interference_limited=True,
+         grid_db=[-20.0 + 0.5 * i for i in range(91)])
+@example(model=tm.uniform(-1024.0, 72.0, W), hypotheses=[0.0, 1090.0, -1100.0],
+         statistic="nearest", alpha=3.8, interference_limited=False, grid_db=[-15.0, 20.0])
+@example(model=tm.truncated_gaussian(0.5, W), hypotheses=[5000.0], statistic="lambda_tilde",
+         alpha=3.8, interference_limited=False, grid_db=[0.0])
+@settings(max_examples=60, deadline=None)
+def test_spill_form_matches_the_tau_piece_form(model, hypotheses, statistic, alpha,
+                                               interference_limited, grid_db):
+    cfg = OfdmConfig.centered(1024, 72, -300, 299)
+    hypotheses = tuple(hypotheses)
+    params = _params(alpha, -12.0, None if interference_limited and statistic != "lambda_tilde"
+                     else "budget")
+    point = tm.delta(0.0, W)
+    F = _integrand_of({
+        "mean": lambda: analytics.mean_decodable_each(params, [point], cfg),
+        "nearest": lambda: analytics.nearest_decoding_prob_each(params, [point], cfg),
+        "lambda_tilde": lambda: lambda_tilde(params, point, cfg)}[statistic])
+    grid = [db_to_linear(t) for t in grid_db]
+    spill = analytics._expect_over_timing(params, [model], cfg, F, grid, hypotheses)[0]
+    np.testing.assert_allclose(spill, _tau_piece_expect(params, model, cfg, F, grid, hypotheses),
+                               rtol=REF_RTOL, atol=0.0)
+
+
+def test_mass_inside_the_cp_is_the_plateau_atom(cfg):
+    # all the mass sits on the plateau, where g = 1: the bound, with no integral to scale
+    params = NetworkParams(1 / 400 ** 2, 3.8, math.inf, db_to_linear(-4.0))
+    inside = tm.uniform(5.0, 60.0, _w(cfg))
+    assert mean_decodable(params, inside, cfg) == pytest.approx(
+        mean_decodable_upper_bound(3.8, params.threshold), rel=1e-12)
+    grid = [db_to_linear(t) for t in (-15.0, 0.0, 20.0)]
+    np.testing.assert_allclose(
+        mean_decodable(params, inside, cfg, thresholds=grid),
+        [mean_decodable_upper_bound(3.8, t) for t in grid], rtol=1e-12)
+    # half a 0.5-sample Gaussian's mass is on the plateau, the rest within 4 samples of it
+    narrow, point = tm.truncated_gaussian(0.5, _w(cfg)), tm.delta(0.0, _w(cfg))
+    for fn in (mean_decodable, nearest_decoding_prob):
+        assert 0.0 < fn(params, narrow, cfg) <= fn(params, point, cfg)
+
+
+def _abscissae(cfg, hypotheses, grid, monkeypatch):
+    """How many weights F sees in one call of the primitive, and how many offsets the
+    timing density does."""
+    seen, offsets, density = [], [], tm.TimingModel.density
+
+    def F(g, t):
+        seen.append(g.size)
+        return np.sqrt(g)
+
+    def counted(self, x):
+        offsets.append(np.size(x))
+        return density(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(tm.TimingModel, "density", counted)
+        analytics._expect_over_timing(budget_params(1 / 400 ** 2, 3.8, -12.0),
+                                      [tm.truncated_gaussian(0.2 * cfg.n, _w(cfg))], cfg, F,
+                                      grid, hypotheses)
+    return sum(seen), sum(offsets)
+
+
+def test_a_merged_hypothesis_set_costs_one_plateau(cfg, monkeypatch):
+    # every set below merges into one plateau; below -5 dB the widest one's arms would reach
+    # the domain's ends within the decodable spill, and split it
+    grid = [db_to_linear(t) for t in np.arange(-5.0, 10.5, 0.5)]
+    counts = [_abscissae(cfg, hypothesis_set(*shape), grid, monkeypatch)
+              for shape in ((1, 1, 72.0), (100, 100, 2.0), (1000, 1000, 0.5))]
+    assert counts[0] == counts[1] == counts[2] == _abscissae(cfg, (0.0,), grid, monkeypatch)
+
+
+def test_a_gapped_hypothesis_set_costs_by_its_arms(cfg, monkeypatch):
+    grid = [db_to_linear(t) for t in np.arange(-15.0, 10.5, 0.5)]
+    gapped = hypothesis_set(2, 2, 300.0)  # five plateaus: ten arms
+    far = gapped + tuple(5000.0 + 0.5 * k for k in range(2000))  # out of reach of the domain
+    weights, offsets = _abscissae(cfg, gapped, grid, monkeypatch)
+    assert _abscissae(cfg, far, grid, monkeypatch) == (weights, offsets)
+    # at most a reach and the domain's two ends cut each arm; 48 abscissae a piece, and F at 1
+    assert weights <= 48 * len(grid) * (1 + 3 * 10) + len(grid)
+    # the density at each of the ten arms' offsets, per abscissa and column, and no more
+    assert offsets % (10 * 48 * len(grid)) == 0 and offsets <= 10 * 48 * len(grid) * 31
 
 
 # ------------------------------------------------------------ Laplace transform

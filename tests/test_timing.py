@@ -133,3 +133,51 @@ def test_sampling_deterministic_per_seed():
     a = m.sample(np.random.default_rng(7), 100)
     b = m.sample(np.random.default_rng(7), 100)
     assert np.array_equal(a, b)
+
+
+CDF_MODELS = [truncated_gaussian(s, W) for s in (0.5, 0.05 * 1024, 0.2 * 1024, 0.5 * 1024, 2000.0)]
+CDF_MODELS += [uniform(-1024.0, 72.0, W), uniform(5.0, 60.0, W), uniform(-W, W, W),
+               uniform(W - 40.0, W, W)]
+
+
+@pytest.mark.parametrize("m", CDF_MODELS, ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
+def test_cdf_is_the_integral_of_the_density(m):
+    xs = [-1000.0, -300.0, -3.0, -0.5, 0.0, 3.0, 72.0, 500.0, W - 20.0]
+    for x in xs:
+        if m.cdf(x) < 1e-9:  # a far tail, too small to scale integrate's tolerance: scipy's below
+            continue
+        val, _ = integrate(m.density, -W, x, rtol=1e-13,
+                           breakpoints=[b for b in m.breakpoints if -W < b < x])
+        assert abs(m.cdf(x) - val) <= 1e-12, x
+    np.testing.assert_allclose(m.cdf(xs), _cdf(m, xs), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", CDF_MODELS, ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
+def test_cdf_edges_monotone_and_inverse_of_quantile(m):
+    assert m.cdf(-W) == 0.0 and m.cdf(W) == 1.0
+    assert m.cdf(-5000.0) == 0.0 and m.cdf(5000.0) == 1.0
+    c = m.cdf(np.linspace(-W - 50.0, W + 50.0, 4001))
+    assert np.all(np.diff(c) >= 0.0)
+    u = np.linspace(0.0, 1.0, 1001)
+    assert np.max(np.abs(m.cdf(m.quantile(u)) - u)) <= 1e-12
+
+
+def test_delta_cdf_is_a_step():
+    m = delta(5.0, W)
+    assert m.cdf(4.999) == 0.0 and m.cdf(5.0) == 1.0 and m.cdf(-W) == 0.0
+
+
+def test_mass_holds_a_gaussian_tail_on_either_side():
+    # the mirror image keeps P(D > x) where 1 - cdf(x) would cancel to 0
+    m = truncated_gaussian(0.1 * 1024, W)
+    a = ndtr(-W / m.sigma)
+    z = ndtr(W / m.sigma) - a
+    for lo, hi in ((1050.0, W), (978.0, 1050.0), (-1050.0, -978.0), (0.0, 72.0), (-500.0, 572.0)):
+        want = (ndtr(min(hi, W) / m.sigma) - ndtr(lo / m.sigma)) / z
+        if lo > 0:
+            want = (ndtr(-lo / m.sigma) - ndtr(-min(hi, W) / m.sigma)) / z
+        assert m.mass(lo, hi) == pytest.approx(want, rel=1e-12), (lo, hi)
+        assert m.mass(-hi, -lo) == pytest.approx(m.mass(lo, hi), rel=1e-12)
+    assert 0.0 < m.mass(1050.0, W) < 1e-24
+    flat = uniform(-W, 0.0, W)
+    assert flat.mass(-W, -W / 2) == pytest.approx(0.5, rel=1e-15) and flat.mass(10.0, 20.0) == 0.0
