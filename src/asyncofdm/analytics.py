@@ -74,7 +74,7 @@ def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=(0.0,))
 
 def _checked(value, err, what: str):
     """value, once the summed error estimate err is within DEFAULT_RTOL * max(|value|, 1e-300)."""
-    worst = float(np.max(err / np.maximum(np.abs(value), 1e-300), initial=0.0))
+    worst = float((err / np.maximum(np.abs(value), 1e-300)).max(initial=0.0))
     if not worst <= DEFAULT_RTOL:  # NaN fails too
         raise QuadratureError(f"{what}: error estimate {worst:.3e} of |value| exceeds "
                               f"rtol = {DEFAULT_RTOL:g}")
@@ -146,9 +146,9 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
     grid = np.asarray([params.threshold] if thresholds is None else thresholds, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"thresholds must be a non-empty 1-D sequence, got shape {grid.shape}")
-    bad = np.flatnonzero(~(np.isfinite(grid) & (grid > 0)))
-    if bad.size:
-        raise ValueError(f"thresholds[{bad[0]}] = {grid[bad[0]]} is not finite and positive")
+    if not ((grid > 0) & (grid < np.inf)).all():  # NaN fails too
+        bad = next(i for i, t in enumerate(grid.tolist()) if not 0 < t < math.inf)
+        raise ValueError(f"thresholds[{bad}] = {grid[bad]} is not finite and positive")
     c, w, n = grid / (1.0 + grid), config.domain_half_width, config.n
     spill = n * (1.0 - np.sqrt(c))
     e_max, plateaus = float(spill.max()), _merge((t, t + config.n_cp) for t in hypotheses)
@@ -156,12 +156,14 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
     arms = list(zip([a for a, _ in plateaus], [-1.0] * len(plateaus), [math.inf] + half))
     arms += zip([b for _, b in plateaus], [1.0] * len(plateaus), half + [math.inf])
     arms = [(x, side, r) for x, side, r in arms if -w - min(r, e_max) < side * x < w]  # in reach
+    at_one = None if all(t.is_delta for t in timings) else F(np.ones(len(grid)), grid)
     values, groups = {}, {}
     for i, timing in enumerate(timings):
-        if timing.is_delta:
+        if timing.is_delta:  # on a plateau (g0 = 1), decodable at every T: the shared F(1, T)
             g0 = hypothesis_weight(config, hypotheses, timing.offset)
             values[i], ok = np.zeros(len(grid)), g0 > c
-            values[i][ok] = F(np.full(np.count_nonzero(ok), g0), grid[ok])
+            values[i][ok] = (at_one if at_one is not None and g0 == 1.0 and ok.all()
+                             else F(np.full(np.count_nonzero(ok), g0), grid[ok]))
         else:  # out-of-domain breakpoints split no piece
             jumps = [x for x in timing.breakpoints if -w < x < w] + [-w, w]
             cuts = {r for _, _, r in arms if r < e_max}  # finite reaches; each jump on each arm
@@ -169,7 +171,6 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
                         if 0 < (e := side * (j - x)) < min(r, e_max))
             groups.setdefault(tuple(sorted(cuts)), []).append(i)
     if groups:
-        at_one = F(np.ones(len(grid)), grid)
         anchor, sign, reach = np.array(arms).reshape(-1, 3).T[:, :, None, None]
     for cuts, members in groups.items():
         pts = np.minimum(np.array((0.0,) + cuts + (np.inf,))[:, None], spill)
@@ -177,18 +178,18 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
 
         def f(s):  # integrate's panels never straddle the integer breakpoints
             k = np.minimum(s.astype(int), len(lo) - 1)
-            r = (s - k)[:, None]
-            e = lo[k] + width[k] * r * r * (3.0 - 2.0 * r)
+            r, wk = (s - k)[:, None], width[k]
+            e = lo[k] + wk * r * r * (3.0 - 2.0 * r)
             g = ((n - e) / n) ** 2
-            ok = (g > c) & (width[k] > 0)
+            ok = (g > c) & (wk > 0)
             at_ok = np.zeros(g.shape)  # F where decodable, else 0: jac * density is finite, >= 0
-            at_ok[ok] = F(g[ok], np.broadcast_to(grid, g.shape)[ok])
-            jac = 6.0 * r * (1.0 - r) * width[k]
-            offsets, on = anchor + sign * e, e < reach  # each arm's D, while it is the nearest
+            at_ok[ok] = F(g[ok], grid[ok.nonzero()[1]])
+            jac = 6.0 * r * (1.0 - r) * wk
+            # each arm's D while it is the nearest; past its reach, off the domain: density 0
+            offsets = np.where(e < reach, anchor + sign * e, np.inf)
             out = np.empty((len(members),) + g.shape)  # each block C-contiguous, as if alone
             for block, i in zip(out, members):
-                q = np.where(on, timings[i].density(offsets), 0.0).sum(axis=0)
-                np.multiply(jac * q, at_ok, out=block)
+                np.multiply(jac * timings[i].density(offsets).sum(axis=0), at_ok, out=block)
             return out.swapaxes(0, 1)
 
         val, err = integrate(f, 0.0, float(len(lo)), rtol=DEFAULT_RTOL,
@@ -210,6 +211,9 @@ def mean_decodable_each(params: NetworkParams, timings, config: OfdmConfig, hypo
     radial integral is I(a0)/b(h), a0 = q (sinc(2/alpha)/(pi*lam))^{alpha/2}: one I per call.
     """
     hypotheses, alpha = _check_hypotheses(hypotheses), params.alpha
+    if (far := max(map(abs, hypotheses))) >= 2 * config.domain_half_width:
+        raise ValueError(f"timing hypothesis at |t| = {far:g} >= 2 * {config.domain_half_width}: "
+                         "it shifts every offset off the domain and can never raise g")
     sc = float(np.sinc(2.0 / alpha))
     try:
         a0 = params.noise_over_e * (sc / (np.pi * params.density)) ** (alpha / 2.0)
@@ -359,8 +363,8 @@ def upsilon_upper_distribution(params: NetworkParams, timing: TimingModel,
         pmf = np.zeros(n_max + 1)
         pmf[0] = 1.0
     else:
-        logp = counts * math.log(lam) - np.array([math.lgamma(n + 1) for n in counts])
-        logp -= np.max(logp)
+        logp = counts * math.log(lam) - np.array([math.lgamma(n + 1) for n in counts.tolist()])
+        logp -= logp.max()
         pmf = np.exp(logp)
         pmf /= pmf.sum()
     return CountDistribution(counts, pmf)

@@ -12,7 +12,6 @@ with -174 dBm/Hz PSD and 9 dB noise figure, T=-12 dB, sigma=0.2N).
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import math
 import os
@@ -134,7 +133,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError("top-level config must be a mapping")
     _check_keys("<root>", raw, set(_ALLOWED))
 
-    merged = copy.deepcopy(DEFAULTS)
+    merged = {section: dict(values) for section, values in DEFAULTS.items()}  # as deep as update()
     for section, allowed in _ALLOWED.items():
         user = raw.get(section)
         if user is None:
@@ -244,11 +243,11 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
     header = ["threshold_db", "sigma_over_n", "analytic_value"]
     if args.with_mc:
         header += ["mc_value", "mc_ci_half"]
-    thresholds, rows = cfg.thresholds, []
+    thresholds, rows, t_strs = cfg.thresholds, [], [_fmt(t_db) for t_db in cfg.grid_db]
     columns = analytic_fn(cfg.network, models, cfg.ofdm, thresholds=thresholds)
-    for sigma, tm, results, values in zip(sigmas, models, runs, columns):
-        for t_db, t, value in zip(cfg.grid_db, thresholds, values):
-            row = [_fmt(t_db), _fmt(sigma), _fmt(value)]
+    for sigma, tm, results, values in zip(map(_fmt, sigmas), models, runs, columns):
+        for t_str, t, value in zip(t_strs, thresholds, values.tolist()):
+            row = [t_str, sigma, _fmt(value)]
             if args.with_mc:
                 est = mc_fn(cfg.network.with_threshold(t), tm, cfg.ofdm, cfg.sim, results=results)
                 row += [_fmt(est.mean), _fmt(est.ci_half_width)]
@@ -261,7 +260,8 @@ def cmd_dist(cfg: RunConfig, args) -> None:
     emp = simulation.estimate_distribution(cfg.network, cfg.timing, cfg.ofdm, cfg.sim,
                                            workers=args.workers)
     n_max = max(bound.support_max, int(emp.counts[-1]))
-    columns = (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(), emp.ci_half_width)
+    columns = [c.tolist() for c in (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(),
+                                    emp.ci_half_width)]
     rows = [[n] + [_fmt(c[n] if n < len(c) else 0.0) for c in columns]
             for n in range(n_max + 1)]
     _write_csv(args.out, ["n", "bound_pmf", "bound_ccdf", "mc_pmf", "mc_ccdf", "mc_ci_half"],
@@ -270,12 +270,12 @@ def cmd_dist(cfg: RunConfig, args) -> None:
 
 def cmd_throughput(cfg: RunConfig, args) -> None:
     grid = cfg.grid_db if len(cfg.grid_db) > 1 else THROUGHPUT_GRID_DB
-    (sigmas, models), rows = zip(*cfg.sweep_timings), []
-    for sigma, mean in zip(sigmas, analytics.mean_decodable_each(
+    (sigmas, models), rows, t_strs = zip(*cfg.sweep_timings), [], [_fmt(t_db) for t_db in grid]
+    for sigma, mean in zip(map(_fmt, sigmas), analytics.mean_decodable_each(
             cfg.network, models, cfg.ofdm, thresholds=[db_to_linear(t) for t in grid])):
-        best_db, best_val, values = analytics._best_threshold(grid, mean)
-        rows += [["data", _fmt(t_db), _fmt(sigma), _fmt(val)] for t_db, val in zip(grid, values)]
-        rows.append(["optimal", _fmt(best_db), _fmt(sigma), _fmt(best_val)])
+        best_db, best_val, values = analytics._best_threshold(grid, mean.tolist())
+        rows += [["data", t_str, sigma, _fmt(val)] for t_str, val in zip(t_strs, values)]
+        rows.append(["optimal", _fmt(best_db), sigma, _fmt(best_val)])
     _write_csv(args.out, ["row_type", "threshold_db", "sigma_over_n", "throughput"], rows)
 
 
@@ -288,7 +288,7 @@ def cmd_hypotheses(cfg: RunConfig, args) -> None:
                analytics.mean_decodable_with_hypotheses(params, cfg.timing, cfg.ofdm,
                                                         cfg.hypotheses, thresholds=thresholds)]
     rows = []
-    for t_db, base, ideal, multi in zip(cfg.grid_db, *columns):
+    for t_db, base, ideal, multi in zip(cfg.grid_db, *(c.tolist() for c in columns)):
         gap = ideal - base
         frac = (multi - base) / gap if gap > 0 else 1.0
         rows.append([_fmt(t_db), _fmt(base), _fmt(multi), _fmt(ideal), _fmt(frac)])

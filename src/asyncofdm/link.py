@@ -116,10 +116,12 @@ class OfdmConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", _integer("n", self.n))
         object.__setattr__(self, "n_cp", _integer("n_cp", self.n_cp))
-        used = tuple(self.used)
-        if set(map(type, used)) - {int}:  # bools, numpy and float integers: one at a time
-            used = (_integer("subcarrier", k) for k in used)
-        used = tuple(sorted(used))
+        used = self.used
+        if not (ranged := type(used) is range and used.step == 1):  # else sorted ints, each once
+            used = tuple(used)
+            if set(map(type, used)) - {int}:  # bools, numpy and float integers: one at a time
+                used = (_integer("subcarrier", k) for k in used)
+        used = tuple(used if ranged else sorted(used))
         object.__setattr__(self, "used", used)
         if self.n <= 0 or self.n_cp <= 0:
             raise ValueError("n and n_cp must be positive")
@@ -127,7 +129,7 @@ class OfdmConfig:
             raise ValueError("cyclic prefix must be shorter than the FFT size")
         if len(used) == 0:
             raise ValueError("at least one subcarrier must be used")
-        if len(set(used)) != len(used):
+        if not ranged and len(set(used)) != len(used):
             raise ValueError("duplicate subcarrier indices")
         if not -self.n // 2 <= used[0] <= used[-1] < self.n // 2:  # sorted: check the ends
             k = next(k for k in used if not -self.n // 2 <= k < self.n // 2)
@@ -136,7 +138,7 @@ class OfdmConfig:
     @classmethod
     def centered(cls, n: int, n_cp: int, lo: int, hi: int) -> "OfdmConfig":
         """Config with the contiguous subcarrier range lo..hi inclusive."""
-        return cls(n, n_cp, tuple(range(_integer("lo", lo), _integer("hi", hi) + 1)))
+        return cls(n, n_cp, range(_integer("lo", lo), _integer("hi", hi) + 1))
 
     @property
     def domain_half_width(self) -> int:
@@ -320,8 +322,8 @@ class PowerProfile:
         if stderr is None:
             stderr = np.zeros_like(self.total)
         _write_csv(path, ["subcarrier", "useful", "total", "stderr_total"],
-                   ([int(k), _fmt(u), _fmt(t), _fmt(s)]
-                    for k, u, t, s in zip(self.subcarriers, self.useful, self.total, stderr)))
+                   ([k, _fmt(u), _fmt(t), _fmt(s)] for k, u, t, s in zip(*(
+                       c.tolist() for c in (self.subcarriers, self.useful, self.total, stderr)))))
 
     def sir_db(self, subcarrier: int) -> float:
         """Useful-to-self-interference ratio on one subcarrier, in dB."""

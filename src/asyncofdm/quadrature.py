@@ -28,8 +28,8 @@ _X, _W = map(np.concatenate, zip(_nodes(16), _nodes(32)))
 
 def _rules(f, lo, hi, blocks):
     """16- and 32-point estimates on each panel [lo[i], hi[i]], a pair per block, from one call."""
-    t = 0.5 * (hi - lo)[:, None] * _X + 0.5 * (hi + lo)[:, None]
-    w = 0.5 * (hi - lo)[:, None] * _W
+    half = 0.5 * (hi - lo)[:, None]
+    t, w = half * _X + 0.5 * (hi + lo)[:, None], half * _W
     y = np.asarray(f(t.ravel()))
     ys = (yb.reshape(t.shape + yb.shape[1:]) for yb in (y.swapaxes(0, 1) if blocks else [y]))
     return [(np.einsum("pj,pj...->p...", w[:, :16], yb[:, :16]),
@@ -62,22 +62,24 @@ def integrate(f, a, b, rtol=1e-9, breakpoints=(), blocks=False):
         raise ValueError(f"empty integration interval [{a}, {b}]")
     pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
     lo, hi = pts[:-1], pts[1:]
-    stalled, evaluated, depth = False, 0, 0
+    stalled, evaluated, depth, span = False, 0, 0, b - a
     while True:
         if evaluated + len(lo) > MAX_PANELS:
             raise QuadratureError(f"quadrature on [{a}, {b}] did not converge within "
                                   f"{MAX_PANELS} panels")
         evaluated += len(lo)
-        rules = [tuple(map(np.concatenate, zip(*block))) for block in zip(*(_rules(
-            f, lo[i:i + SLICE], hi[i:i + SLICE], blocks) for i in range(0, len(lo), SLICE)))]
+        rules = [block[0] if len(block) == 1 else tuple(map(np.concatenate, zip(*block)))
+                 for block in zip(*(_rules(f, lo[i:i + SLICE], hi[i:i + SLICE], blocks)
+                                    for i in range(0, len(lo), SLICE)))]
         if depth == 0:  # the rough pass sets each block's tolerance scale; all panels open
             scale = [np.maximum(np.abs(coarse.sum(axis=0)), 1e-300) for coarse, _ in rules]
             total, err = [0.0] * len(rules), [0.0] * len(rules)
             live = np.ones((len(lo), len(rules)), dtype=bool)
+        width = (hi - lo)[:, None]
         for j, (coarse, fine) in enumerate(rules):  # live[p, j]: block j still bisects panel p
             on, local_err = live[:, j], np.abs(fine - coarse)
-            tol = rtol * np.reshape(scale[j], -1) * (hi - lo)[:, None] / (b - a)
-            ok = on & np.all(local_err.reshape(len(lo), -1) <= tol, axis=1)
+            tol = rtol * scale[j].reshape(-1) * width / span
+            ok = on & (local_err.reshape(len(lo), -1) <= tol).all(axis=1)
             left = on ^ ok
             if left.any() and not np.isfinite(local_err[on]).all():  # never accepted: stop now
                 raise QuadratureError(f"quadrature on [{a}, {b}]: the integrand is not finite")

@@ -185,9 +185,9 @@ class TrialResults:
 
     def to_csv(self, path) -> None:
         _write_csv(path, ["trial", "count", "nearest_sinr_db"],
-                   ([t, int(c), "" if math.isnan(s) else
-                     _fmt(10 * math.log10(s) if s else -math.inf)]
-                    for t, (c, s) in enumerate(zip(self.counts, self.nearest_sinr))))
+                   ([t, c, "" if math.isnan(s) else _fmt(10 * math.log10(s) if s else -math.inf)]
+                    for t, (c, s) in enumerate(zip(self.counts.tolist(),
+                                                   self.nearest_sinr.tolist()))))
 
 
 def run_trials(params: NetworkParams, timing: TimingModel, config: OfdmConfig,

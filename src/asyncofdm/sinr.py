@@ -27,6 +27,8 @@ __all__ = [
     "hypothesis_weight",
 ]
 
+MAX_HYPOTHESES = 1_000_000  # most shifts in a set; 200,001 take the analytics about 0.2 s
+
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
@@ -153,10 +155,12 @@ def snapshot_sinr_all(snapshot: NetworkSnapshot, config: OfdmConfig) -> np.ndarr
 
 
 def hypothesis_set(n1: int, n2: int, delta: float) -> tuple[float, ...]:
-    """Receiver timing hypotheses -n1*delta, ..., 0, ..., n2*delta."""
+    """Receiver timing hypotheses -n1*delta, ..., 0, ..., n2*delta, at most MAX_HYPOTHESES."""
     n1, n2 = _integer("n1", n1), _integer("n2", n2)
     if n1 < 0 or n2 < 0 or not 0 < delta < math.inf:
         raise ValueError("need n1, n2 >= 0 and finite delta > 0")
+    if n1 + n2 + 1 > MAX_HYPOTHESES:  # checked before the tuple is built
+        raise ValueError(f"{n1 + n2 + 1} hypotheses exceed MAX_HYPOTHESES = {MAX_HYPOTHESES}")
     return tuple(k * delta for k in range(-n1, n2 + 1))
 
 

@@ -71,10 +71,11 @@ class TimingModel:
         if self.kind == "delta":
             return np.where(x >= self.offset, 1.0, 0.0)
         if self.kind == "uniform":
-            return np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+            with np.errstate(over="ignore"):  # widths near 1e-305 or below: inf, clipped to 1
+                return np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
         a, z = self._gauss_mass
-        u = np.array([ndtr(v) for v in (x / self.sigma).ravel().tolist()]).reshape(x.shape)
-        return (u - a) / z
+        u = (x / self.sigma).ravel().tolist()
+        return np.array([(ndtr(v) - a) / z for v in u]).reshape(x.shape)
 
     def mass(self, lo: float, hi: float) -> float:
         """P(lo < D <= hi), read left of 0 for a Gaussian, where its far tail does not cancel."""
@@ -133,6 +134,7 @@ def truncated_gaussian(sigma: float, half_width: float) -> TimingModel:
 
 def uniform(lo: float, hi: float, half_width: float) -> TimingModel:
     _check_finite_positive("half_width", half_width)
-    if not (-half_width <= lo < hi <= half_width):
-        raise ValueError(f"[{lo}, {hi}) must lie inside [-{half_width}, {half_width})")
+    if not (-half_width <= lo < hi <= half_width and 1.0 / (hi - lo) < np.inf):
+        raise ValueError(f"[{lo}, {hi}) must lie inside [-{half_width}, {half_width}) and be "
+                         "wide enough for a finite density")
     return TimingModel("uniform", half_width, lo=lo, hi=hi)

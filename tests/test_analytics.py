@@ -546,8 +546,13 @@ def test_hypotheses_identity_and_monotonicity(cfg):
                                            hypothesis_set(k, k, 150.0))
             for k in (0, 1, 2)]
     assert vals[0] <= vals[1] <= vals[2]
-    # every shift moves the decodable set off the offset domain: nothing decodes
-    assert mean_decodable_with_hypotheses(params, timing, cfg, (5000.0,)) == 0.0
+    # a shift of 2w or more moves every offset off the domain, so it can never raise g
+    for far in ((5000.0,), (0.0, 2.0 * _w(cfg)), (-2.0 * _w(cfg),)):
+        with pytest.raises(ValueError, match="can never raise g"):
+            mean_decodable_with_hypotheses(params, timing, cfg, far)
+    nearly = (0.0, np.nextafter(2.0 * _w(cfg), 0.0))  # in range, and out of reach
+    assert (mean_decodable_with_hypotheses(params, timing, cfg, nearly)
+            == mean_decodable_with_hypotheses(params, timing, cfg, (0.0,)))
     with pytest.raises(ValueError):
         mean_decodable_with_hypotheses(params, timing, cfg, ())
     for bad in ((0.0, math.nan), (0.0, math.inf)):  # g of a NaN shift is NaN, not 0
@@ -983,14 +988,21 @@ def test_narrow_gaussian_converges_to_delta(sigma, t_db):
 # --------------------------------------- the spill form against the tau-piece form
 
 W = 1096.0  # the offset domain's half-width at N = 1024, N_cp = 72
+
+
+def _finite_density(ends):
+    """A pair of ends `tm.uniform` accepts: not so close that 1/(hi - lo) overflows."""
+    return 1.0 / abs(ends[0] - ends[1]) < math.inf
+
+
 SPILL_MODELS = st.one_of(
     st.floats(-W, W, exclude_max=True).map(lambda x: tm.delta(x, W)),
-    st.lists(st.floats(0.0, 72.0), min_size=2, max_size=2, unique=True).map(  # inside the CP
-        lambda x: tm.uniform(min(x), max(x), W)),
+    st.lists(st.floats(0.0, 72.0), min_size=2, max_size=2, unique=True).filter(_finite_density)
+    .map(lambda x: tm.uniform(min(x), max(x), W)),  # inside the CP
     st.tuples(st.booleans(), st.floats(0.5, 600.0)).map(  # at an end of the domain
         lambda x: tm.uniform(W - x[1], W, W) if x[0] else tm.uniform(-W, -W + x[1], W)),
-    st.lists(st.floats(-W, W), min_size=2, max_size=2, unique=True).map(
-        lambda x: tm.uniform(min(x), max(x), W)),
+    st.lists(st.floats(-W, W), min_size=2, max_size=2, unique=True).filter(_finite_density)
+    .map(lambda x: tm.uniform(min(x), max(x), W)),
     st.floats(math.log(0.5), math.log(512.0)).map(lambda x: tm.truncated_gaussian(math.exp(x), W)))
 SPILL_HYPOTHESES = st.one_of(
     st.just((0.0,)),
@@ -1093,6 +1105,53 @@ def test_a_gapped_hypothesis_set_costs_by_its_arms(cfg, monkeypatch):
     assert weights <= 48 * len(grid) * (1 + 3 * 10) + len(grid)
     # the density at each of the ten arms' offsets, per abscissa and column, and no more
     assert offsets % (10 * 48 * len(grid)) == 0 and offsets <= 10 * 48 * len(grid) * 31
+
+
+def _frozen_delta_value(config, timing, F, grid, hypotheses):
+    """A delta model's value as the primitive computed it before F(1, T) was shared: F at the
+    model's weight on the thresholds where that weight decodes, 0 elsewhere."""
+    grid = np.asarray(grid, dtype=float)
+    g0 = hypothesis_weight(config, hypotheses, timing.offset)
+    out, ok = np.zeros(len(grid)), g0 > grid / (1.0 + grid)
+    out[ok] = F(np.full(np.count_nonzero(ok), g0), grid[ok])
+    return out
+
+
+@given(offset=st.sampled_from([0.0, 36.0, 72.0, -1.0, 73.0]),  # 0, N_cp/2, N_cp, -1, N_cp + 1
+       hypotheses=st.sampled_from([(0.0,), hypothesis_set(1, 1, 72.0)]),
+       statistic=st.sampled_from(["mean", "nearest", "lambda_tilde"]),
+       alpha=st.floats(2.5, 5.0), interference_limited=st.booleans(),
+       grid_db=st.lists(st.floats(-15.0, 20.0), min_size=1, max_size=51),
+       place=st.sampled_from(["alone", "first", "middle", "last"]))
+@settings(max_examples=60, deadline=None)
+def test_delta_models_keep_their_bits(offset, hypotheses, statistic, alpha, interference_limited,
+                                      grid_db, place):
+    # on a plateau (g = 1) a delta's value is the shared F(1, T), which must be the bits of
+    # the delta's own evaluation, alone or beside Gaussian models
+    cfg = OfdmConfig.centered(1024, 72, -300, 299)
+    params = _params(alpha, -12.0, None if interference_limited and statistic != "lambda_tilde"
+                     else "budget")
+    point = tm.delta(offset, W)
+    gauss = [tm.truncated_gaussian(0.2 * 1024, W), tm.truncated_gaussian(0.4 * 1024, W)]
+    models = {"alone": [point], "first": [point, *gauss], "middle": [gauss[0], point, gauss[1]],
+              "last": [*gauss, point]}[place]
+    at = models.index(point)
+    public = {
+        "mean": lambda g: analytics.mean_decodable_each(params, models, cfg, hypotheses,
+                                                        thresholds=g),
+        "nearest": lambda g: analytics.nearest_decoding_prob_each(params, models, cfg,
+                                                                  thresholds=g),
+        "lambda_tilde": lambda g: [lambda_tilde(params.with_threshold(g[0]), m, cfg)
+                                   for m in models]}[statistic]
+    F = _integrand_of(lambda: public([params.threshold]))
+    grid = [db_to_linear(t) for t in grid_db]
+    want = _frozen_delta_value(cfg, point, F, grid, hypotheses)
+    got = analytics._expect_over_timing(params, models, cfg, F, grid, hypotheses)[at]
+    assert got.tobytes() == want.tobytes()
+    if statistic == "lambda_tilde" and hypotheses == (0.0,):  # one threshold a call
+        assert public(grid[:1])[at] == want[0]
+    elif statistic == "mean" or hypotheses == (0.0,):  # the nearest takes no hypotheses
+        assert public(grid)[at].tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ Laplace transform

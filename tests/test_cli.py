@@ -12,6 +12,7 @@ import pytest
 from asyncofdm import analytics, cli, simulation
 from asyncofdm.quadrature import QuadratureError
 from asyncofdm.cli import ConfigError, _apply_flags, _sweep, build_parser, load_config, main
+from asyncofdm.sinr import MAX_HYPOTHESES
 
 
 def _write(tmp_path, text, name="run.yaml"):
@@ -137,6 +138,27 @@ def test_timing_section_validation(tmp_path):
     assert model.is_delta and model.offset == 10.0
 
 
+EVERY_SECTION = """
+ofdm: {n: 512, n_cp: 36, used_range: [-100, 99]}
+network: {density_per_m2: 1.0e-5, alpha: 3.0, tx_power_dbm: 20.0, bandwidth_hz: 5.0e+6,
+          noise_psd_dbm_hz: -170.0, noise_figure_db: 7.0}
+timing: {kind: truncated_gaussian, sigma_over_n: 0.3}
+detection: {threshold_db: -6.0, sweep: {lo_db: -10.0, hi_db: 0.0, step_db: 1.0}}
+sim: {trials: 10, expected_points: 100, seed: 4}
+hypotheses: {n1: 1, n2: 1, delta: 36.0}
+"""
+
+
+def test_merging_a_config_leaves_the_defaults_alone(tmp_path):
+    # load_config copies DEFAULTS two levels deep and update()s the copies, section by section
+    before, defaults = repr(cli.DEFAULTS), load_config(None)
+    cfg = load_config(_write(tmp_path, EVERY_SECTION))
+    assert (cfg.ofdm.n, cfg.network.alpha, cfg.sim.master_seed, cfg.hypotheses) == (
+        512, 3.0, 4, (-36.0, 0.0, 36.0))
+    assert repr(cli.DEFAULTS) == before
+    assert load_config(None) == defaults
+
+
 def test_hypotheses_section(tmp_path):
     cfg = load_config(_write(tmp_path, "hypotheses:\n  n1: 1\n  n2: 1\n  delta: 72\n"))
     assert cfg.hypotheses == (-72.0, 0.0, 72.0)
@@ -233,6 +255,25 @@ def test_malformed_hypotheses_flag_exits_2(tmp_path, capsys, value):
     assert main(["hypotheses", f"--hypotheses={value}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --hypotheses expects N1,N2,DELTA\n"
     assert not out.exists()
+
+
+def test_an_out_of_reach_hypothesis_exits_2(tmp_path, capsys):
+    # a shift of 2w = 2192 samples or more moves every offset off the domain
+    out = tmp_path / "out.csv"
+    assert main(["hypotheses", "--hypotheses=1,1,2192", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: timing hypothesis at |t| = 2192 >= 2 * 1096")
+    assert not out.exists()
+    assert main(["hypotheses", "--hypotheses=1,1,2191", "--out", str(out)]) == 0
+
+
+def test_an_over_long_hypothesis_set_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["hypotheses", f"--hypotheses={MAX_HYPOTHESES},0,0.001", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="exceed MAX_HYPOTHESES"):
+        load_config(_write(tmp_path, f"hypotheses: {{n1: {MAX_HYPOTHESES}, n2: 0, delta: 0.001}}"))
 
 
 # ------------------------------------------------------------------- commands

@@ -234,6 +234,19 @@ def test_subcarrier_check_matches_the_elementwise_one(n, used):
             == _outcome(lambda: _elementwise_used(n, used)))
 
 
+@given(st.sampled_from([63, 64]), _INDEX, _INDEX, st.sampled_from([1, 2, -1, -3]))
+@example(64, -300, 300, 1)  # outside the band
+@example(64, 5, 5, 1)  # empty
+@settings(max_examples=100, deadline=None)
+def test_a_range_of_subcarriers_meets_the_elementwise_check(n, lo, hi, step):
+    # a unit-step range skips the per-element checks it cannot fail, with the same outcome
+    used = range(lo, hi, step)
+    got = _outcome(lambda: OfdmConfig(n, 8, used).used)
+    assert got == _outcome(lambda: _elementwise_used(n, used))
+    if got[0] != "error":
+        assert OfdmConfig(n, 8, used) == OfdmConfig(n, 8, tuple(used))
+
+
 def test_odd_n_subcarrier_message_names_the_bound_it_checks():
     # -n // 2 is -32 at n = 63: the lower bound is -32, not -(n // 2) = -31
     with pytest.raises(ValueError, match=r"^subcarrier -33 outside \[-32, 31\)$"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asyncofdm.sinr import (
+    MAX_HYPOTHESES,
     NetworkParams,
     NetworkSnapshot,
     cp_weight,
@@ -194,6 +195,14 @@ def test_hypothesis_set_layout():
     for bad in (math.nan, math.inf):  # 0 * inf would be a NaN hypothesis
         with pytest.raises(ValueError, match="finite"):
             hypothesis_set(1, 1, bad)
+
+
+def test_hypothesis_sets_are_capped():
+    # n1 + n2 + 1 shifts, at most MAX_HYPOTHESES of them
+    assert len(hypothesis_set(MAX_HYPOTHESES - 1, 0, 1e-3)) == MAX_HYPOTHESES
+    for n1, n2 in ((MAX_HYPOTHESES, 0), (0, MAX_HYPOTHESES), (MAX_HYPOTHESES // 2,) * 2):
+        with pytest.raises(ValueError, match="exceed MAX_HYPOTHESES"):
+            hypothesis_set(n1, n2, 1e-3)
 
 
 def test_hypothesis_weight_reductions(cfg):

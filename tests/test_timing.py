@@ -100,6 +100,8 @@ def test_invalid_models_rejected():
         uniform(10.0, 10.0, W)
     with pytest.raises(ValueError):
         uniform(-2 * W, 0.0, W)
+    with pytest.raises(ValueError, match="finite density"):  # 1/(hi - lo) overflows
+        uniform(0.0, 5e-324, W)
 
 
 @pytest.mark.parametrize("half_width", [0.0, -5.0, np.nan, np.inf])
