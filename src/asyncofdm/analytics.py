@@ -156,22 +156,21 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
     arms = list(zip([a for a, _ in plateaus], [-1.0] * len(plateaus), [math.inf] + half))
     arms += zip([b for _, b in plateaus], [1.0] * len(plateaus), half + [math.inf])
     arms = [(x, side, r) for x, side, r in arms if -w - min(r, e_max) < side * x < w]  # in reach
-    at_one = None if all(t.is_delta for t in timings) else F(np.ones(len(grid)), grid)
+    at_one, fits = np.zeros(len(grid)), c < 1.0  # c rounds to 1 from T ~ 2^53: nothing decodes
+    at_one[fits] = F(np.ones(fits.sum()), grid[fits])
     values, groups = {}, {}
     for i, timing in enumerate(timings):
-        if timing.is_delta:  # on a plateau (g0 = 1), decodable at every T: the shared F(1, T)
+        if timing.is_delta:  # on a plateau (g0 = 1), ok is `fits`: the shared F(1, T)
             g0 = hypothesis_weight(config, hypotheses, timing.offset)
             values[i], ok = np.zeros(len(grid)), g0 > c
-            values[i][ok] = (at_one if at_one is not None and g0 == 1.0 and ok.all()
-                             else F(np.full(np.count_nonzero(ok), g0), grid[ok]))
+            values[i][ok] = at_one[ok] if g0 == 1.0 else F(np.full(ok.sum(), g0), grid[ok])
         else:  # out-of-domain breakpoints split no piece
             jumps = [x for x in timing.breakpoints if -w < x < w] + [-w, w]
             cuts = {r for _, _, r in arms if r < e_max}  # finite reaches; each jump on each arm
             cuts.update(e for x, side, r in arms for j in jumps
                         if 0 < (e := side * (j - x)) < min(r, e_max))
             groups.setdefault(tuple(sorted(cuts)), []).append(i)
-    if groups:
-        anchor, sign, reach = np.array(arms).reshape(-1, 3).T[:, :, None, None]
+    anchor, sign, reach = np.array(arms).reshape(-1, 3).T[:, :, None, None]
     for cuts, members in groups.items():
         pts = np.minimum(np.array((0.0,) + cuts + (np.inf,))[:, None], spill)
         lo, width = pts[:-1], pts[1:] - pts[:-1]  # each (pieces, m); pads sit at E

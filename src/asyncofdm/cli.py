@@ -217,8 +217,9 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
         try:
             n1, n2, delta = args.hypotheses.split(",")
             changes["hypotheses"] = hypothesis_set(int(n1), int(n2), float(delta))
-        except ValueError:
-            raise ConfigError("--hypotheses expects N1,N2,DELTA")
+        except ValueError as exc:  # a set past the cap is named as the hypotheses section names it
+            raise ConfigError(f"--hypotheses: {exc}" if "MAX_HYPOTHESES" in str(exc)
+                              else "--hypotheses expects N1,N2,DELTA") from None
     if args.sigma_over_n is not None:
         try:
             changes["sweep_timings"] = tuple((s, cfg.timing_model(s))
@@ -314,8 +315,7 @@ def cmd_validate(cfg: RunConfig, args) -> int:
                  for sigma, tm, results in zip(sigmas, models, runs)]
     scenarios.append(("nearest sigma=0.2N", models[1], runs[1], simulation.estimate_nearest_prob))
 
-    rows = []
-    failed = False
+    rows, failed = [], False
     for (name, tm, results, mc_fn), analytic in zip(scenarios, values):
         est = mc_fn(cfg.network, tm, cfg.ofdm, cfg.sim, results=results)
         slack = max(est.ci_half_width, 0.02 * abs(analytic))

@@ -118,10 +118,8 @@ class OfdmConfig:
         object.__setattr__(self, "n_cp", _integer("n_cp", self.n_cp))
         used = self.used
         if not (ranged := type(used) is range and used.step == 1):  # else sorted ints, each once
-            used = tuple(used)
-            if set(map(type, used)) - {int}:  # bools, numpy and float integers: one at a time
-                used = (_integer("subcarrier", k) for k in used)
-        used = tuple(used if ranged else sorted(used))
+            used = sorted(_integer("subcarrier", k) for k in used)
+        used = tuple(used)
         object.__setattr__(self, "used", used)
         if self.n <= 0 or self.n_cp <= 0:
             raise ValueError("n and n_cp must be positive")
@@ -315,15 +313,12 @@ class PowerProfile:
     subcarriers: np.ndarray
     useful: np.ndarray
     total: np.ndarray
-    stderr_total: np.ndarray | None = None
+    stderr_total: np.ndarray  # zeros for an exact profile
 
     def to_csv(self, path) -> None:
-        stderr = self.stderr_total
-        if stderr is None:
-            stderr = np.zeros_like(self.total)
         _write_csv(path, ["subcarrier", "useful", "total", "stderr_total"],
-                   ([k, _fmt(u), _fmt(t), _fmt(s)] for k, u, t, s in zip(*(
-                       c.tolist() for c in (self.subcarriers, self.useful, self.total, stderr)))))
+                   ([k, _fmt(u), _fmt(t), _fmt(s)] for k, u, t, s in zip(*(c.tolist() for c in (
+                       self.subcarriers, self.useful, self.total, self.stderr_total)))))
 
     def sir_db(self, subcarrier: int) -> float:
         """Useful-to-self-interference ratio on one subcarrier, in dB."""
@@ -363,7 +358,7 @@ def analytic_power_profile(config: OfdmConfig, d: int) -> PowerProfile:
     e = min(max(-d, d - config.n_cp, 0), n)
     useful = np.full(len(used), ((n - e) / n) ** 2)
     total = ((n - e) ** 2 + e ** 2) / n ** 2 + 2.0 / n ** 2 * _ici_sum(config, e)
-    return PowerProfile(d, used, useful, total)
+    return PowerProfile(d, used, useful, total, np.zeros(len(used)))
 
 
 def _runs(index: np.ndarray) -> list[tuple[int, int, int]]:

@@ -108,11 +108,8 @@ def integrate_halfline(f, rtol=1e-9, breakpoints=()):
     bps = tuple(p / (1.0 + p) for p in breakpoints if p > 0)
 
     def g(u):
-        v = u / (1.0 - u)
         jac = 1.0 / (1.0 - u) ** 2
-        y = np.asarray(f(v))
-        if y.ndim == 2:
-            return y * jac[:, None]
-        return y * jac
+        y = np.asarray(f(u / (1.0 - u)))
+        return y * jac.reshape(jac.shape + (1,) * (y.ndim - 1))
 
     return integrate(g, 0.0, 1.0, rtol=rtol, breakpoints=(0.5, 0.9, 0.99) + bps)

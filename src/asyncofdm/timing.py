@@ -65,22 +65,20 @@ class TimingModel:
         out = np.where(inside, out, 0.0)
         return out if out.ndim else float(out)
 
-    def cdf(self, x):
-        """P(D <= x), elementwise, with x clipped to the domain: 0 below it, 1 above."""
-        x = np.minimum(np.maximum(np.asarray(x, dtype=float), -self.half_width), self.half_width)
+    def mass(self, lo: float, hi: float) -> float:
+        """P(lo < D <= hi), the ends clipped to the domain; a Gaussian's is read left of 0,
+        where its far tail does not cancel.  Raises for delta, as `density` does."""
         if self.kind == "delta":
-            return np.where(x >= self.offset, 1.0, 0.0)
+            raise ValueError("mass is for the continuous kinds, not a point mass")
+        mirror = self.kind == "truncated_gaussian" and lo + hi > 0.0
+        ends = np.array([-hi, -lo] if mirror else [lo, hi], dtype=float)
+        x = np.minimum(np.maximum(ends, -self.half_width), self.half_width)
         if self.kind == "uniform":
             with np.errstate(over="ignore"):  # widths near 1e-305 or below: inf, clipped to 1
-                return np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
-        a, z = self._gauss_mass
-        u = (x / self.sigma).ravel().tolist()
-        return np.array([(ndtr(v) - a) / z for v in u]).reshape(x.shape)
-
-    def mass(self, lo: float, hi: float) -> float:
-        """P(lo < D <= hi), read left of 0 for a Gaussian, where its far tail does not cancel."""
-        mirror = self.kind == "truncated_gaussian" and lo + hi > 0.0
-        below, upto = self.cdf([-hi, -lo] if mirror else [lo, hi])
+                below, upto = np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+        else:
+            a, z = self._gauss_mass
+            below, upto = ((ndtr(v) - a) / z for v in (x / self.sigma).tolist())
         return float(upto - below)
 
     def quantile(self, u):

@@ -485,6 +485,25 @@ def test_lambda_tilde_requires_finite_snr(cfg):
         lambda_tilde(params, tm.delta(0.0, _w(cfg)), cfg)
 
 
+def test_every_statistic_reads_0_where_t_over_1_plus_t_rounds_to_1(cfg):
+    # from T ~ 2^53 (about 159.5 dB) T/(1+T) rounds to 1, which no weight g <= 1 exceeds:
+    # nothing decodes there, and F(1, T) is not evaluated there
+    grid = [db_to_linear(150.0), 2.0 ** 53, db_to_linear(160.0), db_to_linear(170.0)]
+    assert [t / (1.0 + t) == 1.0 for t in grid] == [False, True, True, True]
+    params = budget_params(1.0 / 400.0 ** 2, 3.8, -12.0)
+    models = [tm.delta(0.0, _w(cfg)), tm.delta(80.0, _w(cfg)),
+              tm.truncated_gaussian(0.2 * 1024, _w(cfg)), tm.uniform(-100.0, 300.0, _w(cfg))]
+    for m in models:
+        assert [lambda_tilde(params.with_threshold(t), m, cfg) for t in grid[1:]] == [0.0] * 3
+    for each in (analytics.mean_decodable_each, analytics.nearest_decoding_prob_each):
+        for m, values in zip(models, each(params, models, cfg, thresholds=grid)):
+            assert values[1:].tolist() == [0.0] * 3, (each, m)
+            # 150 dB decodes on the plateau: its value is the one a grid without 160 dB gives
+            want = each(params, [m], cfg, thresholds=grid[:1])[0][0]
+            assert values[0] == pytest.approx(want, rel=1e-6)
+            assert (values[0] > 0.0) == (m is not models[1])  # the delta at 80 is off the plateau
+
+
 # ------------------------------------------------------- dominating distribution
 
 def test_distribution_support_and_mass(cfg):

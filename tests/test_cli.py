@@ -270,7 +270,8 @@ def test_an_out_of_reach_hypothesis_exits_2(tmp_path, capsys):
 def test_an_over_long_hypothesis_set_exits_2(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["hypotheses", f"--hypotheses={MAX_HYPOTHESES},0,0.001", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == (f"error: --hypotheses: {MAX_HYPOTHESES + 1} hypotheses "
+                                       f"exceed MAX_HYPOTHESES = {MAX_HYPOTHESES}\n")
     assert not out.exists()
     with pytest.raises(ConfigError, match="exceed MAX_HYPOTHESES"):
         load_config(_write(tmp_path, f"hypotheses: {{n1: {MAX_HYPOTHESES}, n2: 0, delta: 0.001}}"))
@@ -382,6 +383,19 @@ def test_throughput_command(tmp_path):
     optimal = [r for r in rows[1:] if r[0] == "optimal"]
     assert len(data) == 3 and len(optimal) == 1
     assert float(optimal[0][3]) == max(float(r[3]) for r in data)
+
+
+def test_a_sweep_past_2_53_reads_0_where_nothing_decodes(tmp_path):
+    # from T ~ 2^53 (about 159.5 dB) T/(1+T) rounds to 1: no transmitter decodes there
+    hi, lo = str(tmp_path / "hi.csv"), str(tmp_path / "lo.csv")
+    assert main(["nearest", "--sweep", "150:170:10", "--sigma-over-n", "0,0.2", "--out", hi]) == 0
+    assert main(["nearest", "--sweep", "140:150:10", "--sigma-over-n", "0,0.2", "--out", lo]) == 0
+    rows, below = _rows(hi)[1:], _rows(lo)[1:]
+    assert [r[:2] for r in rows] == [[t, s] for s in ("0", "0.2") for t in ("150", "160", "170")]
+    assert [r[2] for r in rows if r[0] != "150"] == ["0"] * 4
+    for row, ref in zip(rows[::3], below[1::2]):  # the 150 dB rows, as a sweep up to 150 dB
+        assert row[:2] == ref[:2] and float(row[2]) == pytest.approx(float(ref[2]), rel=1e-6)
+        assert float(row[2]) > 0.0
 
 
 def test_hypotheses_command(tmp_path):

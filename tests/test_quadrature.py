@@ -291,6 +291,34 @@ def test_integrate_matches_its_frozen_copy_bit_for_bit(f, a, b, kwargs):
     assert _outcome(integrate, f, a, b, **kwargs) == _outcome(_frozen_integrate, f, a, b, **kwargs)
 
 
+def _frozen_integrate_halfline(f, rtol=1e-9, breakpoints=()):
+    """Frozen copy of `integrate_halfline` with its Jacobian applied by the integrand's rank."""
+    bps = tuple(p / (1.0 + p) for p in breakpoints if p > 0)
+
+    def g(u):
+        v = u / (1.0 - u)
+        jac = 1.0 / (1.0 - u) ** 2
+        y = np.asarray(f(v))
+        if y.ndim == 2:
+            return y * jac[:, None]
+        return y * jac
+
+    return integrate(g, 0.0, 1.0, rtol=rtol, breakpoints=(0.5, 0.9, 0.99) + bps)
+
+
+@pytest.mark.parametrize("f, kwargs", [
+    (lambda v: np.exp(-v), {}),
+    (lambda v: v * np.exp(-v) * np.cos(3.0 * v), {"rtol": 1e-12, "breakpoints": (2.0, 7.5)}),
+    (lambda v: np.exp(-np.outer(v, [1.0, 2.0, 0.1])), {}),
+    (lambda v: np.exp(-0.5 * np.outer(v, [1.0, 4.0]) ** 1.9), {"rtol": 1e-6,
+                                                                "breakpoints": (1.0,)}),
+])
+def test_integrate_halfline_matches_its_frozen_copy_bit_for_bit(f, kwargs):
+    # 1-D and 2-D integrands: the same abscissae, values and error estimates
+    assert (_outcome(integrate_halfline, f, **kwargs)
+            == _outcome(_frozen_integrate_halfline, f, **kwargs))
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from asyncofdm import _special
 from asyncofdm.quadrature import integrate
 from asyncofdm.timing import MAX_SIGMA_OVER_HALF_WIDTH, delta, truncated_gaussian, uniform
 
@@ -142,31 +143,37 @@ CDF_MODELS += [uniform(-1024.0, 72.0, W), uniform(5.0, 60.0, W), uniform(-W, W, 
                uniform(W - 40.0, W, W)]
 
 
+def _cdf_by_mass(m, x):
+    """P(D <= x) as the model's own `mass(-W, x)`, elementwise over a sequence x."""
+    return np.array([m.mass(-W, v) for v in np.atleast_1d(x).tolist()])
+
+
 @pytest.mark.parametrize("m", CDF_MODELS, ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
 def test_cdf_is_the_integral_of_the_density(m):
     xs = [-1000.0, -300.0, -3.0, -0.5, 0.0, 3.0, 72.0, 500.0, W - 20.0]
     for x in xs:
-        if m.cdf(x) < 1e-9:  # a far tail, too small to scale integrate's tolerance: scipy's below
+        if m.mass(-W, x) < 1e-9:  # a far tail, too small to scale integrate's rtol: scipy's below
             continue
         val, _ = integrate(m.density, -W, x, rtol=1e-13,
                            breakpoints=[b for b in m.breakpoints if -W < b < x])
-        assert abs(m.cdf(x) - val) <= 1e-12, x
-    np.testing.assert_allclose(m.cdf(xs), _cdf(m, xs), rtol=0.0, atol=1e-12)
+        assert abs(m.mass(-W, x) - val) <= 1e-12, x
+    np.testing.assert_allclose(_cdf_by_mass(m, xs), _cdf(m, xs), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("m", CDF_MODELS, ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
 def test_cdf_edges_monotone_and_inverse_of_quantile(m):
-    assert m.cdf(-W) == 0.0 and m.cdf(W) == 1.0
-    assert m.cdf(-5000.0) == 0.0 and m.cdf(5000.0) == 1.0
-    c = m.cdf(np.linspace(-W - 50.0, W + 50.0, 4001))
+    assert m.mass(-W, -W) == 0.0 and m.mass(-W, W) == 1.0
+    assert m.mass(-W, -5000.0) == 0.0 and m.mass(-W, 5000.0) == 1.0
+    c = _cdf_by_mass(m, np.linspace(-W - 50.0, W + 50.0, 4001))
     assert np.all(np.diff(c) >= 0.0)
     u = np.linspace(0.0, 1.0, 1001)
-    assert np.max(np.abs(m.cdf(m.quantile(u)) - u)) <= 1e-12
+    assert np.max(np.abs(_cdf_by_mass(m, m.quantile(u)) - u)) <= 1e-12
 
 
-def test_delta_cdf_is_a_step():
-    m = delta(5.0, W)
-    assert m.cdf(4.999) == 0.0 and m.cdf(5.0) == 1.0 and m.cdf(-W) == 0.0
+def test_delta_mass_raises():
+    # the engines take a delta's plateau weight from its offset, never from `mass`
+    with pytest.raises(ValueError, match="point mass"):
+        delta(5.0, W).mass(-W, W)
 
 
 def test_mass_holds_a_gaussian_tail_on_either_side():
@@ -183,3 +190,54 @@ def test_mass_holds_a_gaussian_tail_on_either_side():
     assert 0.0 < m.mass(1050.0, W) < 1e-24
     flat = uniform(-W, 0.0, W)
     assert flat.mass(-W, -W / 2) == pytest.approx(0.5, rel=1e-15) and flat.mass(10.0, 20.0) == 0.0
+
+
+def _frozen_mass(m, lo, hi):
+    """`TimingModel.mass` as it was, a difference of two values of the model's former `cdf`."""
+    def cdf(x):
+        x = np.minimum(np.maximum(np.asarray(x, dtype=float), -m.half_width), m.half_width)
+        if m.kind == "uniform":
+            with np.errstate(over="ignore"):
+                return np.minimum(np.maximum((x - m.lo) / (m.hi - m.lo), 0.0), 1.0)
+        a, z = m._gauss_mass
+        u = (x / m.sigma).ravel().tolist()
+        return np.array([(_special.ndtr(v) - a) / z for v in u]).reshape(x.shape)
+
+    mirror = m.kind == "truncated_gaussian" and lo + hi > 0.0
+    below, upto = cdf([-hi, -lo] if mirror else [lo, hi])
+    return float(upto - below)
+
+
+@pytest.mark.parametrize("m", CDF_MODELS + [uniform(0.0, 1e-300, W), uniform(-W, -W + 1e-12, W)],
+                         ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
+def test_mass_matches_its_frozen_copy_bit_for_bit(m):
+    ends = [-5000.0, -W, -1050.0, -72.0, -0.0, 0.0, 1e-300, 36.0, 72.0, 1050.0, W, 5000.0]
+    for lo in ends:
+        for hi in ends:
+            assert m.mass(lo, hi).hex() == _frozen_mass(m, lo, hi).hex(), (lo, hi)
+
+
+try:
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    _ENDS = st.floats(-3.0 * W, 3.0 * W)  # beyond the domain on both sides
+
+    def _uniform(lo, width):
+        hi = min(lo + width, W)
+        assume(lo < hi and 1.0 / (hi - lo) < np.inf)  # the constructor's own condition
+        return uniform(lo, hi, W)
+
+    # widths down to the narrowest with a finite density, near 0 and a few ulps of lo elsewhere
+    _UNIFORMS = st.builds(_uniform, st.floats(-W, W) | st.floats(-1e-290, 1e-290),
+                          st.floats(5.6e-309, 1e-290) | st.floats(1e-12, 2.0 * W))
+
+    @given(st.floats(0.5, 2000.0).map(lambda s: truncated_gaussian(s, W)) | _UNIFORMS,
+           _ENDS, _ENDS)
+    @settings(max_examples=300, deadline=None)
+    def test_mass_matches_its_frozen_copy_property(m, a, b):
+        lo, hi = min(a, b), max(a, b)
+        for ends in ((lo, hi), (-hi, -lo)):  # and the mirror image
+            assert m.mass(*ends).hex() == _frozen_mass(m, *ends).hex(), ends
+except ImportError:  # pragma: no cover - property tests are optional extras
+    pass
