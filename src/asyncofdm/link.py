@@ -33,15 +33,14 @@ __all__ = [
     "empirical_power_profile",
 ]
 
-# trials per accumulation group in empirical_power_profile.  A group's powers are summed
-# down its (group, K) columns in numpy's pairwise order (`_pairwise_sum`), its cross
-# products row by row from one `y * np.conj(current)`, which numpy may evaluate in place in
-# the conj temporary, operands swapped: this size and those orders fix the output bits.
+# trials per accumulation group in empirical_power_profile, and per generator: group j
+# draws from default_rng([seed, j]).  A group's powers and cross products are summed row
+# by row (np.add.reduce down axis 0) from real products, whose rounding no SIMD dispatch
+# changes: this size and that order fix the output bits.
 _TRIAL_BLOCK = 64
-# trials per transform batch within a group; keeps the FFT work in cache
+# trials per transform batch within a group; keeps the FFT work in cache.  A batch takes
+# the group's next draws in one call, so the bits do not depend on it.
 _FFT_BATCH = 8
-# trials per seeding pass in _trial_generators; amortises its ~50 array calls
-_SEED_CHUNK = 1024
 
 
 def _integer(name: str, value) -> int:
@@ -63,46 +62,6 @@ def _write_csv(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _hashmix(v: np.ndarray, k: int, rows: int, c: int = 0x43b0d7e5, mult: int = 0x931e8875):
-    """numpy SeedSequence's hashmix as its calls k ... k + rows - 1, one per row of v."""
-    h = [c * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(k, k + rows + 1)]
-    h = np.array(h, np.uint32)[:, None]
-    v = (v ^ h[:-1]) * h[1:]
-    return v ^ v >> 16
-
-
-def _trial_generators(seed: int, lo: int, hi: int):
-    """Yield, for t = lo ... hi-1, one reused Generator re-seated to the exact state of
-    `default_rng([seed, t])`, so with no buffered 32-bit half-word: SeedSequence as uint32
-    arrays per chunk, PCG64 seeding in Python ints.  Finish a trial's draws before the next."""
-    rng = np.random.Generator(np.random.PCG64())
-    pcg = {"state": 0, "inc": 0}  # one state dict, re-filled per trial
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
-    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    while lo < hi:
-        t_words = -(-max(lo.bit_length(), 1) // 32)  # 32-bit words; constant over a chunk
-        stop = min(lo + _SEED_CHUNK, hi, 1 << 32 * t_words)
-        t = np.arange(lo, stop, dtype=object) >> np.arange(0, 32 * t_words, 32)[:, None]
-        entropy = np.zeros((max(len(seed_words) + t_words, 4), stop - lo), np.uint32)
-        entropy[:len(seed_words)] = np.array(seed_words)[:, None]
-        entropy[len(seed_words):len(seed_words) + t_words] = t & 0xFFFFFFFF
-        pool, k = _hashmix(entropy[:4], 0, 4), 4
-        for s in range(len(entropy)):  # each pool word into the others, then extra words
-            dst = [d for d in range(4) if d != s]
-            h = _hashmix(pool[s] if s < 4 else entropy[s], k, len(dst))
-            r = np.uint32(0xca01f9dd) * pool[dst] - np.uint32(0x4973f715) * h
-            pool[dst], k = r ^ r >> 16, k + len(dst)
-        w = _hashmix(pool[[0, 1, 2, 3] * 2], 0, 8, 0x8b51f9dd, 0x58f38ded)  # generate_state
-        for row in np.ascontiguousarray(w.T, "<u4").view("<u8"):  # no chunk-long list of ints
-            s0, s1, i0, i1 = row.tolist()
-            pcg["inc"] = inc = (i0 << 65 | i1 << 1 | 1) & (1 << 128) - 1
-            mixed = (inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
-            pcg["state"] = mixed & (1 << 128) - 1
-            rng.bit_generator.state = state
-            yield rng
-        lo = stop
 
 
 @dataclass(frozen=True)
@@ -170,8 +129,9 @@ def _qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _qpsk_indices(words: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """`integers(0, 4, size=shape)` of a generator with no buffered half-word, per row of its
-    raw PCG64 `words`: the top two bits of each 32-bit half, low half first."""
+    """QPSK indices of `shape` per row of raw PCG64 `words`: the top two bits of each 32-bit
+    half, low half first, as `integers(0, 4)` reads them on a generator with no buffered
+    half-word."""
     halves = words.view("<u4")[..., :shape[0] * shape[1]]  # words are "<u8"
     return (halves >> 30).reshape(*words.shape[:-1], *shape)
 
@@ -185,15 +145,13 @@ def _gaussian_symbols(rng: np.random.Generator, shape) -> np.ndarray:
     return _gaussian_pairs(rng.standard_normal((*shape[:-1], 2, shape[-1])))
 
 
-# per alphabet, for empirical_power_profile: the shape and dtype of one trial's raw draw of
-# a (rows, k) symbol block, that draw into one row of a batch buffer, the batch's draws
-# indexed by symbol row, and the map of one such row onto symbols
+# per alphabet, for empirical_power_profile: a group generator's next b trials' draws of
+# (rows, k) symbol blocks, indexed [trial, row], and the map of one such row onto symbols
 _ALPHABETS = {
-    "qpsk": (lambda rows, k: (-(-rows * k // 2),), "<u8",
-             lambda rng, out: np.copyto(out, rng.bit_generator.random_raw(len(out))),
-             _qpsk_indices, lambda idx, out: np.take(_QPSK, idx, out=out, mode="clip")),
-    "gaussian": (lambda rows, k: (rows, 2, k), float,
-                 lambda rng, out: rng.standard_normal(out=out), lambda z, shape: z, _gaussian_pairs),
+    "qpsk": (lambda rng, b, rows, k: _qpsk_indices(rng.bit_generator.random_raw(
+                 b * -(-rows * k // 2)).reshape(b, -1).astype("<u8", copy=False), (rows, k)),
+             lambda idx, out: np.take(_QPSK, idx, out=out, mode="clip")),
+    "gaussian": (lambda rng, b, rows, k: rng.standard_normal((b, rows, 2, k)), _gaussian_pairs),
 }
 
 
@@ -367,27 +325,16 @@ def _runs(index: np.ndarray) -> list[tuple[int, int, int]]:
     return [(a, b, int(index[a])) for a, b in zip(cuts, cuts[1:])]
 
 
-def _pairwise_sum(p: np.ndarray) -> np.ndarray:
-    """p.sum(axis=0) in numpy's order down a contiguous column of at most 128 entries:
-    eight interleaved accumulators, a fixed tree over them, then the tail in turn."""
-    head = len(p) // 8 * 8
-    r = p[:8].copy()
-    for i in range(8, head, 8):
-        r += p[i:i + 8]
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) if head else r[0]
-    for row in p[head or 1:]:
-        out += row
-    return out
-
-
 def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
                             alphabet: str = "qpsk") -> PowerProfile:
     """Monte Carlo per-subcarrier powers averaged over random symbol streams.
 
     The useful power is estimated from the correlation of the output with the desired
     symbol, |mean Y[l] conj(S[l;m])|^2, which is independent of the analytic per-regime
-    decomposition.  Deterministic per (seed, trial).  Each trial's freshly seated generator
-    draws only its raw words or normals; a batch maps the rows it reads onto symbols.
+    decomposition.  Deterministic per (seed, 64-trial group): group j draws from
+    `default_rng([seed, j])`, trial after trial, so the first M trials of a run are those
+    of an M-trial run.  A batch takes its trials' raw words or normals in one call and maps
+    the rows it reads onto symbols.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
@@ -406,20 +353,17 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     gather_runs = _runs(np.concatenate([i * n + (np.arange(p.start, p.stop) - config.n_cp) % n
                                         for i, (_, p) in enumerate(pieces)]))
     other = [r for r in read if r != 1]  # the one row besides m a regime may read
-    shape, dtype, draw, by_row, symbols = _ALPHABETS[alphabet]
-    raw = np.empty((_FFT_BATCH, *shape(rows, k)), dtype)
+    draw, symbols = _ALPHABETS[alphabet]
     sym, window = np.empty((_FFT_BATCH, k), complex), np.empty((_FFT_BATCH, n), complex)
     grid = np.zeros((_FFT_BATCH, len(pieces), n), dtype=complex)
     y, current = np.empty((2, _TRIAL_BLOCK, k), dtype=complex)  # outputs, symbols of m
-    total_sum, total_sq, cross = np.zeros(k), np.zeros(k), np.zeros(k, dtype=complex)
-    rngs = _trial_generators(seed, 0, trials)
+    total_sum, total_sq, cross_re, cross_im = np.zeros((4, k))
     for first in range(0, trials, _TRIAL_BLOCK):
         g = min(_TRIAL_BLOCK, trials - first)
+        rng = np.random.default_rng([seed, first // _TRIAL_BLOCK])
         for lo in range(0, g, _FFT_BATCH):
             b = min(_FFT_BATCH, g - lo)
-            for out in raw[:b]:
-                draw(next(rngs), out)
-            drawn = by_row(raw[:b], (rows, k))
+            drawn = draw(rng, b, rows, k)
             symbols(drawn[:, 1], current[lo:lo + b])
             for r in other:
                 symbols(drawn[:, r], sym[:b])
@@ -433,11 +377,13 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
             spectrum = np.fft.fft(window[:b], axis=-1)
             for a, e, at in used_runs:
                 y[lo:lo + b, a:e] = spectrum[:, at:at + e - a]
-        p = np.abs(y[:g]) ** 2
-        total_sum += _pairwise_sum(p)
-        total_sq += _pairwise_sum(p ** 2)
-        cross += (y[:g] * np.conj(current[:g])).sum(axis=0)  # see _TRIAL_BLOCK
+        yr, yi, cr, ci = y[:g].real, y[:g].imag, current[:g].real, current[:g].imag
+        p = yr * yr + yi * yi
+        total_sum += np.add.reduce(p, axis=0)
+        total_sq += np.add.reduce(p * p, axis=0)
+        cross_re += np.add.reduce(yr * cr + yi * ci, axis=0)  # y conj(current)
+        cross_im += np.add.reduce(yi * cr - yr * ci, axis=0)
     total = total_sum / trials
     stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
-    useful = np.abs(cross / trials) ** 2
+    useful = (cross_re / trials) ** 2 + (cross_im / trials) ** 2
     return PowerProfile(d, config.used_array(), useful, total, stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import CountDistribution
-from .link import OfdmConfig, _fmt, _integer, _trial_generators, _write_csv
+from .link import OfdmConfig, _fmt, _integer, _write_csv
 from .sinr import NetworkParams, NetworkSnapshot, _check_positive, _sinr, snapshot_sinr_all
 from .timing import TimingModel, _check_domain
 
@@ -33,6 +33,50 @@ __all__ = [
     "estimate_distribution",
     "estimate_nearest_prob",
 ]
+
+
+# trials per seeding pass in _trial_generators; amortises its ~50 array calls
+_SEED_CHUNK = 1024
+
+
+def _hashmix(v: np.ndarray, k: int, rows: int, c: int = 0x43b0d7e5, mult: int = 0x931e8875):
+    """numpy SeedSequence's hashmix as its calls k ... k + rows - 1, one per row of v."""
+    h = [c * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(k, k + rows + 1)]
+    h = np.array(h, np.uint32)[:, None]
+    v = (v ^ h[:-1]) * h[1:]
+    return v ^ v >> 16
+
+
+def _trial_generators(seed: int, lo: int, hi: int):
+    """Yield, for t = lo ... hi-1, one reused Generator re-seated to the exact state of
+    `default_rng([seed, t])`, so with no buffered 32-bit half-word: SeedSequence as uint32
+    arrays per chunk, PCG64 seeding in Python ints.  Finish a trial's draws before the next."""
+    rng = np.random.Generator(np.random.PCG64())
+    pcg = {"state": 0, "inc": 0}  # one state dict, re-filled per trial
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": pcg}
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    while lo < hi:
+        t_words = -(-max(lo.bit_length(), 1) // 32)  # 32-bit words; constant over a chunk
+        stop = min(lo + _SEED_CHUNK, hi, 1 << 32 * t_words)
+        t = np.arange(lo, stop, dtype=object) >> np.arange(0, 32 * t_words, 32)[:, None]
+        entropy = np.zeros((max(len(seed_words) + t_words, 4), stop - lo), np.uint32)
+        entropy[:len(seed_words)] = np.array(seed_words)[:, None]
+        entropy[len(seed_words):len(seed_words) + t_words] = t & 0xFFFFFFFF
+        pool, k = _hashmix(entropy[:4], 0, 4), 4
+        for s in range(len(entropy)):  # each pool word into the others, then extra words
+            dst = [d for d in range(4) if d != s]
+            h = _hashmix(pool[s] if s < 4 else entropy[s], k, len(dst))
+            r = np.uint32(0xca01f9dd) * pool[dst] - np.uint32(0x4973f715) * h
+            pool[dst], k = r ^ r >> 16, k + len(dst)
+        w = _hashmix(pool[[0, 1, 2, 3] * 2], 0, 8, 0x8b51f9dd, 0x58f38ded)  # generate_state
+        for row in np.ascontiguousarray(w.T, "<u4").view("<u8"):  # no chunk-long list of ints
+            s0, s1, i0, i1 = row.tolist()
+            pcg["inc"] = inc = (i0 << 65 | i1 << 1 | 1) & (1 << 128) - 1
+            mixed = (inc + (s0 << 64 | s1)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+            pcg["state"] = mixed & (1 << 128) - 1
+            rng.bit_generator.state = state
+            yield rng
+        lo = stop
 
 
 @dataclass(frozen=True)

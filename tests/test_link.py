@@ -22,15 +22,8 @@ from asyncofdm.link import (
     qpsk_stream,
     receive_window,
 )
-from asyncofdm.link import (
-    _SEED_CHUNK,
-    _integer,
-    _gaussian_symbols,
-    _ici_sum,
-    _pairwise_sum,
-    _qpsk_symbols,
-    _window_pieces,
-)
+from asyncofdm import link
+from asyncofdm.link import _integer, _ici_sum, _window_pieces
 from asyncofdm.sinr import cp_weight
 
 
@@ -116,12 +109,18 @@ def _reference_ici_sum(config, width):
 
 
 def _reference_empirical(config, d, trials, seed, alphabet):
-    """One seeded stream, window and DFT per trial; returns useful, total, stderr."""
+    """One stream, window and DFT per trial, the streams of each 64-trial group drawn in
+    turn from one `default_rng([seed, group])`; returns useful, total, stderr."""
+    indices = (-1, 0, 1) if d < 0 else (-1, 0)  # draws stop at the last symbol read
     used_mod = config.used_array() % config.n
     k = len(config.used)
     total_sum, total_sq, cross = np.zeros(k), np.zeros(k), np.zeros(k, dtype=complex)
     for t in range(trials):
-        stream = _reference_stream(config, (-1, 0, 1), np.random.default_rng([seed, t]), alphabet)
+        if t % 64 == 0:
+            rng = np.random.default_rng([seed, t // 64])
+        stream = _reference_stream(config, indices, rng, alphabet)
+        if alphabet == "qpsk" and len(indices) * k % 2:
+            rng.integers(0, 4)  # a trial's raw words end on a whole 64-bit word
         y = np.fft.fft(_reference_receive_window(config, stream, d, 0))[used_mod]
         p = np.abs(y) ** 2
         total_sum += p
@@ -132,34 +131,59 @@ def _reference_empirical(config, d, trials, seed, alphabet):
     return np.abs(cross / trials) ** 2, total, stderr
 
 
+def _group_symbols(config, d, seed, group, alphabet):
+    """The symbols m-1, m (and m+1 when d < 0, the last symbol the window reads) of all 64
+    trials of one group, drawn trial after trial from `default_rng([seed, group])`: per
+    trial the top two bits of each 32-bit half of whole raw words, low half first, for
+    QPSK; normal pairs for the Gaussian alphabet."""
+    rows, k = 3 if d < 0 else 2, len(config.used)
+    rng = np.random.default_rng([seed, group])
+    if alphabet == "qpsk":
+        words = rng.bit_generator.random_raw(64 * -(-rows * k // 2)).reshape(64, -1)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=-1).reshape(64, -1)
+        index = (halves[:, :rows * k] >> 30).reshape(64, rows, k)
+        return np.exp(1j * (np.pi / 4 + np.pi / 2 * index))
+    z = rng.standard_normal((64, rows, 2, k))
+    return (z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0)
+
+
+def _row_sum(a):
+    """a's rows added in turn: the order of np.add.reduce(axis=0) on a C-ordered array,
+    which `.sum(axis=0)` leaves for pairwise sums down a contiguous column."""
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
+    return out
+
+
 def _frozen_empirical(config, d, trials, seed, alphabet):
     """One-block empirical_power_profile: each 64-trial group is drawn, transformed
-    and reduced at once.  Returns useful, total, stderr; the library's bits must match."""
-    draw = _qpsk_symbols if alphabet == "qpsk" else _gaussian_symbols
+    and reduced at once, a short last group taking the first trials of a full one.
+    Returns useful, total, stderr; the library's bits must match."""
     pieces = _window_pieces(config, d)
     read = [1 + s for s, _ in pieces]
     used_mod = config.used_array() % config.n
     k = len(config.used)
-    total_sum = np.zeros(k)
-    total_sq = np.zeros(k)
-    cross = np.zeros(k, dtype=complex)
+    total_sum, total_sq, cross_re, cross_im = np.zeros((4, k))
     for first in range(0, trials, 64):
-        block = range(first, min(first + 64, trials))
-        syms = np.stack([draw(np.random.default_rng([seed, t]), (3, k)) for t in block])
-        grid = np.zeros((len(block), len(pieces), config.n), dtype=complex)
+        g = min(64, trials - first)
+        syms = _group_symbols(config, d, seed, first // 64, alphabet)[:g]
+        grid = np.zeros((g, len(pieces), config.n), dtype=complex)
         grid[..., used_mod] = syms[:, read]
         body = np.fft.ifft(grid, axis=-1)
         samples = np.concatenate([body[..., -config.n_cp:], body], axis=-1)
         window = np.concatenate([samples[:, i, piece] for i, (_, piece) in enumerate(pieces)],
                                 axis=-1)
         y = np.fft.fft(window, axis=-1)[:, used_mod]
-        p = np.abs(y) ** 2
-        total_sum += p.sum(axis=0)
-        total_sq += (p ** 2).sum(axis=0)
-        cross += (y * np.conj(syms[:, 1])).sum(axis=0)
+        yr, yi, cr, ci = y.real, y.imag, syms[:, 1].real, syms[:, 1].imag
+        p = yr * yr + yi * yi  # real arithmetic
+        total_sum += _row_sum(p)
+        total_sq += _row_sum(p * p)
+        cross_re += _row_sum(yr * cr + yi * ci)
+        cross_im += _row_sum(yi * cr - yr * ci)
     total = total_sum / trials
-    var = np.maximum(total_sq / trials - total ** 2, 0.0)
-    return np.abs(cross / trials) ** 2, total, np.sqrt(var / trials)
+    var = np.maximum(total_sq / trials - total * total, 0.0)
+    return (cross_re / trials) ** 2 + (cross_im / trials) ** 2, total, np.sqrt(var / trials)
 
 
 def _rel_to_max(a, ref):
@@ -506,6 +530,17 @@ def test_streams_unchanged(cfg, small_cfg, alphabet):
 @pytest.mark.parametrize("d", [-1090, -300, 40, 200])  # regimes 1, 2, 3, 4
 @pytest.mark.parametrize("trials", [1, 130])
 def test_empirical_profile_matches_per_trial_loop(cfg, alphabet, d, trials):
+    _assert_matches_per_trial_loop(cfg, d, trials, alphabet)
+
+
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+@pytest.mark.parametrize("d", [-70, -30, 40])
+def test_empirical_profile_with_odd_symbol_blocks_matches_per_trial_loop(alphabet, d):
+    # 5 subcarriers: an early trial's 15 QPSK indices end half-way through a raw word
+    _assert_matches_per_trial_loop(OfdmConfig(64, 8, (-20, -3, 0, 1, 7)), d, 130, alphabet)
+
+
+def _assert_matches_per_trial_loop(cfg, d, trials, alphabet):
     prof = empirical_power_profile(cfg, d, trials=trials, seed=3, alphabet=alphabet)
     useful, total, stderr = _reference_empirical(cfg, d, trials, 3, alphabet)
     # relative to each array's max: regime-1 useful power is noise around 0
@@ -589,11 +624,11 @@ def test_empirical_profile_bitwise_equals_frozen_reference(config, alphabet):
             assert np.array_equal(prof.stderr_total, stderr), (d, trials)
 
 
-def test_empirical_profile_across_seeding_chunks_equals_frozen_reference():
-    # more trials than one seeding pass of _trial_generators
+def test_empirical_profile_over_many_groups_equals_frozen_reference():
+    # 17 groups, each from its own generator, the last one short; a seed past 2**64
     config = OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19))
     for d, alphabet in ((-30, "qpsk"), (70, "gaussian")):
-        trials = _SEED_CHUNK + 3
+        trials = 16 * 64 + 3
         prof = empirical_power_profile(config, d, trials, seed=2 ** 64 + 7, alphabet=alphabet)
         useful, total, stderr = _frozen_empirical(config, d, trials, 2 ** 64 + 7, alphabet)
         assert np.array_equal(prof.useful, useful)
@@ -601,14 +636,18 @@ def test_empirical_profile_across_seeding_chunks_equals_frozen_reference():
         assert np.array_equal(prof.stderr_total, stderr)
 
 
-def test_pairwise_sum_equals_numpy_column_sum():
-    # numpy sums each contiguous column of an F-ordered array pairwise; the helper
-    # reproduces that order on a C-ordered array, over a wide dynamic range and signs
-    rng = np.random.default_rng(18)
-    for group in range(1, 65):
-        p = rng.standard_normal((group, 37)) * 10.0 ** rng.uniform(-150, 150, (group, 37))
-        want = np.asfortranarray(p).sum(axis=0)
-        assert _pairwise_sum(np.ascontiguousarray(p)).tobytes() == want.tobytes(), group
+@pytest.mark.parametrize("d, alphabet", [(-30, "qpsk"), (-70, "qpsk"), (70, "gaussian")])
+def test_empirical_profile_bits_do_not_depend_on_the_transform_batch(monkeypatch, d, alphabet):
+    # a batch takes its group's next draws in one call, so any batch size gives the
+    # frozen reference's bits; 5 subcarriers make an early QPSK trial's block odd
+    config = OfdmConfig(64, 8, (-20, -3, 0, 1, 7))
+    for trials in range(1, 130):
+        want = _frozen_empirical(config, d, trials, 11, alphabet)
+        for batch in (1, 3, 8):
+            monkeypatch.setattr(link, "_FFT_BATCH", batch)
+            prof = empirical_power_profile(config, d, trials, seed=11, alphabet=alphabet)
+            got = prof.useful, prof.total, prof.stderr_total
+            assert all(map(np.array_equal, got, want)), (trials, batch)
 
 
 def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
@@ -625,16 +664,19 @@ def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
 
 
 # sha256 of the link-profile CSVs (--trials 130 --seed 3) and of the bytes of
-# one Gaussian-alphabet profile's useful, total and stderr arrays, recorded at
-# commit 59664cc, before the link engine batched its transforms by 8 trials.
+# one Gaussian-alphabet profile's useful, total and stderr arrays, recorded when
+# the link engine took one generator per 64-trial group and real arithmetic.
+# They are the same with numpy's SIMD dispatch held to the x86-64-v2 baseline
+# (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR") as with AVX2
+# or AVX-512.
 LINK_PROFILE_DIGESTS = {
-    -300: "a95db6194df39e854f92fe28f29e98f11b3bb9b14732845a6bf88efb9b8200a8",
-    -6: "b3e6413c041556439657bad5c3f15492c3b7f56a4150437bf337239516e10a23",
-    50: "784f153132286736a285e52411c1f39285b32400b8ceebc800fcab6d3f1f2993",
-    78: "1199bac91f9603d519c3d4c958e2627b91d913dc73b55614662a31690da58bb4",
-    200: "881595afdad4ec5c8be19f48d0de388beb062f52cc59db6e4fe76552b9ea3901",
+    -300: "1df3538da8a6011469b0dd3512b6b1e7303d66284bc5c5b79f7cc325f21d7641",
+    -6: "ada59de748a71a693ac58198acbdce3ea3f9ee4c3f4d2cb71b9ffb84cf617086",
+    50: "5a76be71aa59d71cec06fafb0c63a8110519dbda80347c139f4eaf0d1cd31a56",
+    78: "5ef03ba756a6cd12e84275baf3efaf7b9ca88ccff5f4782194856f1c58b19662",
+    200: "49755b17df71a5b064e7f0ee9b47e44cf24ee584a6fb57096f3756738997f096",
 }
-GAUSSIAN_PROFILE_DIGEST = "0110b7b70830eeaecf1ed030351d76e49e0900294d568e6f545ede72b9c3d684"
+GAUSSIAN_PROFILE_DIGEST = "08b56af7365a0d7641ecf26a7ea07d3f63874e95588b1ee655946bbb8d945e63"
 
 
 @pytest.mark.parametrize("offset", sorted(LINK_PROFILE_DIGESTS))

@@ -1,12 +1,12 @@
 """Each trial's generator has exactly `default_rng([seed, t])`'s state.
 
-`link._trial_generators` runs numpy's SeedSequence mix and PCG64's seeding step
-for a chunk of trials at once and re-seats one reused Generator per trial.  These
-tests hold it, and the engines that draw from it, to fresh `default_rng`
-generators, which stay the reference.  They also pin the two draw identities the
-engines rest on: `link._qpsk_indices`, read per batch from each trial's raw PCG64
-words, equals `integers(0, 4)`, and `standard_exponential` equals
-`exponential(1.0)`.  All of
+`simulation._trial_generators` runs numpy's SeedSequence mix and PCG64's seeding step
+for a chunk of trials at once and re-seats one reused Generator per trial; the Monte
+Carlo engine is its only user.  These tests hold it, and the engine that draws from
+it, to fresh `default_rng` generators, which stay the reference.  They also pin two
+draw identities: `link._qpsk_indices`, the link engine's map of raw PCG64 words onto
+QPSK indices, gives what `integers(0, 4)` draws from a generator with no buffered
+half-word, and `standard_exponential` equals `exponential(1.0)`.  All of
 this depends only on numpy's documented seeding and sampling algorithms, so CI
 also runs this file alone on the oldest supported numpy.
 """
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncofdm import timing as tm
-from asyncofdm.link import _ALPHABETS, _QPSK, _SEED_CHUNK, _qpsk_indices, _trial_generators
-from asyncofdm.simulation import SimSpec, sample_snapshot
+from asyncofdm.link import _ALPHABETS, _QPSK, _qpsk_indices
+from asyncofdm.simulation import _SEED_CHUNK, SimSpec, _trial_generators, sample_snapshot
 from tests.conftest import budget_params, frozen_snapshot
 
 SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 + 5]
@@ -96,36 +96,26 @@ def _paired_generators(seed, lo, hi):
     return zip(range(lo, hi), _trial_generators(seed, lo, hi), _trial_generators(seed, lo, hi))
 
 
-def _words(rng, shape):
-    """One trial's raw draw as the link engine takes it."""
-    raw_shape, dtype, draw, _, _ = _ALPHABETS["qpsk"]
-    out = np.empty(raw_shape(*shape), dtype)
-    draw(rng, out)
-    return out
-
-
 def _assert_qpsk_indices_match(seed, lo, hi, shape):
     words, wants = [], []
     for t, rng, ref in _paired_generators(seed, lo, hi):  # each generator is reused
-        words.append(_words(rng, shape))
+        words.append(rng.bit_generator.random_raw(-(-shape[0] * shape[1] // 2)))
         wants.append(ref.integers(0, 4, size=shape))
         # the same 64-bit words consumed; only integers' buffered half may differ
         assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
     words = np.stack(words)  # one batch
-    _, _, _, by_row, to_symbols = _ALPHABETS["qpsk"]
-    indices = by_row(words, shape)
+    indices = _qpsk_indices(words, shape)
+    draw, to_symbols = _ALPHABETS["qpsk"]
     symbols = np.empty((len(words), *shape), dtype=complex)
     for r in range(shape[0]):  # the engine maps one symbol row of a batch at a time
         to_symbols(indices[:, r], symbols[:, r])
     for t, got, row_symbols, want in zip(range(lo, hi), indices, symbols, wants):
         assert got.shape == want.shape and np.array_equal(got, want), (seed, t, shape)
         assert row_symbols.tobytes() == _QPSK[want].tobytes()
-    # and no state leaks into the next trial
-    rngs = _trial_generators(seed, lo, hi + 1)
-    for t, rng in zip(range(lo, hi + 1), rngs):
-        fresh = np.random.default_rng([seed, t])
-        got = _qpsk_indices(_words(rng, shape), shape)  # a single trial, no batch axis
-        assert np.array_equal(got, fresh.integers(0, 4, size=shape))
+    # and the engine's draw of a group's first trial, from a fresh generator
+    for t in range(lo, hi):
+        got = draw(np.random.default_rng([seed, t]), 1, *shape)[0]
+        assert np.array_equal(got, np.random.default_rng([seed, t]).integers(0, 4, size=shape))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 7), (3, 600), (1, 5), (3, 7), (4, 5)])
