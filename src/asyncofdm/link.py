@@ -1,8 +1,8 @@
 """Link-level OFDM: sample generation, misaligned receive windows, per-subcarrier powers.
 
-Sample period, channel gain and symbol energy are normalized to 1.  Timing
-offsets here are integer samples; the receive window for an offset d splits into
-four regimes depending on which neighbouring symbols leak into the FFT window:
+Sample period, channel gain and symbol energy are normalized to 1; timing offsets are
+integer samples.  The receive window at offset d splits into four regimes by the symbols it
+reads; the Monte Carlo engine transforms only the samples from a second one, its spill:
 
   1. d in [-(N+Ncp), -N): window drawn entirely from symbol m+1 (no useful power);
   2. d in [-N, 0):        splice of symbols m and m+1;
@@ -319,6 +319,12 @@ def analytic_power_profile(config: OfdmConfig, d: int) -> PowerProfile:
     return PowerProfile(d, used, useful, total, np.zeros(len(used)))
 
 
+def _rotate(w, z, out):
+    """out = w z by real multiplies and adds, which SIMD dispatch cannot round anew."""
+    out.real, out.imag = w.real * z.real - w.imag * z.imag, w.real * z.imag + w.imag * z.real
+    return out
+
+
 def _runs(index: np.ndarray) -> list[tuple[int, int, int]]:
     """(a, b, index[a]) for each maximal run index[a:b] of consecutive integers."""
     cuts = [0, *(np.flatnonzero(np.diff(index) != 1) + 1).tolist(), len(index)]
@@ -329,12 +335,15 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
                             alphabet: str = "qpsk") -> PowerProfile:
     """Monte Carlo per-subcarrier powers averaged over random symbol streams.
 
-    The useful power is estimated from the correlation of the output with the desired
-    symbol, |mean Y[l] conj(S[l;m])|^2, which is independent of the analytic per-regime
-    decomposition.  Deterministic per (seed, 64-trial group): group j draws from
-    `default_rng([seed, j])`, trial after trial, so the first M trials of a run are those
-    of an M-trial run.  A batch takes its trials' raw words or normals in one call and maps
-    the rows it reads onto symbols.
+    The useful power is |mean Y[l] conj(S[l;m])|^2, the output's correlation with the desired
+    symbol, independent of the analytic per-regime decomposition.  Outputs are taken in the
+    circular frame of the base symbol b (m if the window reads it):
+    Y' = S_b + FFT(1_spill IFFT(psi S_o - S_b)), 1_spill marking the window samples from the
+    other symbol o, psi[l] = e^{2 pi i l Delta / n} the phase ramp of the shift Delta between
+    their frames.  Y' is Y times a unit phase per subcarrier that no trial changes, unseen by
+    |Y|^2 and |E[Y conj(S)]|^2; a one-symbol window takes no transform.  Deterministic per
+    (seed, 64-trial group): group j draws from `default_rng([seed, j])`, trial after trial,
+    so the first M trials of a run are those of an M-trial run.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
@@ -344,19 +353,19 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)
-    n, k = config.n, len(config.used)
-    pieces = _window_pieces(config, d)
-    read = [1 + s for s, _ in pieces]  # rows of the drawn symbols m-1, m, m+1
-    rows = max(read) + 1  # draws stop at the last row read, which is row 1 (m) or later
-    used_runs = _runs(config.used_array() % n)
-    # window sample j is entry gather[j] of a trial's flattened (pieces, n) IFFT output
-    gather_runs = _runs(np.concatenate([i * n + (np.arange(p.start, p.stop) - config.n_cp) % n
-                                        for i, (_, p) in enumerate(pieces)]))
-    other = [r for r in read if r != 1]  # the one row besides m a regime may read
-    draw, symbols = _ALPHABETS[alphabet]
-    sym, window = np.empty((_FFT_BATCH, k), complex), np.empty((_FFT_BATCH, n), complex)
-    grid = np.zeros((_FFT_BATCH, len(pieces), n), dtype=complex)
+    n, k, at, frames = config.n, len(config.used), 0, []
+    for s, p in _window_pieces(config, d):  # row of m + s, its window samples, its shift:
+        frames.append((1 + s, np.arange(at, at + p.stop - p.start), at - p.start + config.n_cp))
+        at += p.stop - p.start  # window sample t is sample t - shift of the symbol's body
+    (base, _, shift), *spilled = sorted(frames, key=lambda f: f[0] != 1)  # m first if read
+    rows = max(r for r, _, _ in frames) + 1  # draws stop at the last row read, row 1 or later
+    (draw, symbols), used_runs = _ALPHABETS[alphabet], _runs(config.used_array() % n)
     y, current = np.empty((2, _TRIAL_BLOCK, k), dtype=complex)  # outputs, symbols of m
+    for other, t, other_shift in spilled:  # psi from a complex exp, which has no SIMD kernel
+        psi = np.exp(1j * (2 * np.pi * (config.used_array() * (shift - other_shift) % n) / n))
+        spill_runs, lookup = _runs((t - shift) % n), 4 * np.arange(k)  # spill in base frame
+        table = _rotate(psi[:, None], _QPSK, np.empty((k, 4), complex)).ravel()  # psi[l] QPSK[j]
+        grid, masked = np.zeros((2, _FFT_BATCH, n), complex)  # masked: 0 off the spill
     total_sum, total_sq, cross_re, cross_im = np.zeros((4, k))
     for first in range(0, trials, _TRIAL_BLOCK):
         g = min(_TRIAL_BLOCK, trials - first)
@@ -364,19 +373,20 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
         for lo in range(0, g, _FFT_BATCH):
             b = min(_FFT_BATCH, g - lo)
             drawn = draw(rng, b, rows, k)
-            symbols(drawn[:, 1], current[lo:lo + b])
-            for r in other:
-                symbols(drawn[:, r], sym[:b])
-            for i, r in enumerate(read):
-                source = current[lo:lo + b] if r == 1 else sym[:b]
-                for a, e, at in used_runs:
-                    grid[:b, i, at:at + e - a] = source[:, a:e]
-            body = np.fft.ifft(grid[:b], axis=-1).reshape(b, -1)
-            for a, e, at in gather_runs:
-                window[:b, a:e] = body[:, at:at + e - a]
-            spectrum = np.fft.fft(window[:b], axis=-1)
+            sm, out = symbols(drawn[:, 1], current[lo:lo + b]), y[lo:lo + b]
+            if not spilled:  # Y' = S_b
+                symbols(drawn[:, base], out)
+                continue
+            so = (np.take(table, drawn[:, other] + lookup, out=out, mode="clip")  # psi S_o
+                  if alphabet == "qpsk" else _rotate(psi, symbols(drawn[:, other], out), out))
             for a, e, at in used_runs:
-                y[lo:lo + b, a:e] = spectrum[:, at:at + e - a]
+                np.subtract(so[:, a:e], sm[:, a:e], out=grid[:b, at:at + e - a])
+            body = np.fft.ifft(grid[:b], axis=-1)
+            for a, e, at in spill_runs:
+                masked[:b, at:at + e - a] = body[:, at:at + e - a]
+            spectrum = np.fft.fft(masked[:b], axis=-1)
+            for a, e, at in used_runs:
+                np.add(sm[:, a:e], spectrum[:, at:at + e - a], out=out[:, a:e])
         yr, yi, cr, ci = y[:g].real, y[:g].imag, current[:g].real, current[:g].imag
         p = yr * yr + yi * yi
         total_sum += np.add.reduce(p, axis=0)

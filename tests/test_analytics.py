@@ -1009,18 +1009,18 @@ def test_narrow_gaussian_converges_to_delta(sigma, t_db):
 W = 1096.0  # the offset domain's half-width at N = 1024, N_cp = 72
 
 
-def _finite_density(ends):
-    """A pair of ends `tm.uniform` accepts: not so close that 1/(hi - lo) overflows."""
-    return 1.0 / abs(ends[0] - ends[1]) < math.inf
+def _wide_enough(ends):
+    """A pair of ends `tm.uniform` accepts: no closer than its width floor."""
+    return abs(ends[0] - ends[1]) >= tm.MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * W
 
 
 SPILL_MODELS = st.one_of(
     st.floats(-W, W, exclude_max=True).map(lambda x: tm.delta(x, W)),
-    st.lists(st.floats(0.0, 72.0), min_size=2, max_size=2, unique=True).filter(_finite_density)
+    st.lists(st.floats(0.0, 72.0), min_size=2, max_size=2, unique=True).filter(_wide_enough)
     .map(lambda x: tm.uniform(min(x), max(x), W)),  # inside the CP
     st.tuples(st.booleans(), st.floats(0.5, 600.0)).map(  # at an end of the domain
         lambda x: tm.uniform(W - x[1], W, W) if x[0] else tm.uniform(-W, -W + x[1], W)),
-    st.lists(st.floats(-W, W), min_size=2, max_size=2, unique=True).filter(_finite_density)
+    st.lists(st.floats(-W, W), min_size=2, max_size=2, unique=True).filter(_wide_enough)
     .map(lambda x: tm.uniform(min(x), max(x), W)),
     st.floats(math.log(0.5), math.log(512.0)).map(lambda x: tm.truncated_gaussian(math.exp(x), W)))
 SPILL_HYPOTHESES = st.one_of(
@@ -1050,6 +1050,8 @@ def _integrand_of(call):
          statistic="nearest", alpha=3.8, interference_limited=False, grid_db=[-15.0, 20.0])
 @example(model=tm.truncated_gaussian(0.5, W), hypotheses=[5000.0], statistic="lambda_tilde",
          alpha=3.8, interference_limited=False, grid_db=[0.0])
+@example(model=tm.uniform(0.0, tm.MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * W, W), hypotheses=[1.0],
+         statistic="mean", alpha=3.0, interference_limited=True, grid_db=[0.0])  # the floor
 @settings(max_examples=60, deadline=None)
 def test_spill_form_matches_the_tau_piece_form(model, hypotheses, statistic, alpha,
                                                interference_limited, grid_db):
@@ -1066,6 +1068,39 @@ def test_spill_form_matches_the_tau_piece_form(model, hypotheses, statistic, alp
     spill = analytics._expect_over_timing(params, [model], cfg, F, grid, hypotheses)[0]
     np.testing.assert_allclose(spill, _tau_piece_expect(params, model, cfg, F, grid, hypotheses),
                                rtol=REF_RTOL, atol=0.0)
+
+
+def _at_the_floor(lo):
+    """The narrowest uniform from lo that `tm.uniform` admits."""
+    floor = tm.MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * W
+    hi = lo + floor
+    while hi - lo < floor:
+        hi = np.nextafter(hi, np.inf)
+    return tm.uniform(lo, hi, W)
+
+
+def test_a_uniform_at_the_width_floor_keeps_its_mass(cfg):
+    # narrower uniforms lost their mass: at 0 dB, alpha = 3 and hypotheses (1,), uniform(0, w)
+    # read 0.4124 at w = 1e-12 but 0.0 at 1e-100, 1e-200 and 1.55e-255, both breakpoints
+    # rounding to one spill cut.  Those widths are refused; the floor keeps the mass
+    params = _params(3.0, 0.0, None)
+    for width in (1e-100, 1e-200, 1.55e-255):
+        with pytest.raises(ValueError, match="MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH.*delta"):
+            tm.uniform(0.0, width, W)
+    value = mean_decodable_with_hypotheses(params, _at_the_floor(0.0), cfg, [1.0])
+    assert value == pytest.approx(0.41241, abs=1e-5)
+    assert value == pytest.approx(
+        mean_decodable_with_hypotheses(params, tm.delta(0.0, W), cfg, [1.0]), rel=1e-6)
+    # models and single hypotheses across the domain, at three thresholds
+    F = _integrand_of(lambda: analytics.mean_decodable_each(params, [tm.delta(0.0, W)], cfg))
+    grid = [db_to_linear(t) for t in (-12.0, 0.0, 10.0)]
+    for lo in (-W, -1024.0, -398.5, -1e-7, 36.0, 700.25, W - 1e-5):
+        model = _at_the_floor(lo)
+        for t in (-2150.0, -1100.0, -300.0, 0.0, 1.0, 700.0, 1500.0):
+            spill = analytics._expect_over_timing(params, [model], cfg, F, grid, (t,))[0]
+            np.testing.assert_allclose(
+                spill, _tau_piece_expect(params, model, cfg, F, grid, (t,)), rtol=REF_RTOL,
+                atol=0.0, err_msg=f"lo={lo}, t={t}")
 
 
 def test_mass_inside_the_cp_is_the_plateau_atom(cfg):

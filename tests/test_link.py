@@ -157,24 +157,37 @@ def _row_sum(a):
 
 
 def _frozen_empirical(config, d, trials, seed, alphabet):
-    """One-block empirical_power_profile: each 64-trial group is drawn, transformed
-    and reduced at once, a short last group taking the first trials of a full one.
-    Returns useful, total, stderr; the library's bits must match."""
-    pieces = _window_pieces(config, d)
-    read = [1 + s for s, _ in pieces]
-    used_mod = config.used_array() % config.n
-    k = len(config.used)
+    """One-block empirical_power_profile in the base symbol's circular frame: each 64-trial
+    group is drawn, transformed and reduced at once, a short last group taking the first
+    trials of a full one.  Each regime's base row, other row, frame shift and spill are
+    written out here, not read from `_window_pieces`.  Returns useful, total, stderr; the
+    library's bits must match."""
+    n, ncp, k = config.n, config.n_cp, len(config.used)
+    used = config.used_array()
+    used_mod, tau = used % n, np.arange(n)
+    if d <= -n:  # regime 1, and its edge d = -n: all of m+1, a cyclic shift of it
+        base, other = 2, None
+    elif d < 0:  # regime 2: m+1 from window sample n + d on, base-frame samples 0 .. -d-1
+        base, other, delta, spill = 1, 2, -ncp, tau < -d
+    elif d <= ncp:  # regime 3, and its edge d = n_cp: a cyclic shift of m
+        base, other = 1, None
+    else:  # regime 4: m-1 in window samples 0 .. d-ncp-1, base-frame samples t - d mod n
+        base, other, delta, spill = 1, 0, ncp, np.isin(tau, (np.arange(d - ncp) - d) % n)
+    if other is not None:
+        psi = np.exp(1j * (2 * np.pi * (used * delta % n) / n))
     total_sum, total_sq, cross_re, cross_im = np.zeros((4, k))
     for first in range(0, trials, 64):
         g = min(64, trials - first)
         syms = _group_symbols(config, d, seed, first // 64, alphabet)[:g]
-        grid = np.zeros((g, len(pieces), config.n), dtype=complex)
-        grid[..., used_mod] = syms[:, read]
-        body = np.fft.ifft(grid, axis=-1)
-        samples = np.concatenate([body[..., -config.n_cp:], body], axis=-1)
-        window = np.concatenate([samples[:, i, piece] for i, (_, piece) in enumerate(pieces)],
-                                axis=-1)
-        y = np.fft.fft(window, axis=-1)[:, used_mod]
+        y = syms[:, base]
+        if other is not None:  # psi S_o in real arithmetic
+            so, rotated = syms[:, other], np.empty((g, k), dtype=complex)
+            rotated.real = psi.real * so.real - psi.imag * so.imag
+            rotated.imag = psi.real * so.imag + psi.imag * so.real
+            grid = np.zeros((g, n), dtype=complex)
+            grid[:, used_mod] = rotated - y
+            masked = np.where(spill, np.fft.ifft(grid, axis=-1), 0.0)
+            y = y + np.fft.fft(masked, axis=-1)[:, used_mod]
         yr, yi, cr, ci = y.real, y.imag, syms[:, 1].real, syms[:, 1].imag
         p = yr * yr + yi * yi  # real arithmetic
         total_sum += _row_sum(p)
@@ -472,15 +485,24 @@ def test_sir_db_unknown_subcarrier(cfg):
 
 
 def test_sir_db_infinite_on_empirical_cp_offset(cfg):
-    # inside the CP the empirical total - useful is rounding residue, below 0
-    # on about half the subcarriers
+    # inside the CP each QPSK output is its symbol: no interference, not even a rounding residue
     prof = empirical_power_profile(cfg, 10, 50, 1)
-    i = int(np.flatnonzero(prof.subcarriers == -300)[0])
-    assert prof.total[i] - prof.useful[i] < 0
+    assert np.array_equal(prof.total, prof.useful)
+    assert np.all(prof.stderr_total == 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert prof.sir_db(-300) == math.inf
-        assert not any(math.isnan(prof.sir_db(int(k))) for k in prof.subcarriers)
+        assert all(prof.sir_db(int(k)) == math.inf for k in prof.subcarriers)
+
+
+def test_sir_db_infinite_on_a_residue_below_zero():
+    # a total an ulp below its useful power is a rounding residue, not negative interference
+    useful = np.array([1.0, 0.25])
+    total = np.nextafter(useful, 0.0)
+    prof = link.PowerProfile(10, np.array([-1, 1]), useful, total, np.zeros(2))
+    assert np.all(prof.total - prof.useful < 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prof.sir_db(-1) == prof.sir_db(1) == math.inf
 
 
 def test_sir_db_infinite_on_analytic_cp_offset(cfg):
@@ -551,6 +573,34 @@ def _assert_matches_per_trial_loop(cfg, d, trials, alphabet):
     # the scale of those terms rather than its own
     var_diff = trials * np.abs(prof.stderr_total ** 2 - stderr ** 2)
     assert np.max(var_diff) <= 1e-12 * np.max(total) ** 2
+
+
+@pytest.mark.parametrize("config", [
+    OfdmConfig.centered(1024, 72, -300, 299),
+    OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)),
+], ids=["1024-band", "64-sparse"])
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+def test_empirical_profile_matches_per_trial_loop_at_every_regime_boundary(config, alphabet):
+    # each regime edge and its neighbours, where a piece of the window empties or appears
+    n, ncp, w = config.n, config.n_cp, config.domain_half_width
+    for d in sorted({b + i for b in (-w, -n, 0, ncp, w) for i in (-1, 0, 1) if -w <= b + i < w}):
+        _assert_matches_per_trial_loop(config, d, 70, alphabet)
+
+
+@st.composite
+def _link_cases(draw):
+    n = draw(st.integers(4, 96), label="n")
+    n_cp = draw(st.integers(1, n - 1), label="n_cp")
+    used = draw(st.sets(st.integers(-(n // 2), n // 2 - 1), min_size=1), label="used")
+    d = draw(st.integers(-(n + n_cp), n + n_cp - 1), label="d")
+    return OfdmConfig(n, n_cp, tuple(used)), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(_link_cases(), st.integers(1, 140), st.sampled_from(["qpsk", "gaussian"]))
+def test_empirical_profile_matches_per_trial_loop_property(case, trials, alphabet):
+    config, d = case
+    _assert_matches_per_trial_loop(config, d, trials, alphabet)
 
 
 def test_empirical_profile_aligned(cfg):
@@ -665,18 +715,20 @@ def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
 
 # sha256 of the link-profile CSVs (--trials 130 --seed 3) and of the bytes of
 # one Gaussian-alphabet profile's useful, total and stderr arrays, recorded when
-# the link engine took one generator per 64-trial group and real arithmetic.
-# They are the same with numpy's SIMD dispatch held to the x86-64-v2 baseline
+# the link engine took one generator per 64-trial group, real arithmetic, and its
+# outputs in the base symbol's circular frame (offset 50 and the Gaussian digest
+# changed then; the other CSVs kept their bytes).  They are the same with numpy's
+# SIMD dispatch held to the x86-64-v2 baseline
 # (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR") as with AVX2
 # or AVX-512.
 LINK_PROFILE_DIGESTS = {
     -300: "1df3538da8a6011469b0dd3512b6b1e7303d66284bc5c5b79f7cc325f21d7641",
     -6: "ada59de748a71a693ac58198acbdce3ea3f9ee4c3f4d2cb71b9ffb84cf617086",
-    50: "5a76be71aa59d71cec06fafb0c63a8110519dbda80347c139f4eaf0d1cd31a56",
+    50: "3c54d64072f9faf930f4a5fa9cbe8bac10701ae8daff025d48ff3c433d47dd45",
     78: "5ef03ba756a6cd12e84275baf3efaf7b9ca88ccff5f4782194856f1c58b19662",
     200: "49755b17df71a5b064e7f0ee9b47e44cf24ee584a6fb57096f3756738997f096",
 }
-GAUSSIAN_PROFILE_DIGEST = "08b56af7365a0d7641ecf26a7ea07d3f63874e95588b1ee655946bbb8d945e63"
+GAUSSIAN_PROFILE_DIGEST = "80d33cb18b0409293072f04982dde0552049271d462124b47826098ae1dc300d"
 
 
 @pytest.mark.parametrize("offset", sorted(LINK_PROFILE_DIGESTS))

@@ -4,7 +4,8 @@ from scipy.special import ndtr
 
 from asyncofdm import _special
 from asyncofdm.quadrature import integrate
-from asyncofdm.timing import MAX_SIGMA_OVER_HALF_WIDTH, delta, truncated_gaussian, uniform
+from asyncofdm.timing import (MAX_SIGMA_OVER_HALF_WIDTH, MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH,
+                             TimingModel, delta, truncated_gaussian, uniform)
 
 W = 1096.0  # offset domain half-width for N=1024, N_cp=72
 
@@ -103,6 +104,20 @@ def test_invalid_models_rejected():
         uniform(-2 * W, 0.0, W)
     with pytest.raises(ValueError, match="finite density"):  # 1/(hi - lo) overflows
         uniform(0.0, 5e-324, W)
+
+
+def test_uniform_refuses_widths_below_its_floor():
+    floor = MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * W
+    for lo in (0.0, -W, 36.0, W - 2 * floor):  # the floor itself is admitted, anywhere
+        hi = lo + floor
+        while hi - lo < floor:
+            hi = np.nextafter(hi, np.inf)
+        assert uniform(lo, hi, W).density(lo) == 1.0 / (hi - lo)
+    for lo, hi in ((0.0, 1e-100), (0.0, 1.55e-255), (0.0, np.nextafter(floor, 0.0)),
+                   (W - 1e-12, W), (-W, np.nextafter(-W, 0.0))):
+        with pytest.raises(ValueError, match=r"narrower than MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH = "
+                           rf"1e-09 half-widths \(1\.096e-06\).*as delta\({lo}, {W}\)$"):
+            uniform(lo, hi, W)
 
 
 @pytest.mark.parametrize("half_width", [0.0, -5.0, np.nan, np.inf])
@@ -208,7 +223,9 @@ def _frozen_mass(m, lo, hi):
     return float(upto - below)
 
 
-@pytest.mark.parametrize("m", CDF_MODELS + [uniform(0.0, 1e-300, W), uniform(-W, -W + 1e-12, W)],
+# uniforms narrower than `uniform` admits are built directly: `mass` still takes any model
+@pytest.mark.parametrize("m", CDF_MODELS + [TimingModel("uniform", W, lo=0.0, hi=1e-300),
+                                            TimingModel("uniform", W, lo=-W, hi=-W + 1e-12)],
                          ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
 def test_mass_matches_its_frozen_copy_bit_for_bit(m):
     ends = [-5000.0, -W, -1050.0, -72.0, -0.0, 0.0, 1e-300, 36.0, 72.0, 1050.0, W, 5000.0]
@@ -225,8 +242,8 @@ try:
 
     def _uniform(lo, width):
         hi = min(lo + width, W)
-        assume(lo < hi and 1.0 / (hi - lo) < np.inf)  # the constructor's own condition
-        return uniform(lo, hi, W)
+        assume(lo < hi and 1.0 / (hi - lo) < np.inf)  # a finite density
+        return TimingModel("uniform", W, lo=lo, hi=hi)  # below `uniform`'s floor too
 
     # widths down to the narrowest with a finite density, near 0 and a few ulps of lo elsewhere
     _UNIFORMS = st.builds(_uniform, st.floats(-W, W) | st.floats(-1e-290, 1e-290),
