@@ -27,7 +27,7 @@ __all__ = [
     "hypothesis_weight",
 ]
 
-MAX_HYPOTHESES = 1_000_000  # most shifts in a set; 200,001 take the analytics about 0.2 s
+MAX_HYPOTHESES = 1_000_000  # most shifts in a set; 200,001 take the analytics 0.13-0.27 s
 
 
 def db_to_linear(x_db: float) -> float:
@@ -165,20 +165,19 @@ def hypothesis_set(n1: int, n2: int, delta: float) -> tuple[float, ...]:
 
 
 def _check_hypotheses(hypotheses) -> tuple[float, ...]:
-    """The timing hypotheses as a non-empty tuple of finite offsets."""
+    """The timing hypotheses as a sorted non-empty tuple of finite offsets."""
     hypotheses = tuple(hypotheses)
     if not hypotheses:
         raise ValueError("hypothesis set must be non-empty")
     if not all(map(math.isfinite, hypotheses)):
         raise ValueError(f"timing hypotheses must be finite, got {hypotheses}")
-    return hypotheses
+    return tuple(sorted(hypotheses))
 
 
 def hypothesis_weight(config: OfdmConfig, hypotheses, x):
-    """Best retained-energy fraction over the timing hypotheses: max_t g(x - t)."""
-    hypotheses = _check_hypotheses(hypotheses)
-    x_arr = _check_offsets(config, x)
-    out = np.zeros_like(x_arr)
-    for t in hypotheses:
-        out = np.maximum(out, cp_weight_clipped(config, x_arr - t))
-    return out if out.ndim else float(out)
+    """Best retained-energy fraction over the timing hypotheses, max_t g(x - t): g(x - t) rises
+    in t to its plateau, then falls (rounded too), so the last shift <= x or the next wins."""
+    shifts, x_arr = np.array(_check_hypotheses(hypotheses), float), _check_offsets(config, x)
+    i = np.searchsorted(shifts, x_arr, side="right")  # take clips -1 and len to real shifts
+    g = [cp_weight_clipped(config, x_arr - shifts.take(j, mode="clip")) for j in (i - 1, i)]
+    return np.maximum(*g) if x_arr.ndim else float(np.maximum(*g))

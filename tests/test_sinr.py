@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from asyncofdm.link import OfdmConfig
 from asyncofdm.sinr import (
     MAX_HYPOTHESES,
     NetworkParams,
@@ -216,6 +217,21 @@ def test_hypothesis_weight_reductions(cfg):
     assert np.all(more >= base)
 
 
+def _per_shift_loop(config, hypotheses, x):
+    """Reference: `hypothesis_weight` as one pass over the offsets per shift, from zero."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for t in hypotheses:
+        out = np.maximum(out, cp_weight_clipped(config, x - t))
+    return out
+
+
+def test_hypothesis_weight_matches_the_per_shift_loop_on_a_large_set(cfg):
+    shifts = hypothesis_set(1000, 1000, 0.5)[::-1]  # sorted by the call, not by the caller
+    x = np.concatenate([np.linspace(-1096.0, 1095.0, 2001), np.arange(-1096.0, 1096.0)])
+    assert hypothesis_weight(cfg, shifts, x).tobytes() == _per_shift_loop(cfg, shifts, x).tobytes()
+
+
 def test_hypothesis_weight_validation(cfg):
     with pytest.raises(ValueError):
         hypothesis_weight(cfg, (), 0.0)
@@ -224,7 +240,7 @@ def test_hypothesis_weight_validation(cfg):
 
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     @given(st.floats(-1096.0, 1095.999))
@@ -243,5 +259,33 @@ try:
             expect = ((1024 + 72 - d) / 1024) ** 2
         assert g == pytest.approx(expect, abs=1e-12)
         assert 0.0 <= g <= 1.0
+
+    @st.composite
+    def _shifts_and_offsets(draw):
+        """A config, shifts out to 3 half-widths w (unsorted, some integers, some repeated) and
+        offsets in the domain: any, integers, and each shift's plateau and domain edges with
+        their neighbouring floats."""
+        n = draw(st.integers(2, 2048))
+        config = OfdmConfig(n, draw(st.integers(1, n - 1)), (0,))
+        w = config.domain_half_width
+        shifts = draw(st.lists(st.floats(-3.0 * w, 3.0 * w) | st.integers(-3 * w, 3 * w),
+                               min_size=1, max_size=30))
+        shifts += draw(st.lists(st.sampled_from(shifts), max_size=5))
+        offsets = draw(st.lists(st.floats(-w, w, exclude_max=True) | st.integers(-w, w - 1),
+                                max_size=50))
+        x = np.array(offsets + [t + e for t in shifts for e in (-n, 0, config.n_cp, w)], float)
+        x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+        return config, shifts, x[(x >= -w) & (x < w)]
+
+    @given(_shifts_and_offsets())
+    @example((OfdmConfig(1024, 72, (0,)), [150.0, -150.0, 0.0, 0.0, 72.0, 3000.0],
+              np.array([-1096.0, -1024.0, -150.0, -78.0, 0.0, 72.0, 144.0, 222.0, 1095.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_weight_matches_the_per_shift_loop_bit_for_bit(case):
+        config, shifts, x = case
+        want = _per_shift_loop(config, shifts, x)
+        assert hypothesis_weight(config, shifts, x).tobytes() == want.tobytes()
+        for xs, g in zip(x[:5].tolist(), want.tolist()):  # a scalar offset gives a float
+            assert hypothesis_weight(config, shifts, xs).hex() == g.hex()
 except ImportError:  # pragma: no cover - property tests are optional extras
     pass
