@@ -1,32 +1,19 @@
-"""The standard normal CDF and its inverse as the Cephes routines (Moshier, *Methods and
-Programs for Mathematical Functions*, 1989) that scipy.special.ndtr and ndtri run, with their
-coefficients and operation order, so both return scipy's bits.  Each multiply and add is its
-own float operation (numpy never fuses them), and log and exp go through `math`, the C
-library, as in Cephes; numpy's own SIMD `log` differs in the last bit on some CPUs."""
+"""The standard normal CDF and its inverse, without scipy.
+
+ndtri is the Cephes routine (Moshier, *Methods and Programs for Mathematical Functions*,
+1989) that scipy.special.ndtri runs, with its coefficients and operation order, so it
+returns scipy's bits: the Monte Carlo draws rest on them.  Each multiply and add is its own
+float operation (numpy never fuses them), and log goes through `math`, the C library, as in
+Cephes; numpy's own SIMD `log` differs in the last bit on some CPUs.
+
+ndtr is the C library's erfc, which agrees with scipy's Cephes ndtr to about 1e-13
+relative but not bit for bit; nothing recorded depends on its last bits."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-# erfc, for 1 <= x < 8 and x >= 8; each denominator starts with Cephes' implicit 1
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-# erf, for |x| < 1
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-          7.00332514112805075473E3, 5.55923013010394962768E4)
-_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-          2.26290000613890934246E4, 4.92673942608635921086E4)
-_MAXLOG = 7.09782712893383996843E2
 
 # ndtri: |y - 1/2| <= 3/8, then sqrt(-2 log y) in [2, 8) and in [8, 64)
 _NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
@@ -60,30 +47,9 @@ def _polevl(x, coef):
     return ans
 
 
-def _erf(x: float) -> float:
-    """erf(x) for |x| < 1."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    """erfc(x) for x >= 0."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    if -x * x < -_MAXLOG:
-        return 0.0
-    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q)
-
-
 def ndtr(a: float) -> float:
     """P(X <= a) for a standard normal X, on one float."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0 else y
+    return 0.5 * math.erfc(-a * _SQRT1_2)
 
 
 def ndtri(y0):

@@ -31,7 +31,6 @@ from .timing import TimingModel, _check_domain
 
 __all__ = [
     "CountDistribution",
-    "decodable_intervals",
     "mean_decodable",
     "mean_decodable_each",
     "mean_decodable_upper_bound",
@@ -58,18 +57,6 @@ def _merge(intervals):
         else:
             merged.append((lo, hi))
     return merged
-
-
-def decodable_intervals(config: OfdmConfig, threshold: float, hypotheses=(0.0,)):
-    """Offsets where decoding is possible: {tau : g(tau) > T/(1+T)}, as intervals.
-
-    With hypotheses the region is the union of the per-hypothesis shifts, clipped to the
-    offset domain: each merged plateau [t, t + N_cp] widened by the largest decodable spill.
-    """
-    _check_finite_positive("threshold", threshold)
-    e, w = config.n * (1.0 - math.sqrt(threshold / (1.0 + threshold))), config.domain_half_width
-    return _merge((max(a - e, -w), min(b + e, w))
-                  for a, b in _merge((t, t + config.n_cp) for t in _check_hypotheses(hypotheses)))
 
 
 def _checked(value, err, what: str):

@@ -374,8 +374,8 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
             b = min(_FFT_BATCH, g - lo)
             drawn = draw(rng, b, rows, k)
             sm, out = symbols(drawn[:, 1], current[lo:lo + b]), y[lo:lo + b]
-            if not spilled:  # Y' = S_b
-                symbols(drawn[:, base], out)
+            if not spilled:  # Y' = S_b, which is S_m when the window reads m
+                np.copyto(out, sm) if base == 1 else symbols(drawn[:, base], out)
                 continue
             so = (np.take(table, drawn[:, other] + lookup, out=out, mode="clip")  # psi S_o
                   if alphabet == "qpsk" else _rotate(psi, symbols(drawn[:, other], out), out))

@@ -107,7 +107,8 @@ def cp_weight_clipped(config: OfdmConfig, d):
     """
     d = np.asarray(d, dtype=float)
     n, ncp = config.n, config.n_cp
-    return (np.maximum(np.minimum(np.minimum(n + d, n), (n + ncp) - d), 0.0) / n) ** 2
+    r = np.maximum(np.minimum(np.minimum(n + d, n), (n + ncp) - d), 0.0) / n
+    return r * r  # ** 2 on a 0-d array calls libm pow, a last bit off the array path's square
 
 
 def _check_positive(least_distance: float, least_fade: float) -> None:

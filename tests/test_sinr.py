@@ -280,6 +280,7 @@ try:
     @given(_shifts_and_offsets())
     @example((OfdmConfig(1024, 72, (0,)), [150.0, -150.0, 0.0, 0.0, 72.0, 3000.0],
               np.array([-1096.0, -1024.0, -150.0, -78.0, 0.0, 72.0, 144.0, 222.0, 1095.0])))
+    @example((OfdmConfig(252, 1, (0,)), [-2.9686636159630098], np.array([0.99])))  # ** 2 on 0-d
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_weight_matches_the_per_shift_loop_bit_for_bit(case):
         config, shifts, x = case

@@ -1,6 +1,7 @@
-"""The in-package Cephes ports against scipy.special, which they replace at run
-time: ndtr and ndtri bit for bit, rho against hyp2f1, and no command that
-imports scipy (or, on the default path, yaml or multiprocessing)."""
+"""The in-package special functions against scipy.special, which they replace at run
+time: the Cephes port ndtri bit for bit, ndtr (the C library's erfc) and rho (against
+hyp2f1) within a stated rtol, and no command that imports scipy (or, on the default path,
+yaml or multiprocessing)."""
 
 import math
 import os
@@ -20,6 +21,8 @@ from asyncofdm.timing import truncated_gaussian
 N, N_CP = 1024, 72
 W = float(N + N_CP)
 SIGMAS_OVER_N = (0.05, 0.2, 0.4, 2.0)
+NDTR_RTOL = 1e-12  # measured: the C library erfc and Cephes differ by up to 5.7e-14 relative
+QUANTILE_ATOL = 1e-12 * N  # in samples
 
 
 def _differing_bits(got, want) -> int:
@@ -47,7 +50,9 @@ def test_quantile_matches_scipy_on_the_truncated_range(sigma_over_n):
     z = sc.ndtr(W / m.sigma) - a
     u = np.concatenate([np.random.default_rng(7).random(200_000), [0.0, 0.5, 1 - 2 ** -53]])
     assert _differing_bits(ndtri(a + u * z), sc.ndtri(a + u * z)) == 0
-    assert _differing_bits(m.quantile(u), m.sigma * sc.ndtri(a + u * z)) == 0
+    # a and z come from ndtr, which is not scipy's bit for bit: 4.5e-13 samples at 0.4 N
+    np.testing.assert_allclose(m.quantile(u), m.sigma * sc.ndtri(a + u * z),
+                               rtol=0, atol=QUANTILE_ATOL)
 
 
 def test_ndtri_matches_scipy_in_both_tails():
@@ -68,19 +73,27 @@ def test_ndtri_end_points():
 
 # -------------------------------------------------------------------- ndtr
 
+def _assert_ndtr_matches_scipy(xs):
+    """Within NDTR_RTOL where scipy's value is a normal float; below the least normal float
+    where it is not, as Cephes flushes to 0 from a ~ -37.7 where erfc keeps subnormals."""
+    xs = np.asarray(xs, dtype=float)
+    got, want = np.array([ndtr(x) for x in xs.tolist()]), sc.ndtr(xs)
+    normal = want >= np.finfo(float).tiny
+    np.testing.assert_allclose(got[normal], want[normal], rtol=NDTR_RTOL, atol=0)
+    assert np.all((got[~normal] >= 0.0) & (got[~normal] < np.finfo(float).tiny))
+
+
 def test_ndtr_matches_scipy_on_a_grid():
-    xs = np.linspace(-40.0, 40.0, 80_001)
-    assert _differing_bits([ndtr(x) for x in xs.tolist()], sc.ndtr(xs)) == 0
+    _assert_ndtr_matches_scipy(np.linspace(-40.0, 40.0, 80_001))
 
 
 def test_ndtr_matches_scipy_at_its_branch_points_and_zero():
-    xs = np.concatenate([_with_neighbours([-1.0, 1.0]), [0.0, -0.0]])
-    assert _differing_bits([ndtr(x) for x in xs.tolist()], sc.ndtr(xs)) == 0
+    _assert_ndtr_matches_scipy(_with_neighbours([-1.0, 1.0]))
+    assert [ndtr(0.0), ndtr(-0.0)] == [0.5, 0.5]
 
 
 def test_ndtr_matches_scipy_at_the_truncation_points():
-    xs = [s * W / (r * N) for r in SIGMAS_OVER_N for s in (-1.0, 1.0)]
-    assert _differing_bits([ndtr(x) for x in xs], sc.ndtr(xs)) == 0
+    _assert_ndtr_matches_scipy([s * W / (r * N) for r in SIGMAS_OVER_N for s in (-1.0, 1.0)])
 
 
 # --------------------------------------------------------------------- rho
