@@ -138,11 +138,14 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
         raise ValueError(f"thresholds[{bad}] = {grid[bad]} is not finite and positive")
     c, w, n = grid / (1.0 + grid), config.domain_half_width, config.n
     spill = n * (1.0 - np.sqrt(c))
-    e_max, plateaus = float(spill.max()), _merge((t, t + config.n_cp) for t in hypotheses)
-    half = [0.5 * (a - b) for (_, b), (a, _) in zip(plateaus, plateaus[1:])]
-    arms = list(zip([a for a, _ in plateaus], [-1.0] * len(plateaus), [math.inf] + half))
-    arms += zip([b for _, b in plateaus], [1.0] * len(plateaus), half + [math.inf])
-    arms = [(x, side, r) for x, side, r in arms if -w - min(r, e_max) < side * x < w]  # in reach
+    e_max = float(spill.max())
+    if not all(timing.is_delta for timing in timings):  # a delta reads no plateau or arm
+        plateaus = _merge((t, t + config.n_cp) for t in hypotheses)
+        half = [0.5 * (a - b) for (_, b), (a, _) in zip(plateaus, plateaus[1:])]
+        arms = list(zip([a for a, _ in plateaus], [-1.0] * len(plateaus), [math.inf] + half))
+        arms += zip([b for _, b in plateaus], [1.0] * len(plateaus), half + [math.inf])
+        arms = [(x, s, r) for x, s, r in arms if -w - min(r, e_max) < s * x < w]  # in reach
+        anchor, sign, reach = np.array(arms).reshape(-1, 3).T[:, :, None, None]
     at_one, fits = np.zeros(len(grid)), c < 1.0  # c rounds to 1 from T ~ 2^53: nothing decodes
     at_one[fits] = F(np.ones(fits.sum()), grid[fits])
     values, groups = {}, {}
@@ -157,7 +160,6 @@ def _expect_over_timing(params: NetworkParams, timings, config: OfdmConfig, F,
             cuts.update(e for x, side, r in arms for j in jumps
                         if 0 < (e := side * (j - x)) < min(r, e_max))
             groups.setdefault(tuple(sorted(cuts)), []).append(i)
-    anchor, sign, reach = np.array(arms).reshape(-1, 3).T[:, :, None, None]
     for cuts, members in groups.items():
         pts = np.minimum(np.array((0.0,) + cuts + (np.inf,))[:, None], spill)
         lo, width = pts[:-1], pts[1:] - pts[:-1]  # each (pieces, m); pads sit at E

@@ -13,6 +13,7 @@ reads; the Monte Carlo engine transforms only the samples from a second one, its
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +224,15 @@ def demodulate_window(window: np.ndarray) -> np.ndarray:
     return np.fft.fft(window)
 
 
+@functools.lru_cache(maxsize=None)
+def _roots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """e^{2 pi i m/n} for m = 0 .. n-1, and 1 - e^{2 pi i j/n} for j = 1 .. n-1; read-only."""
+    roots = np.exp(1j * 2 * np.pi * np.arange(n) / n)
+    denom = 1.0 - roots[1:]
+    roots.flags.writeable = denom.flags.writeable = False
+    return roots, denom
+
+
 def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int) -> np.ndarray:
     """Per-subcarrier outputs from the explicit closed forms, regimes 1-2 only.
 
@@ -233,29 +243,23 @@ def closed_form_outputs(config: OfdmConfig, stream: SymbolStream, d: int, m: int
     n, ncp = config.n, config.n_cp
     if d >= 0:
         raise ValueError("closed forms implemented for offsets in [-(n+n_cp), 0) only")
-    used = config.used_array()
+    used, (roots, denom) = config.used_array(), _roots(n)
 
     if d < -n:  # regime 1: phase-rotated copy of symbol m+1
         out = np.zeros(n, dtype=complex)
-        phase = np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
-        out[used % n] = phase * _symbols(config, stream, m + 1)
+        out[used % n] = roots[used * (-d - ncp) % n] * _symbols(config, stream, m + 1)
         return out
 
     # regime 2
-    s_cur = _symbols(config, stream, m)
-    s_nxt = _symbols(config, stream, m + 1)
-    rot_cur = s_cur * np.exp(-1j * 2 * np.pi * used * d / n)
-    rot_nxt = s_nxt * np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
+    rot_cur = _symbols(config, stream, m) * roots[-used * d % n]
+    rot_nxt = _symbols(config, stream, m + 1) * roots[used * (-d - ncp) % n]
 
-    # inter-carrier terms: out[l] += (1/n) sum_{used k != l} f((k - l) mod n) v[k]
-    # with the geometric-sum kernel f(j) = (1 - e^{j 2 pi j (n+d)/n}) / (1 - e^{j 2 pi j/n})
-    # and f(0) = 0.  This is a length-n circular correlation of v with f, whose
-    # DFT form is n * ifft(fft(v) * ifft(f)).  j (n+d) is reduced mod n first
-    # so the phase stays exact.
-    j = np.arange(1, n)
+    # inter-carrier terms: out[l] += (1/n) sum_{used k != l} f((k - l) mod n) v[k] with the
+    # geometric-sum kernel f(j) = (1 - e^{j 2 pi j (n+d)/n}) / (1 - e^{j 2 pi j/n}), f(0) = 0:
+    # a length-n circular correlation of v with f, n * ifft(fft(v) * ifft(f)).  Each phase
+    # is a root of unity read at its exponent reduced mod n, so it stays exact.
     kernel = np.zeros(n, dtype=complex)
-    kernel[1:] = ((1.0 - np.exp(1j * 2 * np.pi * (j * (n + d) % n) / n))
-                  / (1.0 - np.exp(1j * 2 * np.pi * j / n)))
+    kernel[1:] = (1.0 - roots[np.arange(1, n) * (n + d) % n]) / denom
     v = np.zeros(n, dtype=complex)
     v[used % n] = rot_cur - rot_nxt
     out = np.fft.ifft(np.fft.fft(v) * np.fft.ifft(kernel))
@@ -353,14 +357,15 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)
-    n, k, at, frames = config.n, len(config.used), 0, []
-    for s, p in _window_pieces(config, d):  # row of m + s, its window samples, its shift:
-        frames.append((1 + s, np.arange(at, at + p.stop - p.start), at - p.start + config.n_cp))
+    pieces = _window_pieces(config, d)  # in symbol order; rows drawn: m-1 if read, m, m+1 if read
+    n, k, at, frames, cur = config.n, len(config.used), 0, [], -min(pieces[0][0], 0)
+    for s, p in pieces:  # row of m + s, its window samples, its shift:
+        frames.append((cur + s, np.arange(at, at + p.stop - p.start), at - p.start + config.n_cp))
         at += p.stop - p.start  # window sample t is sample t - shift of the symbol's body
-    (base, _, shift), *spilled = sorted(frames, key=lambda f: f[0] != 1)  # m first if read
-    rows = max(r for r, _, _ in frames) + 1  # draws stop at the last row read, row 1 or later
+    (base, _, shift), *spilled = sorted(frames, key=lambda f: f[0] != cur)  # m first if read
+    rows = frames[-1][0] + 1  # m's row is drawn even when the window misses m
     (draw, symbols), used_runs = _ALPHABETS[alphabet], _runs(config.used_array() % n)
-    y, current = np.empty((2, _TRIAL_BLOCK, k), dtype=complex)  # outputs, symbols of m
+    (y, current), prod = np.empty((2, _TRIAL_BLOCK, k), complex), np.empty((2, _TRIAL_BLOCK, k))
     for other, t, other_shift in spilled:  # psi from a complex exp, which has no SIMD kernel
         psi = np.exp(1j * (2 * np.pi * (config.used_array() * (shift - other_shift) % n) / n))
         spill_runs, lookup = _runs((t - shift) % n), 4 * np.arange(k)  # spill in base frame
@@ -373,9 +378,9 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
         for lo in range(0, g, _FFT_BATCH):
             b = min(_FFT_BATCH, g - lo)
             drawn = draw(rng, b, rows, k)
-            sm, out = symbols(drawn[:, 1], current[lo:lo + b]), y[lo:lo + b]
+            sm, out = symbols(drawn[:, cur], current[lo:lo + b]), y[lo:lo + b]  # S_m, Y'
             if not spilled:  # Y' = S_b, which is S_m when the window reads m
-                np.copyto(out, sm) if base == 1 else symbols(drawn[:, base], out)
+                np.copyto(out, sm) if base == cur else symbols(drawn[:, base], out)
                 continue
             so = (np.take(table, drawn[:, other] + lookup, out=out, mode="clip")  # psi S_o
                   if alphabet == "qpsk" else _rotate(psi, symbols(drawn[:, other], out), out))
@@ -388,11 +393,14 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
             for a, e, at in used_runs:
                 np.add(sm[:, a:e], spectrum[:, at:at + e - a], out=out[:, a:e])
         yr, yi, cr, ci = y[:g].real, y[:g].imag, current[:g].real, current[:g].imag
-        p = yr * yr + yi * yi
+        u, v = prod[:, :g]  # the real products, into buffers in the plain forms' order
+        p = np.add(np.multiply(yr, yr, out=u), np.multiply(yi, yi, out=v), out=u)
         total_sum += np.add.reduce(p, axis=0)
-        total_sq += np.add.reduce(p * p, axis=0)
-        cross_re += np.add.reduce(yr * cr + yi * ci, axis=0)  # y conj(current)
-        cross_im += np.add.reduce(yi * cr - yr * ci, axis=0)
+        total_sq += np.add.reduce(np.multiply(p, p, out=v), axis=0)
+        cross_re += np.add.reduce(np.add(np.multiply(yr, cr, out=u),  # y conj(current)
+                                         np.multiply(yi, ci, out=v), out=u), axis=0)
+        cross_im += np.add.reduce(np.subtract(np.multiply(yi, cr, out=u),
+                                              np.multiply(yr, ci, out=v), out=u), axis=0)
     total = total_sum / trials
     stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
     useful = (cross_re / trials) ** 2 + (cross_im / trials) ** 2

@@ -574,6 +574,25 @@ def test_hypotheses_identity_and_monotonicity(cfg):
             mean_decodable_with_hypotheses(params, timing, cfg, bad)
 
 
+def test_all_delta_calls_build_no_plateaus(cfg, monkeypatch):
+    # a delta's weight comes from the bracket map, so the plateaus and their arms are
+    # built only for a model with a density: an all-delta call never merges them
+    params, w = budget_params(1 / 400 ** 2, 3.8, -12.0), _w(cfg)
+    hypotheses, deltas = hypothesis_set(3, 2, 90.0), [tm.delta(0.0, w), tm.delta(-600.0, w)]
+    want = analytics.mean_decodable_each(params, deltas, cfg, hypotheses)
+
+    def refuse(intervals):
+        raise AssertionError("plateaus merged for an all-delta call")
+
+    monkeypatch.setattr(analytics, "_merge", refuse)
+    assert analytics.mean_decodable_each(params, deltas, cfg, hypotheses) == want
+    nearest_decoding_prob(params, deltas[1], cfg)  # one hypothesis, a threshold grid: no merge
+    mean_decodable(params, deltas[0], cfg, thresholds=[0.1, 1.0])
+    with pytest.raises(AssertionError, match="plateaus merged"):  # a density needs them
+        mean_decodable_with_hypotheses(params, tm.truncated_gaussian(0.2 * 1024, w), cfg,
+                                       hypotheses)
+
+
 # ------------------------------------------------------------ threshold grids
 
 GRID_STATISTICS = {

@@ -4,6 +4,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +83,32 @@ def _reference_closed_form(config, stream, d, m):
     return out + 1.0 / n * kernel @ (rot_cur - rot_nxt)
 
 
+def _frozen_kernel(n, d):
+    """The geometric-sum kernel f(1 .. n-1) as closed_form_outputs built it with np.exp
+    before it read the cached root table; the table must give these bits."""
+    j = np.arange(1, n)
+    return ((1.0 - np.exp(1j * 2 * np.pi * (j * (n + d) % n) / n))
+            / (1.0 - np.exp(1j * 2 * np.pi * j / n)))
+
+
+def _frozen_closed_form(config, stream, d, m):
+    """closed_form_outputs with every phase from np.exp, as before the root table."""
+    n, ncp, used = config.n, config.n_cp, config.used_array()
+    if d < -n:
+        out = np.zeros(n, dtype=complex)
+        out[used % n] = np.exp(1j * 2 * np.pi * used * (-d - ncp) / n) * stream[m + 1]
+        return out
+    rot_cur = stream[m] * np.exp(-1j * 2 * np.pi * used * d / n)
+    rot_nxt = stream[m + 1] * np.exp(1j * 2 * np.pi * used * (-d - ncp) / n)
+    kernel = np.zeros(n, dtype=complex)
+    kernel[1:] = _frozen_kernel(n, d)
+    v = np.zeros(n, dtype=complex)
+    v[used % n] = rot_cur - rot_nxt
+    out = np.fft.ifft(np.fft.fft(v) * np.fft.ifft(kernel))
+    out[used % n] += (n + d) / n * rot_cur - d / n * rot_nxt
+    return out
+
+
 def _reference_analytic_profile(config, d):
     """Expected (useful, total) per used subcarrier, one branch per regime."""
     n, ncp = config.n, config.n_cp
@@ -111,7 +138,8 @@ def _reference_ici_sum(config, width):
 def _reference_empirical(config, d, trials, seed, alphabet):
     """One stream, window and DFT per trial, the streams of each 64-trial group drawn in
     turn from one `default_rng([seed, group])`; returns useful, total, stderr."""
-    indices = (-1, 0, 1) if d < 0 else (-1, 0)  # draws stop at the last symbol read
+    # draws run from m-1 if the window reads it, else m, to the last symbol read
+    indices = (0, 1) if d < 0 else (-1, 0) if d > config.n_cp else (0,)
     used_mod = config.used_array() % config.n
     k = len(config.used)
     total_sum, total_sq, cross = np.zeros(k), np.zeros(k), np.zeros(k, dtype=complex)
@@ -119,6 +147,7 @@ def _reference_empirical(config, d, trials, seed, alphabet):
         if t % 64 == 0:
             rng = np.random.default_rng([seed, t // 64])
         stream = _reference_stream(config, indices, rng, alphabet)
+        stream.setdefault(-1, np.zeros(k))  # at d = n_cp the splice reads none of m-1
         if alphabet == "qpsk" and len(indices) * k % 2:
             rng.integers(0, 4)  # a trial's raw words end on a whole 64-bit word
         y = np.fft.fft(_reference_receive_window(config, stream, d, 0))[used_mod]
@@ -132,11 +161,11 @@ def _reference_empirical(config, d, trials, seed, alphabet):
 
 
 def _group_symbols(config, d, seed, group, alphabet):
-    """The symbols m-1, m (and m+1 when d < 0, the last symbol the window reads) of all 64
-    trials of one group, drawn trial after trial from `default_rng([seed, group])`: per
+    """The symbols m, m+1 (d < 0), m-1, m (d > n_cp) or m alone (0 <= d <= n_cp) of all
+    64 trials of one group, drawn trial after trial from `default_rng([seed, group])`: per
     trial the top two bits of each 32-bit half of whole raw words, low half first, for
     QPSK; normal pairs for the Gaussian alphabet."""
-    rows, k = 3 if d < 0 else 2, len(config.used)
+    rows, k = 1 if 0 <= d <= config.n_cp else 2, len(config.used)
     rng = np.random.default_rng([seed, group])
     if alphabet == "qpsk":
         words = rng.bit_generator.random_raw(64 * -(-rows * k // 2)).reshape(64, -1)
@@ -165,14 +194,15 @@ def _frozen_empirical(config, d, trials, seed, alphabet):
     n, ncp, k = config.n, config.n_cp, len(config.used)
     used = config.used_array()
     used_mod, tau = used % n, np.arange(n)
+    # rows of the drawn symbols: m and m+1 (d < 0), m alone, or m-1 and m (d > n_cp)
     if d <= -n:  # regime 1, and its edge d = -n: all of m+1, a cyclic shift of it
-        base, other = 2, None
+        cur, base, other = 0, 1, None
     elif d < 0:  # regime 2: m+1 from window sample n + d on, base-frame samples 0 .. -d-1
-        base, other, delta, spill = 1, 2, -ncp, tau < -d
+        cur, base, other, delta, spill = 0, 0, 1, -ncp, tau < -d
     elif d <= ncp:  # regime 3, and its edge d = n_cp: a cyclic shift of m
-        base, other = 1, None
+        cur, base, other = 0, 0, None
     else:  # regime 4: m-1 in window samples 0 .. d-ncp-1, base-frame samples t - d mod n
-        base, other, delta, spill = 1, 0, ncp, np.isin(tau, (np.arange(d - ncp) - d) % n)
+        cur, base, other, delta, spill = 1, 1, 0, ncp, np.isin(tau, (np.arange(d - ncp) - d) % n)
     if other is not None:
         psi = np.exp(1j * (2 * np.pi * (used * delta % n) / n))
     total_sum, total_sq, cross_re, cross_im = np.zeros((4, k))
@@ -188,7 +218,7 @@ def _frozen_empirical(config, d, trials, seed, alphabet):
             grid[:, used_mod] = rotated - y
             masked = np.where(spill, np.fft.ifft(grid, axis=-1), 0.0)
             y = y + np.fft.fft(masked, axis=-1)[:, used_mod]
-        yr, yi, cr, ci = y.real, y.imag, syms[:, 1].real, syms[:, 1].imag
+        yr, yi, cr, ci = y.real, y.imag, syms[:, cur].real, syms[:, cur].imag
         p = yr * yr + yi * yi  # real arithmetic
         total_sum += _row_sum(p)
         total_sq += _row_sum(p * p)
@@ -430,6 +460,55 @@ def test_closed_form_matches_dft_property(data):
     direct = demodulate_window(receive_window(config, stream, d, 0))[used]
     closed = closed_form_outputs(config, stream, d, 0)[used]
     assert _rel_to_max(closed, direct) <= 1e-11
+
+
+def _assert_kernel_from_roots_is_frozen(config, d):
+    n, j = config.n, np.arange(1, config.n)
+    roots, denom = link._roots(n)
+    assert np.array_equal((1.0 - roots[j * (n + d) % n]) / denom, _frozen_kernel(n, d)), d
+    if d >= -n:  # regime 2 correlates with it: the kernel is the argument of the first ifft
+        with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
+            closed_form_outputs(config, _stream(config, 1, kind="gaussian"), d, 0)
+        kernel = ifft.call_args_list[0].args[0]
+        assert kernel[0] == 0.0 and np.array_equal(kernel[1:], _frozen_kernel(n, d)), d
+
+
+@pytest.mark.parametrize("config", [OfdmConfig.centered(64, 8, -24, 23),
+                                    OfdmConfig.centered(96, 12, -30, 29)], ids=["64", "96"])
+def test_kernel_from_the_roots_table_at_every_early_offset_of_a_small_config(config):
+    # n = 96 as well: dividing by a power of two is exact, so an angle whose products are
+    # taken in another order keeps its bits at n = 64 and would go unseen there
+    for d in range(-config.domain_half_width, 0):
+        _assert_kernel_from_roots_is_frozen(config, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1096, -1))
+@example(-1096)
+@example(-1024)
+@example(-1)
+def test_kernel_from_the_roots_table_at_sampled_offsets_property(d):
+    _assert_kernel_from_roots_is_frozen(OfdmConfig.centered(1024, 72, -300, 299), d)
+
+
+def test_roots_table_is_cached_and_read_only():
+    roots, denom = link._roots(64)
+    assert link._roots(64)[0] is roots
+    assert not roots.flags.writeable and not denom.flags.writeable
+    assert roots[0] == 1.0 and np.array_equal(denom, 1.0 - roots[1:])
+
+
+@pytest.mark.parametrize("config", [
+    OfdmConfig.centered(1024, 72, -300, 299),
+    OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)),
+], ids=["1024-band", "64-sparse"])
+def test_closed_form_matches_its_frozen_exp_copy(config):
+    # the root table moves only the last bits of the regime-1 phase and regime-2 rotations
+    stream = _stream(config, 8, kind="gaussian")
+    w, n = config.domain_half_width, config.n
+    for d in sorted({-w, -n - 1, -n, -n + 1, -n // 2, -1, *range(-w, 0, 37)}):
+        closed = closed_form_outputs(config, stream, d, 0)
+        assert _rel_to_max(closed, _frozen_closed_form(config, stream, d, 0)) <= 1e-12, d
 
 
 def test_closed_form_restricted_to_early_offsets(cfg):
@@ -700,6 +779,20 @@ def test_empirical_profile_bits_do_not_depend_on_the_transform_batch(monkeypatch
             assert all(map(np.array_equal, got, want)), (trials, batch)
 
 
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+def test_empirical_profile_draws_only_the_rows_it_reads(cfg, monkeypatch, alphabet):
+    # m is always drawn (the useful power correlates with it), m-1 only when the window
+    # reads it, and nothing after the last symbol read
+    draw, symbols = link._ALPHABETS[alphabet]
+    rows = []
+    monkeypatch.setitem(link._ALPHABETS, alphabet, (
+        lambda rng, b, r, k: rows.append(r) or draw(rng, b, r, k), symbols))
+    for d, want in ((-1090, 2), (-300, 2), (40, 1), (200, 2)):  # regimes 1, 2, 3, 4
+        rows.clear()
+        empirical_power_profile(cfg, d, trials=20, seed=1, alphabet=alphabet)
+        assert rows == [want] * 3, d  # batches of 8, 8 and 4 trials
+
+
 def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
     # the working set is the 8-trial batch and the 64-trial group, not the trial count
     peaks = []
@@ -717,13 +810,15 @@ def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
 # one Gaussian-alphabet profile's useful, total and stderr arrays, recorded when
 # the link engine took one generator per 64-trial group, real arithmetic, and its
 # outputs in the base symbol's circular frame (offset 50 and the Gaussian digest
-# changed then; the other CSVs kept their bytes).  They are the same with numpy's
-# SIMD dispatch held to the x86-64-v2 baseline
+# changed then; the other CSVs kept their bytes).  Offsets -300 and -6 were
+# re-recorded when the early regimes stopped drawing symbol m-1, which they never
+# read; the late offsets draw the rows they drew before.  All are the same with
+# numpy's SIMD dispatch held to the x86-64-v2 baseline
 # (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR") as with AVX2
 # or AVX-512.
 LINK_PROFILE_DIGESTS = {
-    -300: "1df3538da8a6011469b0dd3512b6b1e7303d66284bc5c5b79f7cc325f21d7641",
-    -6: "ada59de748a71a693ac58198acbdce3ea3f9ee4c3f4d2cb71b9ffb84cf617086",
+    -300: "33844045cd5fcc1a037aedc67dc058801497538b0f023ec64f4a2f1bb1943287",
+    -6: "d6915e0995841bd94e914f3739d98d5b024f1516986276cd669eea190af69395",
     50: "3c54d64072f9faf930f4a5fa9cbe8bac10701ae8daff025d48ff3c433d47dd45",
     78: "5ef03ba756a6cd12e84275baf3efaf7b9ca88ccff5f4782194856f1c58b19662",
     200: "49755b17df71a5b064e7f0ee9b47e44cf24ee584a6fb57096f3756738997f096",
