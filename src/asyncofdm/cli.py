@@ -2,8 +2,8 @@
 
 All user-facing quantities are in dB/dBm/meters.  A run resolves once, into a frozen
 `RunConfig` that holds the network at the configured threshold in linear units and the
-threshold grid in dB; the analytic sweeps take the whole grid at once, and the Monte
-Carlo estimators each point through `RunConfig.params`.  Precedence is
+threshold grid in dB; the analytic sweeps take the whole grid at once, and a Monte
+Carlo sweep scores every point from one pass at the grid's lowest threshold.  Precedence is
 flags > config file > defaults; the defaults reproduce the reference parameter
 set (N=1024, N_cp=72, lambda=1/400^2 per m^2, alpha=3.8, 23 dBm over 10 MHz
 with -174 dBm/Hz PSD and 9 dB noise figure, T=-12 dB, sigma=0.2N).
@@ -39,6 +39,7 @@ DEFAULTS = {
     "sim": {"trials": 1000, "expected_points": SimSpec.expected_points, "seed": 1},
 }
 THROUGHPUT_GRID_DB = tuple(x * 0.5 for x in range(-30, 21))  # -15..10 dB, when not swept
+MAX_SWEEP_POINTS = 10_001  # most thresholds in a grid; 10,001 take a sweep 1 s and 100 MB
 
 _ALLOWED = {
     "ofdm": {"n", "n_cp", "used_range"},
@@ -88,8 +89,8 @@ class RunConfig:
 
 
 def _sweep(lo, hi, step, where: str) -> tuple[float, ...]:
-    """The threshold grid lo, lo + step, ..., hi in dB, once step divides hi - lo and
-    the end points are finite, positive linear thresholds."""
+    """The threshold grid lo, lo + step, ..., hi in dB, once step divides hi - lo, the grid
+    holds at most MAX_SWEEP_POINTS and the end points are finite, positive linear thresholds."""
     try:
         lo, hi, step = float(lo), float(hi), float(step)
         linear = db_to_linear(lo), db_to_linear(hi)
@@ -104,6 +105,9 @@ def _sweep(lo, hi, step, where: str) -> tuple[float, ...]:
     steps = (hi - lo) / step
     if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * round(steps)):
         raise ConfigError(f"{where}: step {step} does not divide the range {lo}..{hi}")
+    if round(steps) + 1 > MAX_SWEEP_POINTS:  # checked before the tuple is built
+        raise ConfigError(f"{where}: {round(steps) + 1} thresholds exceed "
+                          f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
     if not all(0.0 < x < math.inf for x in linear):
         raise ConfigError(f"{where}: the range {lo}..{hi} dB does not map to finite, "
                           "positive linear thresholds")
@@ -246,11 +250,11 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
         header += ["mc_value", "mc_ci_half"]
     thresholds, rows, t_strs = cfg.thresholds, [], [_fmt(t_db) for t_db in cfg.grid_db]
     columns = analytic_fn(cfg.network, models, cfg.ofdm, thresholds=thresholds)
-    for sigma, tm, results, values in zip(map(_fmt, sigmas), models, runs, columns):
+    for sigma, results, values in zip(map(_fmt, sigmas), runs, columns):
         for t_str, t, value in zip(t_strs, thresholds, values.tolist()):
             row = [t_str, sigma, _fmt(value)]
             if args.with_mc:
-                est = mc_fn(cfg.network.with_threshold(t), tm, cfg.ofdm, cfg.sim, results=results)
+                est = mc_fn(results, t)
                 row += [_fmt(est.mean), _fmt(est.ci_half_width)]
             rows.append(row)
     _write_csv(args.out, header, rows)
@@ -311,13 +315,12 @@ def cmd_validate(cfg: RunConfig, args) -> int:
                                       workers=args.workers)
     values = analytics.mean_decodable_each(cfg.network, models, cfg.ofdm) + [
         analytics.nearest_decoding_prob(cfg.network, models[1], cfg.ofdm)]
-    scenarios = [(f"mean sigma={sigma}N", tm, results, simulation.estimate_mean_decodable)
-                 for sigma, tm, results in zip(sigmas, models, runs)]
-    scenarios.append(("nearest sigma=0.2N", models[1], runs[1], simulation.estimate_nearest_prob))
+    t = cfg.network.threshold
+    names = [f"mean sigma={sigma}N" for sigma in sigmas] + ["nearest sigma=0.2N"]
+    estimates = [results.mean_count(t) for results in runs] + [runs[1].nearest_prob(t)]
 
     rows, failed = [], False
-    for (name, tm, results, mc_fn), analytic in zip(scenarios, values):
-        est = mc_fn(cfg.network, tm, cfg.ofdm, cfg.sim, results=results)
+    for name, est, analytic in zip(names, estimates, values):
         slack = max(est.ci_half_width, 0.02 * abs(analytic))
         ok = abs(est.mean - analytic) <= slack
         failed |= not ok
@@ -337,9 +340,9 @@ _SWEEP = {"sweep", "sigma_over_n", "with_mc"}
 COMMANDS = {
     "link-profile": (cmd_link_profile, {"offset", "trials", "seed"}),
     "mean-decodable": (lambda cfg, args: _sweep_command(
-        cfg, args, analytics.mean_decodable_each, simulation.estimate_mean_decodable), _SWEEP),
+        cfg, args, analytics.mean_decodable_each, simulation.TrialResults.mean_count), _SWEEP),
     "nearest": (lambda cfg, args: _sweep_command(cfg, args, analytics.nearest_decoding_prob_each,
-                                                  simulation.estimate_nearest_prob), _SWEEP),
+                                                  simulation.TrialResults.nearest_prob), _SWEEP),
     "dist": (cmd_dist, _MC),
     "throughput": (cmd_throughput, {"sweep", "sigma_over_n"}),
     "hypotheses": (cmd_hypotheses, {"hypotheses", "sweep"}),

@@ -366,8 +366,8 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     rows = frames[-1][0] + 1  # m's row is drawn even when the window misses m
     (draw, symbols), used_runs = _ALPHABETS[alphabet], _runs(config.used_array() % n)
     (y, current), prod = np.empty((2, _TRIAL_BLOCK, k), complex), np.empty((2, _TRIAL_BLOCK, k))
-    for other, t, other_shift in spilled:  # psi from a complex exp, which has no SIMD kernel
-        psi = np.exp(1j * (2 * np.pi * (config.used_array() * (shift - other_shift) % n) / n))
+    for other, t, other_shift in spilled:  # psi from the root table: a complex exp, no SIMD
+        psi = _roots(n)[0][config.used_array() * (shift - other_shift) % n]
         spill_runs, lookup = _runs((t - shift) % n), 4 * np.arange(k)  # spill in base frame
         table = _rotate(psi[:, None], _QPSK, np.empty((k, 4), complex)).ravel()  # psi[l] QPSK[j]
         grid, masked = np.zeros((2, _FFT_BATCH, n), complex)  # masked: 0 off the spill

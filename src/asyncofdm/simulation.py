@@ -227,6 +227,16 @@ class TrialResults:
         counts = np.bincount(trial[keep], minlength=self.trials)
         return TrialResults(counts, self.nearest_sinr, threshold, self.sinr[keep])
 
+    def mean_count(self, threshold: float) -> Estimate:
+        """Mean decodable count at a threshold at or above this pass's own."""
+        return _mean_ci(self.at(threshold).counts.astype(float))
+
+    def nearest_prob(self, threshold: float) -> Estimate:
+        """Fraction of trials whose nearest transmitter decodes at a threshold at or above
+        this pass's own; empty trials fail."""
+        ok = self.at(threshold).nearest_sinr >= threshold  # NaN compares False
+        return _mean_ci(ok.astype(float))
+
     def to_csv(self, path) -> None:
         _write_csv(path, ["trial", "count", "nearest_sinr_db"],
                    ([t, c, "" if math.isnan(s) else _fmt(10 * math.log10(s) if s else -math.inf)]
@@ -270,12 +280,9 @@ def _mean_ci(x: np.ndarray) -> Estimate:
 
 
 def estimate_mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                            spec: SimSpec, workers: int = 1,
-                            results: TrialResults | None = None) -> Estimate:
-    """Mean decodable count at params.threshold, of `results` if given, else of a fresh run."""
-    if results is None:
-        results = run_trials(params, timing, config, spec, workers)
-    return _mean_ci(results.at(params.threshold).counts.astype(float))
+                            spec: SimSpec, workers: int = 1) -> Estimate:
+    """Mean decodable count at params.threshold over a fresh run."""
+    return run_trials(params, timing, config, spec, workers).mean_count(params.threshold)
 
 
 def _wilson(successes: np.ndarray, n: int):
@@ -304,19 +311,13 @@ class EmpiricalDistribution:
 def estimate_distribution(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
                           spec: SimSpec, workers: int = 1) -> EmpiricalDistribution:
     results = run_trials(params, timing, config, spec, workers)
-    n_max = int(results.counts.max(initial=0))
-    values = np.arange(n_max + 1)
-    hist = np.bincount(results.counts, minlength=n_max + 1).astype(float)
-    return EmpiricalDistribution(values, hist / results.trials, _wilson(hist, results.trials),
-                                 results.trials)
+    hist = np.bincount(results.counts).astype(float)
+    return EmpiricalDistribution(np.arange(len(hist)), hist / results.trials,
+                                 _wilson(hist, results.trials), results.trials)
 
 
 def estimate_nearest_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                          spec: SimSpec, workers: int = 1,
-                          results: TrialResults | None = None) -> Estimate:
-    """Fraction of trials where the nearest transmitter decodes at params.threshold, of
-    `results` if given, else of a fresh run; empty trials fail."""
-    if results is None:
-        results = run_trials(params, timing, config, spec, workers)
-    ok = results.at(params.threshold).nearest_sinr >= params.threshold  # NaN compares False
-    return _mean_ci(ok.astype(float))
+                          spec: SimSpec, workers: int = 1) -> Estimate:
+    """Fraction of trials of a fresh run whose nearest transmitter decodes at
+    params.threshold; empty trials fail."""
+    return run_trials(params, timing, config, spec, workers).nearest_prob(params.threshold)

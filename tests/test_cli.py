@@ -11,7 +11,8 @@ import pytest
 
 from asyncofdm import analytics, cli, simulation
 from asyncofdm.quadrature import QuadratureError
-from asyncofdm.cli import ConfigError, _apply_flags, _sweep, build_parser, load_config, main
+from asyncofdm.cli import (MAX_SWEEP_POINTS, ConfigError, _apply_flags, _sweep, build_parser,
+                           load_config, main)
 from asyncofdm.sinr import MAX_HYPOTHESES
 
 
@@ -275,6 +276,22 @@ def test_an_over_long_hypothesis_set_exits_2(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ConfigError, match="exceed MAX_HYPOTHESES"):
         load_config(_write(tmp_path, f"hypotheses: {{n1: {MAX_HYPOTHESES}, n2: 0, delta: 0.001}}"))
+
+
+def test_an_over_long_sweep_exits_2_before_the_grid_is_built(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for command in ("mean-decodable", "nearest"):  # 2.5e13 points, refused before any is built
+        assert main([command, "--sweep=-15:10:1e-12", "--with-mc", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep: ") and err.endswith(
+            f" thresholds exceed MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}\n")
+        assert not out.exists()
+    with pytest.raises(ConfigError, match=r"detection.sweep: \d+ thresholds exceed MAX_SWEEP"):
+        load_config(_write(tmp_path, "detection:\n  sweep: {lo_db: -15, hi_db: 10, "
+                                     "step_db: 1.0e-12}\n"))
+    assert len(_sweep(-5, 5, 10 / (MAX_SWEEP_POINTS - 1), "--sweep")) == MAX_SWEEP_POINTS
+    with pytest.raises(ConfigError, match=f"{MAX_SWEEP_POINTS + 1} thresholds exceed"):
+        _sweep(-5, 5, 10 / MAX_SWEEP_POINTS, "--sweep")
 
 
 # ------------------------------------------------------------------- commands

@@ -204,7 +204,7 @@ def _frozen_empirical(config, d, trials, seed, alphabet):
     else:  # regime 4: m-1 in window samples 0 .. d-ncp-1, base-frame samples t - d mod n
         cur, base, other, delta, spill = 1, 1, 0, ncp, np.isin(tau, (np.arange(d - ncp) - d) % n)
     if other is not None:
-        psi = np.exp(1j * (2 * np.pi * (used * delta % n) / n))
+        psi = np.exp(1j * 2 * np.pi * (used * delta % n) / n)  # link._roots' expression
     total_sum, total_sq, cross_re, cross_im = np.zeros((4, k))
     for first in range(0, trials, 64):
         g = min(64, trials - first)
@@ -738,7 +738,8 @@ def test_empirical_profile_accepts_integral_numbers(small_cfg):
 @pytest.mark.parametrize("config", [
     OfdmConfig.centered(1024, 72, -300, 299),
     OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)),
-], ids=["1024-band", "64-sparse"])
+    OfdmConfig(96, 10, (-20, -3, 0, 1, 7, 19)),  # 4 psi entries round as only the table does
+], ids=["1024-band", "64-sparse", "96-sparse"])
 @pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
 def test_empirical_profile_bitwise_equals_frozen_reference(config, alphabet):
     # every regime boundary, and trial counts on both sides of the 8-trial

@@ -244,9 +244,9 @@ def test_results_at_higher_threshold_match_fresh_run(cfg, workers):
         assert got.counts.dtype == fresh.counts.dtype
         assert np.array_equal(got.nearest_sinr, fresh.nearest_sinr, equal_nan=True)
         assert np.array_equal(got.sinr, fresh.sinr)
-        for estimate in (estimate_mean_decodable, estimate_nearest_prob):
-            assert (estimate(params, _tg02(cfg), cfg, spec, results=got)
-                    == estimate(params, _tg02(cfg), cfg, spec, results=fresh))
+        t = params.threshold
+        assert got.mean_count(t) == fresh.mean_count(t)
+        assert got.nearest_prob(t) == fresh.nearest_prob(t)
 
 
 def test_results_reject_lower_threshold(cfg):
@@ -260,19 +260,18 @@ def test_results_reject_lower_threshold(cfg):
 def test_estimators_cut_a_lower_pass_at_their_own_threshold(cfg):
     low = budget_params(1 / 400 ** 2, 3.8, -12.0)
     params, spec = low.with_threshold_db(0.0), SimSpec(300, 3)
-    base = run_trials(low, _tg02(cfg), cfg, spec)
-    for estimate in (estimate_mean_decodable, estimate_nearest_prob):
-        assert (estimate(params, _tg02(cfg), cfg, spec, results=base)
-                == estimate(params, _tg02(cfg), cfg, spec))
+    base, t = run_trials(low, _tg02(cfg), cfg, spec), params.threshold
+    assert base.mean_count(t) == estimate_mean_decodable(params, _tg02(cfg), cfg, spec)
+    assert base.nearest_prob(t) == estimate_nearest_prob(params, _tg02(cfg), cfg, spec)
 
 
 def test_estimators_reject_a_pass_above_their_threshold(cfg):
     params = budget_params(1 / 400 ** 2, 3.8, -12.0)
     spec = SimSpec(5, 3)
     base = run_trials(params, _tg02(cfg), cfg, spec)
-    for estimate in (estimate_mean_decodable, estimate_nearest_prob):
+    for estimate in (base.mean_count, base.nearest_prob):
         with pytest.raises(ValueError, match="below"):
-            estimate(params.with_threshold_db(-15.0), _tg02(cfg), cfg, spec, results=base)
+            estimate(db_to_linear(-15.0))
 
 
 def test_results_keep_only_decodable_sinrs(cfg):
