@@ -264,9 +264,10 @@ def cmd_dist(cfg: RunConfig, args) -> None:
     bound = analytics.upsilon_upper_distribution(cfg.network, cfg.timing, cfg.ofdm)
     emp = simulation.estimate_distribution(cfg.network, cfg.timing, cfg.ofdm, cfg.sim,
                                            workers=args.workers)
-    n_max = max(bound.support_max, int(emp.counts[-1]))
-    columns = [c.tolist() for c in (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(),
-                                    emp.ci_half_width)]
+    # rows past the bound pmf's underflow to 0 (its ccdf too) and the largest count: all 0
+    n_max = max(int(bound.pmf.nonzero()[0][-1]), int(emp.counts[-1]))
+    columns = [c[:n_max + 1].tolist() for c in (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(),
+                                                emp.ci_half_width)]
     rows = [[n] + [_fmt(c[n] if n < len(c) else 0.0) for c in columns]
             for n in range(n_max + 1)]
     _write_csv(args.out, ["n", "bound_pmf", "bound_ccdf", "mc_pmf", "mc_ccdf", "mc_ci_half"],

@@ -36,8 +36,8 @@ __all__ = [
 
 # trials per accumulation group in empirical_power_profile, and per generator: group j
 # draws from default_rng([seed, j]).  A group's powers and cross products are summed row
-# by row (np.add.reduce down axis 0) from real products, whose rounding no SIMD dispatch
-# changes: this size and that order fix the output bits.
+# by row from real products, whose rounding no SIMD dispatch changes, each batch's rows
+# folded into the group's sums as made: this size and that order fix the output bits.
 _TRIAL_BLOCK = 64
 # trials per transform batch within a group; keeps the FFT work in cache.  A batch takes
 # the group's next draws in one call, so the bits do not depend on it.
@@ -81,6 +81,8 @@ class OfdmConfig:
             used = sorted(_integer("subcarrier", k) for k in used)
         used = tuple(used)
         object.__setattr__(self, "used", used)
+        object.__setattr__(self, "_used_array", np.asarray(used, dtype=int))
+        self._used_array.flags.writeable = False
         if self.n <= 0 or self.n_cp <= 0:
             raise ValueError("n and n_cp must be positive")
         if self.n_cp >= self.n:
@@ -104,7 +106,11 @@ class OfdmConfig:
         return self.n + self.n_cp
 
     def used_array(self) -> np.ndarray:
-        return np.asarray(self.used, dtype=int)
+        """`used` as one read-only int array, built once per config."""
+        return self._used_array
+
+    def __reduce__(self):  # rebuilt from the fields, so the copy's array is read-only too
+        return type(self), (self.n, self.n_cp, self.used)
 
 
 class SymbolStream(dict):
@@ -365,42 +371,50 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     (base, _, shift), *spilled = sorted(frames, key=lambda f: f[0] != cur)  # m first if read
     rows = frames[-1][0] + 1  # m's row is drawn even when the window misses m
     (draw, symbols), used_runs = _ALPHABETS[alphabet], _runs(config.used_array() % n)
-    (y, current), prod = np.empty((2, _TRIAL_BLOCK, k), complex), np.empty((2, _TRIAL_BLOCK, k))
+    y, current = np.empty((2, _FFT_BATCH, k), complex)
     for other, t, other_shift in spilled:  # psi from the root table: a complex exp, no SIMD
         psi = _roots(n)[0][config.used_array() * (shift - other_shift) % n]
         spill_runs, lookup = _runs((t - shift) % n), 4 * np.arange(k)  # spill in base frame
         table = _rotate(psi[:, None], _QPSK, np.empty((k, 4), complex)).ravel()  # psi[l] QPSK[j]
         grid, masked = np.zeros((2, _FFT_BATCH, n), complex)  # masked: 0 off the spill
-    total_sum, total_sq, cross_re, cross_im = np.zeros((4, k))
+    # per statistic (power, its square, y conj(S_m)'s real and imaginary part) the group's sum,
+    # and a batch's terms behind a copy of it in row 0.  When Y' is S_m, the cross product's
+    # real part is the power bit for bit and its imaginary part ci cr - cr ci is +0.0.
+    stats = 2 if base == cur and not spilled else 4
+    terms, v = np.empty((stats, 1 + _FFT_BATCH, k)), np.empty((_FFT_BATCH, k))
+    totals, sums = np.zeros((2, stats, k))
     for first in range(0, trials, _TRIAL_BLOCK):
-        g = min(_TRIAL_BLOCK, trials - first)
+        g, sums[:] = min(_TRIAL_BLOCK, trials - first), 0.0
         rng = np.random.default_rng([seed, first // _TRIAL_BLOCK])
         for lo in range(0, g, _FFT_BATCH):
             b = min(_FFT_BATCH, g - lo)
             drawn = draw(rng, b, rows, k)
-            sm, out = symbols(drawn[:, cur], current[lo:lo + b]), y[lo:lo + b]  # S_m, Y'
-            if not spilled:  # Y' = S_b, which is S_m when the window reads m
-                np.copyto(out, sm) if base == cur else symbols(drawn[:, base], out)
-                continue
-            so = (np.take(table, drawn[:, other] + lookup, out=out, mode="clip")  # psi S_o
-                  if alphabet == "qpsk" else _rotate(psi, symbols(drawn[:, other], out), out))
-            for a, e, at in used_runs:
-                np.subtract(so[:, a:e], sm[:, a:e], out=grid[:b, at:at + e - a])
-            body = np.fft.ifft(grid[:b], axis=-1)
-            for a, e, at in spill_runs:
-                masked[:b, at:at + e - a] = body[:, at:at + e - a]
-            spectrum = np.fft.fft(masked[:b], axis=-1)
-            for a, e, at in used_runs:
-                np.add(sm[:, a:e], spectrum[:, at:at + e - a], out=out[:, a:e])
-        yr, yi, cr, ci = y[:g].real, y[:g].imag, current[:g].real, current[:g].imag
-        u, v = prod[:, :g]  # the real products, into buffers in the plain forms' order
-        p = np.add(np.multiply(yr, yr, out=u), np.multiply(yi, yi, out=v), out=u)
-        total_sum += np.add.reduce(p, axis=0)
-        total_sq += np.add.reduce(np.multiply(p, p, out=v), axis=0)
-        cross_re += np.add.reduce(np.add(np.multiply(yr, cr, out=u),  # y conj(current)
-                                         np.multiply(yi, ci, out=v), out=u), axis=0)
-        cross_im += np.add.reduce(np.subtract(np.multiply(yi, cr, out=u),
-                                              np.multiply(yr, ci, out=v), out=u), axis=0)
+            sm, out = symbols(drawn[:, cur], current[:b]), y[:b]  # S_m, Y'
+            if not spilled:  # Y' = S_b, which is S_m itself when the window reads m
+                out = sm if base == cur else symbols(drawn[:, base], out)
+            else:
+                so = (np.take(table, drawn[:, other] + lookup, out=out, mode="clip")  # psi S_o
+                      if alphabet == "qpsk" else _rotate(psi, symbols(drawn[:, other], out), out))
+                for a, e, at in used_runs:
+                    np.subtract(so[:, a:e], sm[:, a:e], out=grid[:b, at:at + e - a])
+                body = np.fft.ifft(grid[:b], axis=-1)
+                for a, e, at in spill_runs:
+                    masked[:b, at:at + e - a] = body[:, at:at + e - a]
+                spectrum = np.fft.fft(masked[:b], axis=-1)
+                for a, e, at in used_runs:
+                    np.add(sm[:, a:e], spectrum[:, at:at + e - a], out=out[:, a:e])
+            (yr, yi, cr, ci), u = (out.real, out.imag, sm.real, sm.imag), v[:b]
+            terms[:, 0] = sums  # the real products, into the rows in the plain forms' order
+            p, sq, *cross = terms[:, 1:b + 1]
+            np.add(np.multiply(yr, yr, out=p), np.multiply(yi, yi, out=u), out=p)
+            np.multiply(p, p, out=sq)
+            if cross:  # y conj(S_m)
+                re, im = cross
+                np.add(np.multiply(yr, cr, out=re), np.multiply(yi, ci, out=u), out=re)
+                np.subtract(np.multiply(yi, cr, out=im), np.multiply(yr, ci, out=u), out=im)
+            np.add.reduce(terms[:, :b + 1], axis=1, out=sums)  # row by row, k the inner loop
+        totals += sums
+    total_sum, total_sq, cross_re, cross_im = totals if stats == 4 else (*totals, totals[0], 0.0)
     total = total_sum / trials
     stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
     useful = (cross_re / trials) ** 2 + (cross_im / trials) ** 2

@@ -390,6 +390,27 @@ def test_dist_command(tmp_path):
     assert float(rows[1][2]) == 1.0 and float(rows[1][4]) == 1.0
 
 
+def test_dist_rows_end_at_the_last_nonzero_row(tmp_path):
+    # at -50 dB the bound's support runs to n = 100,001, but its pmf underflows to 0 far
+    # below that and the Monte Carlo counts end lower still: the CSV stops at the last
+    # row with a nonzero column, a prefix of the full table whose dropped rows are all 0
+    out, path = str(tmp_path / "dist.csv"), _write(tmp_path, "detection: {threshold_db: -50}\n")
+    argv = ["dist", "--config", path, "--trials", "50", "--out", out]
+    assert main(argv) == 0
+    cfg = _apply_flags(load_config(path), build_parser().parse_args(argv))
+    bound = analytics.upsilon_upper_distribution(cfg.network, cfg.timing, cfg.ofdm)
+    emp = simulation.estimate_distribution(cfg.network, cfg.timing, cfg.ofdm, cfg.sim)
+    columns = [c.tolist() for c in (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(),
+                                    emp.ci_half_width)]
+    full = [[str(n)] + [cli._fmt(c[n] if n < len(c) else 0.0) for c in columns]
+            for n in range(max(bound.support_max, int(emp.counts[-1])) + 1)]
+    rows = _rows(out)[1:]
+    assert len(full) == 100_002 and len(rows) < len(full) // 2
+    assert rows == full[:len(rows)]
+    assert any(value != "0" for value in rows[-1][1:])
+    assert all(value == "0" for row in full[len(rows):] for value in row[1:])
+
+
 def test_throughput_command(tmp_path):
     out = str(tmp_path / "thr.csv")
     assert main(["throughput", "--out", out, "--sweep=-4:0:2",

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import math
+import pickle
 import tracemalloc
 import warnings
 from unittest import mock
@@ -319,6 +320,21 @@ def test_odd_n_subcarrier_message_names_the_bound_it_checks():
     with pytest.raises(ValueError, match=r"^subcarrier -33 outside \[-32, 31\)$"):
         OfdmConfig(63, 8, (-33,))
     assert OfdmConfig(63, 8, (-32,)).used == (-32,)
+
+
+@pytest.mark.parametrize("config", [
+    OfdmConfig.centered(1024, 72, -300, 299),
+    OfdmConfig(64, 8, (7, -20, 1, -3, 0)),
+], ids=["centred", "sparse"])
+def test_used_array_is_one_read_only_array_per_config(config):
+    array = config.used_array()
+    assert config.used_array() is array
+    assert array.dtype == np.asarray(config.used, dtype=int).dtype
+    assert np.array_equal(array, np.asarray(config.used, dtype=int))
+    with pytest.raises(ValueError):
+        array[0] = 1
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and not copy.used_array().flags.writeable
 
 
 # ------------------------------------------------------------------ modulator
@@ -794,8 +810,9 @@ def test_empirical_profile_draws_only_the_rows_it_reads(cfg, monkeypatch, alphab
         assert rows == [want] * 3, d  # batches of 8, 8 and 4 trials
 
 
-def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
-    # the working set is the 8-trial batch and the 64-trial group, not the trial count
+def test_empirical_profile_memory_bounded_by_the_batch(cfg):
+    # the working set is one 8-trial batch, each folded into its group's sums as it is
+    # made: not the trial count, nor 64-row buffers for the group (2.6 MB at d = -300)
     peaks = []
     for trials in (64, 2000):
         tracemalloc.start()
@@ -805,6 +822,19 @@ def test_empirical_profile_memory_bounded_by_batch_and_group(cfg):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[1] < 1.5e6, peaks
+
+
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+def test_one_symbol_window_useful_power_is_the_total_squared(cfg, alphabet):
+    # a window that reads symbol m alone has Y' = S_m: the cross product's real part is
+    # the power term bit for bit and its imaginary part ci cr - cr ci is +0.0, which the
+    # frozen reference forms in full
+    for d in (0, 50, cfg.n_cp):
+        prof = empirical_power_profile(cfg, d, 130, seed=5, alphabet=alphabet)
+        useful, total, _ = _frozen_empirical(cfg, d, 130, 5, alphabet)
+        assert np.array_equal(prof.useful, prof.total ** 2), d
+        assert np.array_equal(prof.useful, useful) and np.array_equal(total ** 2, useful), d
 
 
 # sha256 of the link-profile CSVs (--trials 130 --seed 3) and of the bytes of
