@@ -276,16 +276,16 @@ def nearest_decoding_prob_each(params: NetworkParams, timings, config: OfdmConfi
     as a list over the timing models `timings`, each entry bit for bit its model's own.
 
     pi*lam * E_D[ integral_0^inf exp(-h q v^{alpha/2} - b(h) v) dv ] with
-    b(h) = pi*lam*(1 + rho(h, alpha)); with w = b(h) v the radial integral is
-    I(q h / b(h)^{alpha/2}) / b(h).  `thresholds` works as in `mean_decodable`.
+    b(h) = pi*lam*k(h), k(h) = 1 + rho(h, alpha); with w = b(h) v the two pi*lam cancel:
+    E_D[ I(q h / (pi*lam*k(h))^{alpha/2}) / k(h) ].  `thresholds` works as in `mean_decodable`.
     """
     alpha, q = params.alpha, params.noise_over_e
 
     def F(g, t):
         h = t / ((1.0 + t) * g - t)
-        b = np.pi * params.density * (1.0 + rho(h, alpha))
-        return np.pi * params.density * _exp_power_integral(q * h / b ** (alpha / 2.0),
-                                                            alpha / 2.0) / b
+        k = 1.0 + rho(h, alpha)
+        return _exp_power_integral(q * h / (np.pi * params.density * k) ** (alpha / 2.0),
+                                   alpha / 2.0) / k
 
     return _expect_over_timing(params, timings, config, F, thresholds)
 
@@ -325,7 +325,7 @@ def lambda_tilde_closed_form_alpha4(params: NetworkParams, timing: TimingModel,
 
 @dataclass
 class CountDistribution:
-    """Truncated-Poisson pmf on 0..floor((1+T)/T) dominating the decodable count."""
+    """A pmf of the decodable count on 0..support_max: the bound, or a histogram of trials."""
 
     counts: np.ndarray
     pmf: np.ndarray

@@ -265,7 +265,7 @@ def cmd_dist(cfg: RunConfig, args) -> None:
     emp = simulation.estimate_distribution(cfg.network, cfg.timing, cfg.ofdm, cfg.sim,
                                            workers=args.workers)
     # rows past the bound pmf's underflow to 0 (its ccdf too) and the largest count: all 0
-    n_max = max(int(bound.pmf.nonzero()[0][-1]), int(emp.counts[-1]))
+    n_max = max(int(bound.pmf.nonzero()[0][-1]), emp.support_max)
     columns = [c[:n_max + 1].tolist() for c in (bound.pmf, bound.ccdf(), emp.pmf, emp.ccdf(),
                                                 emp.ci_half_width)]
     rows = [[n] + [_fmt(c[n] if n < len(c) else 0.0) for c in columns]

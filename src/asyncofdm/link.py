@@ -79,21 +79,20 @@ class OfdmConfig:
         used = self.used
         if not (ranged := type(used) is range and used.step == 1):  # else sorted ints, each once
             used = sorted(_integer("subcarrier", k) for k in used)
-        used = tuple(used)
-        object.__setattr__(self, "used", used)
-        object.__setattr__(self, "_used_array", np.asarray(used, dtype=int))
-        self._used_array.flags.writeable = False
         if self.n <= 0 or self.n_cp <= 0:
             raise ValueError("n and n_cp must be positive")
         if self.n_cp >= self.n:
             raise ValueError("cyclic prefix must be shorter than the FFT size")
-        if len(used) == 0:
+        if not used:
             raise ValueError("at least one subcarrier must be used")
         if not ranged and len(set(used)) != len(used):
             raise ValueError("duplicate subcarrier indices")
         if not -self.n // 2 <= used[0] <= used[-1] < self.n // 2:  # sorted: check the ends
             k = next(k for k in used if not -self.n // 2 <= k < self.n // 2)
             raise ValueError(f"subcarrier {k} outside [{-self.n // 2}, {self.n // 2})")
+        object.__setattr__(self, "used", tuple(used))  # copied once checked, so within the band
+        object.__setattr__(self, "_used_array", np.asarray(self.used, dtype=int))
+        self._used_array.flags.writeable = False
 
     @classmethod
     def centered(cls, n: int, n_cp: int, lo: int, hi: int) -> "OfdmConfig":

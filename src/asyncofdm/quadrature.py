@@ -10,8 +10,6 @@ of the integrand covers both rules on every panel of a round, up to SLICE panels
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 __all__ = ["QuadratureError", "integrate", "integrate_halfline"]
@@ -21,9 +19,8 @@ class QuadratureError(RuntimeError):
     """Raised when panel bisection cannot reach the requested tolerance."""
 
 
-_nodes = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 # A panel's 16-point nodes and weights, then its 32-point ones: 48 abscissae per panel.
-_X, _W = map(np.concatenate, zip(_nodes(16), _nodes(32)))
+_X, _W = map(np.concatenate, zip(*map(np.polynomial.legendre.leggauss, (16, 32))))
 
 
 def _rules(f, lo, hi, blocks):

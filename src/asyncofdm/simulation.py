@@ -293,15 +293,11 @@ def _wilson(successes: np.ndarray, n: int):
 
 
 @dataclass
-class EmpiricalDistribution:
-    """Histogram of the decodable count with Wilson intervals per bin."""
+class EmpiricalDistribution(CountDistribution):
+    """Histogram of the decodable count, on 0..max observed, with Wilson intervals per bin."""
 
-    counts: np.ndarray  # n values 0..max observed
-    pmf: np.ndarray
     ci_half_width: np.ndarray
     trials: int
-
-    ccdf = CountDistribution.ccdf
 
     def ccdf_stderr(self) -> np.ndarray:
         tail = self.ccdf()

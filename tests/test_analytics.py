@@ -456,6 +456,18 @@ def test_nearest_linear_in_density_at_low_density(cfg):
     assert a / b == pytest.approx(2.0, rel=0.05)
 
 
+@pytest.mark.parametrize("sigma_over_n", [0.0, 0.2])
+def test_nearest_in_a_sparse_field_is_the_mean(cfg, sigma_over_n):
+    # with the nearest transmitter far off, it is the only one that can decode; pi*lam*I(a)
+    # would underflow to 0 before dividing by b = pi*lam*(1+rho), so the pi*lam cancel first
+    timing = (tm.truncated_gaussian(sigma_over_n * 1024, _w(cfg)) if sigma_over_n
+              else tm.delta(0.0, _w(cfg)))
+    params = budget_params(1e-200, 2.05, -12.0)
+    p = nearest_decoding_prob(params, timing, cfg)
+    assert p > 0.0
+    assert p == pytest.approx(mean_decodable(params, timing, cfg), rel=1e-12)
+
+
 # --------------------------------------------------------------- lambda tilde
 
 def test_lambda_tilde_synchronized_alpha4_closed_form(cfg):

@@ -295,6 +295,8 @@ _SUBCARRIER = st.one_of(_INDEX, st.integers(), st.booleans(), _INDEX.map(np.int6
 @example(64, [-40, 0, -33])
 @example(63, [-32, 31])  # odd n: the check admits -32, and the message names it
 @example(64, [True, 0])  # a bool goes in as the int it equals
+@example(63, [2**63])  # past int64: checked before the array is built, so a ValueError
+@example(64, [-2**63 - 1])
 @settings(max_examples=300, deadline=None)
 def test_subcarrier_check_matches_the_elementwise_one(n, used):
     # ints alone take the fast path; anything else goes one element at a time
@@ -313,6 +315,18 @@ def test_a_range_of_subcarriers_meets_the_elementwise_check(n, lo, hi, step):
     assert got == _outcome(lambda: _elementwise_used(n, used))
     if got[0] != "error":
         assert OfdmConfig(n, 8, used) == OfdmConfig(n, 8, tuple(used))
+
+
+def test_a_wide_range_is_refused_before_it_is_copied():
+    # a unit-step range's ends are checked before the tuple and array are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^subcarrier 32 outside \[-32, 32\)$"):
+            OfdmConfig.centered(64, 8, 0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5, peak
 
 
 def test_odd_n_subcarrier_message_names_the_bound_it_checks():
