@@ -58,13 +58,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _sigma_model(ofdm: OfdmConfig, sigma_over_n: float) -> timing_mod.TimingModel:
-    """The synchronized model (0), or a Gaussian one of sigma_over_n * N."""
-    if sigma_over_n == 0.0:
-        return timing_mod.delta(0.0, ofdm.domain_half_width)
-    return timing_mod.truncated_gaussian(sigma_over_n * ofdm.n, ofdm.domain_half_width)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     ofdm: OfdmConfig
@@ -85,7 +78,11 @@ class RunConfig:
         return [db_to_linear(t_db) for t_db in self.grid_db]
 
     def timing_model(self, sigma_over_n: float) -> timing_mod.TimingModel:
-        return _sigma_model(self.ofdm, sigma_over_n)
+        """The synchronized model (0), or a Gaussian one of sigma_over_n * N."""
+        w = self.ofdm.domain_half_width
+        if sigma_over_n == 0.0:
+            return timing_mod.delta(0.0, w)
+        return timing_mod.truncated_gaussian(sigma_over_n * self.ofdm.n, w)
 
 
 def _sweep(lo, hi, step, where: str) -> tuple[float, ...]:
@@ -177,7 +174,7 @@ def load_config(path: str | None) -> RunConfig:
         elif not tim["sigma_over_n"] > 0:
             raise ConfigError("timing.sigma_over_n must be positive for truncated_gaussian")
         else:
-            timing = _sigma_model(ofdm, tim["sigma_over_n"])
+            timing = timing_mod.truncated_gaussian(tim["sigma_over_n"] * ofdm.n, w)
 
         section, det = "detection", merged["detection"]
         network = network.with_threshold_db(det["threshold_db"])

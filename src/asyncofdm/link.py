@@ -81,6 +81,8 @@ class OfdmConfig:
             used = sorted(_integer("subcarrier", k) for k in used)
         if self.n <= 0 or self.n_cp <= 0:
             raise ValueError("n and n_cp must be positive")
+        if self.n > np.iinfo(np.int64).max:  # past it, every used_array() % n overflows
+            raise ValueError(f"n = {self.n} exceeds the largest 64-bit index")
         if self.n_cp >= self.n:
             raise ValueError("cyclic prefix must be shorter than the FFT size")
         if not used:

@@ -1,8 +1,8 @@
 """Distributions of the receiver/transmitter timing misalignment.
 
 All models live on the fixed domain [-half_width, half_width), where half_width
-is the OFDM symbol length including the cyclic prefix (in samples); both engines
-reject a model built for another domain or one its constructor would refuse.  The
+is the OFDM symbol length including the cyclic prefix (in samples).  A model checks
+itself where it is built; both engines reject one built for another domain.  The
 zero-mean truncated Gaussian renormalizes the mass inside the domain; sampling is
 by inverse CDF so the number of random draws per sample is deterministic.
 """
@@ -28,6 +28,28 @@ class TimingModel:
     sigma: float = 0.0
     lo: float = 0.0
     hi: float = 0.0
+
+    def __post_init__(self):
+        kind, w, lo, hi, sigma = self.kind, self.half_width, self.lo, self.hi, self.sigma
+        if kind not in ("delta", "truncated_gaussian", "uniform"):
+            raise ValueError(f"unknown timing model kind {kind!r}")
+        _check_finite_positive("half_width", w)
+        if kind == "delta" and not -w <= self.offset < w:
+            raise ValueError(f"offset {self.offset} outside [-{w}, {w})")
+        if kind == "truncated_gaussian" and not np.isfinite(sigma):
+            raise ValueError(f"sigma must be finite, got {sigma}")
+        if kind == "truncated_gaussian" and sigma <= 0:
+            raise ValueError("sigma must be positive")
+        if kind == "truncated_gaussian" and sigma > MAX_SIGMA_OVER_HALF_WIDTH * w:
+            raise ValueError(f"sigma {sigma:g} exceeds {MAX_SIGMA_OVER_HALF_WIDTH:g} half-widths; "
+                             f"the limit is uniform(-{w}, {w}, {w})")
+        if kind == "uniform" and not -w <= lo < hi <= w:
+            raise ValueError(f"[{lo}, {hi}) must be non-empty and lie inside [-{w}, {w})")
+        if kind == "uniform" and not hi - lo >= (floor := MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * w):
+            raise ValueError(f"[{lo}, {hi}) is narrower than MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH = "
+                             f"{MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH:g} half-widths ({floor:g}); the "
+                             "analytics lose a finite density that narrow, so model the point "
+                             f"mass as delta({lo}, {w})")
 
     @property
     def is_delta(self) -> bool:
@@ -74,8 +96,7 @@ class TimingModel:
         ends = np.array([-hi, -lo] if mirror else [lo, hi], dtype=float)
         x = np.minimum(np.maximum(ends, -self.half_width), self.half_width)
         if self.kind == "uniform":
-            with np.errstate(over="ignore"):  # widths near 1e-305 or below: inf, clipped to 1
-                below, upto = np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
+            below, upto = np.minimum(np.maximum((x - self.lo) / (self.hi - self.lo), 0.0), 1.0)
         else:
             a, z = self._gauss_mass
             below, upto = ((ndtr(v) - a) / z for v in (x / self.sigma).tolist())
@@ -102,38 +123,13 @@ class TimingModel:
 def _check_domain(timings, config) -> None:
     """A model's mass is spread over the domain it was built for: each must be config's."""
     for timing in timings:
-        if _check_model(timing).half_width != config.domain_half_width:
+        if timing.half_width != config.domain_half_width:
             raise ValueError(f"timing model built for half-width {timing.half_width}, but the "
                              f"offset domain has half-width {config.domain_half_width}")
 
 
-def _check_model(timing: TimingModel) -> TimingModel:
-    """`timing` if its kind's constructor would build it: a hand-built model meets its checks."""
-    kind, w, lo, hi, sigma = timing.kind, timing.half_width, timing.lo, timing.hi, timing.sigma
-    if kind not in ("delta", "truncated_gaussian", "uniform"):
-        raise ValueError(f"unknown timing model kind {kind!r}")
-    _check_finite_positive("half_width", w)
-    if kind == "delta" and not -w <= timing.offset < w:
-        raise ValueError(f"offset {timing.offset} outside [-{w}, {w})")
-    if kind == "truncated_gaussian" and not np.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
-    if kind == "truncated_gaussian" and sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if kind == "truncated_gaussian" and sigma > MAX_SIGMA_OVER_HALF_WIDTH * w:
-        raise ValueError(f"sigma {sigma:g} exceeds {MAX_SIGMA_OVER_HALF_WIDTH:g} half-widths; the "
-                         f"limit is uniform(-{w}, {w}, {w})")
-    if kind == "uniform" and not -w <= lo < hi <= w:
-        raise ValueError(f"[{lo}, {hi}) must be non-empty and lie inside [-{w}, {w})")
-    if kind == "uniform" and not hi - lo >= (floor := MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * w):
-        raise ValueError(f"[{lo}, {hi}) is narrower than MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH = "
-                         f"{MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH:g} half-widths ({floor:g}); the "
-                         "analytics lose a finite density that narrow, so model the point mass "
-                         f"as delta({lo}, {w})")
-    return timing
-
-
 def delta(offset: float, half_width: float) -> TimingModel:
-    return _check_model(TimingModel("delta", half_width, offset=offset))
+    return TimingModel("delta", half_width, offset=offset)
 
 
 # Widest sigma in half-widths w: ndtr(w/sigma) - ndtr(-w/sigma) cancels to about 1e-16 sigma/w.
@@ -141,7 +137,7 @@ MAX_SIGMA_OVER_HALF_WIDTH = 1e6
 
 
 def truncated_gaussian(sigma: float, half_width: float) -> TimingModel:
-    return _check_model(TimingModel("truncated_gaussian", half_width, sigma=sigma))
+    return TimingModel("truncated_gaussian", half_width, sigma=sigma)
 
 
 # Narrowest uniform, in half-widths w.  The timing expectation cuts a model's interval at
@@ -152,4 +148,4 @@ MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH = 1e-9
 
 
 def uniform(lo: float, hi: float, half_width: float) -> TimingModel:
-    return _check_model(TimingModel("uniform", half_width, lo=lo, hi=hi))
+    return TimingModel("uniform", half_width, lo=lo, hi=hi)

@@ -294,6 +294,15 @@ def test_an_over_long_sweep_exits_2_before_the_grid_is_built(tmp_path, capsys):
         _sweep(-5, 5, 10 / MAX_SWEEP_POINTS, "--sweep")
 
 
+def test_an_fft_size_past_64_bits_exits_2_naming_n(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    config = _write(tmp_path, f"ofdm: {{n: {2 ** 70}, used_range: [{2 ** 63}, {2 ** 63 + 1}]}}\n")
+    assert main(["mean-decodable", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: ofdm: n = {2 ** 70} exceeds the largest "
+                                       "64-bit index\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- commands
 
 def test_bad_config_exit_code(tmp_path):

@@ -260,6 +260,17 @@ def test_config_validation():
     assert all(type(x) is int for x in (c.n, c.n_cp, *c.used))
 
 
+def test_n_past_the_largest_64_bit_index_is_refused_naming_it():
+    # past it, every used_array() % n overflows; a subcarrier there is never converted
+    for build in (lambda: OfdmConfig(2 ** 70, 8, [2 ** 64]),
+                  lambda: OfdmConfig.centered(2 ** 70, 8, 2 ** 63, 2 ** 63 + 1)):
+        with pytest.raises(ValueError, match=rf"^n = {2 ** 70} exceeds the largest 64-bit index$"):
+            build()
+    top = np.iinfo(np.int64).max  # the bound itself is admitted
+    c = OfdmConfig(top, 8, (-top // 2, top // 2 - 1))  # the band's two ends
+    assert (c.used_array() % c.n).tolist() == [k % top for k in c.used]
+
+
 def _elementwise_used(n, used):
     """OfdmConfig's subcarrier check one element at a time, as it was before the all-int
     fast path: the sorted tuple, or the ValueError it raised."""
@@ -644,6 +655,19 @@ def test_ici_sum_matches_pairwise_matrix(config):
     for width in (1, 5, config.n // 3, config.n - 1, 17.5):
         ref = _reference_ici_sum(config, width)
         assert np.max(np.abs(_ici_sum(config, width) - ref) / ref) <= 1e-12
+
+
+def test_qpsk_stream_draws_every_index_on_a_32_bit_generator():
+    # MT19937's raw words are 32-bit, so the engine's map of 64-bit raw words onto indices
+    # would read every high half as 0; qpsk_stream draws by `integers`, for any generator
+    assert np.random.MT19937(5).random_raw(64).max() < 2 ** 32
+    rng = np.random.Generator(np.random.MT19937(5))
+    symbols = np.concatenate(list(qpsk_stream(OfdmConfig.centered(1024, 72, -300, 299),
+                                              range(20), rng).values()))
+    counts = [np.count_nonzero(symbols == s) for s in link._QPSK]
+    # each of the 4 indices at p = 1/4 of 12,000 draws: within 5 binomial sigmas (about 237)
+    assert sum(counts) == symbols.size == 12_000
+    assert all(abs(c - 3000) <= 5 * math.sqrt(12_000 * 0.25 * 0.75) for c in counts), counts
 
 
 @pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])

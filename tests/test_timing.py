@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -128,6 +130,39 @@ def test_constructors_reject_a_bad_half_width(half_width):
             build()
 
 
+_BUILD = {"delta": lambda f: delta(f.get("offset", 0.0), f["half_width"]),
+          "truncated_gaussian": lambda f: truncated_gaussian(f["sigma"], f["half_width"]),
+          "uniform": lambda f: uniform(f["lo"], f["hi"], f["half_width"])}
+_VALID = {"delta": delta(0.0, W), "truncated_gaussian": truncated_gaussian(204.8, W),
+          "uniform": uniform(-1.0, 1.0, W)}
+
+
+# a constructor's refusal holds for the same fields given by hand or through `replace`
+@pytest.mark.parametrize("kind, fields", [
+    ("delta", dict(half_width=W, offset=W)),
+    ("delta", dict(half_width=np.nan)),
+    ("truncated_gaussian", dict(half_width=W, sigma=-3.0)),
+    ("truncated_gaussian", dict(half_width=W, sigma=0.0)),
+    ("truncated_gaussian", dict(half_width=W, sigma=np.inf)),
+    ("truncated_gaussian", dict(half_width=W, sigma=2e6 * W)),
+    ("truncated_gaussian", dict(half_width=-5.0, sigma=10.0)),
+    ("uniform", dict(half_width=W, lo=5.0, hi=1.0)),
+    ("uniform", dict(half_width=W, lo=-2 * W, hi=0.0)),
+    ("uniform", dict(half_width=W, lo=0.0, hi=1e-100)),
+    ("uniform", dict(half_width=0.0, lo=-1.0, hi=1.0)),
+], ids=["delta-outside", "delta-nan-width", "negative-sigma", "zero-sigma", "infinite-sigma",
+        "sigma-beyond-bound", "gaussian-negative-width", "reversed-uniform", "uniform-outside",
+        "sub-floor-uniform", "uniform-zero-width"])
+def test_a_model_its_constructor_refuses_is_refused_by_hand_and_by_replace(kind, fields):
+    with pytest.raises(ValueError) as by_constructor:
+        _BUILD[kind](fields)
+    for build in (lambda: TimingModel(kind, **fields),
+                  lambda: dataclasses.replace(_VALID[kind], **fields)):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == str(by_constructor.value)
+
+
 def test_truncated_gaussian_rejects_sigma_beyond_bound():
     widest = MAX_SIGMA_OVER_HALF_WIDTH * W
     m = truncated_gaussian(widest, W)  # the bound itself is accepted, and stays accurate
@@ -223,10 +258,7 @@ def _frozen_mass(m, lo, hi):
     return float(upto - below)
 
 
-# uniforms narrower than `uniform` admits are built directly: `mass` still takes any model
-@pytest.mark.parametrize("m", CDF_MODELS + [TimingModel("uniform", W, lo=0.0, hi=1e-300),
-                                            TimingModel("uniform", W, lo=-W, hi=-W + 1e-12)],
-                         ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
+@pytest.mark.parametrize("m", CDF_MODELS, ids=lambda m: f"{m.kind}-{m.sigma}-{m.lo}-{m.hi}")
 def test_mass_matches_its_frozen_copy_bit_for_bit(m):
     ends = [-5000.0, -W, -1050.0, -72.0, -0.0, 0.0, 1e-300, 36.0, 72.0, 1050.0, W, 5000.0]
     for lo in ends:
@@ -242,12 +274,12 @@ try:
 
     def _uniform(lo, width):
         hi = min(lo + width, W)
-        assume(lo < hi and 1.0 / (hi - lo) < np.inf)  # a finite density
-        return TimingModel("uniform", W, lo=lo, hi=hi)  # below `uniform`'s floor too
+        assume(hi - lo >= MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * W)  # lo + width may round below
+        return uniform(lo, hi, W)
 
-    # widths down to the narrowest with a finite density, near 0 and a few ulps of lo elsewhere
+    # widths down to the narrowest a model may have, near 0 and anywhere in the domain
     _UNIFORMS = st.builds(_uniform, st.floats(-W, W) | st.floats(-1e-290, 1e-290),
-                          st.floats(5.6e-309, 1e-290) | st.floats(1e-12, 2.0 * W))
+                          st.floats(MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH * W, 2.0 * W))
 
     @given(st.floats(0.5, 2000.0).map(lambda s: truncated_gaussian(s, W)) | _UNIFORMS,
            _ENDS, _ENDS)
