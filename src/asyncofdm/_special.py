@@ -3,8 +3,9 @@
 ndtri is the Cephes routine (Moshier, *Methods and Programs for Mathematical Functions*,
 1989) that scipy.special.ndtri runs, with its coefficients and operation order, so it
 returns scipy's bits: the Monte Carlo draws rest on them.  Each multiply and add is its own
-float operation (numpy never fuses them), and log goes through `math`, the C library, as in
-Cephes; numpy's own SIMD `log` differs in the last bit on some CPUs.
+float operation (numpy never fuses them; `np.polyval` starts Horner from 0, so on finite x its
+first step is coef[0] exactly, as Cephes' polevl's is), and log goes through `math`, the C
+library, as in Cephes; numpy's own SIMD `log` differs in the last bit on some CPUs.
 
 ndtr is the C library's erfc, which agrees with scipy's Cephes ndtr to about 1e-13
 relative but not bit for bit; nothing recorded depends on its last bits."""
@@ -39,14 +40,6 @@ _SQRT1_2 = math.sqrt(0.5)
 _log = np.vectorize(math.log, otypes=[float])
 
 
-def _polevl(x, coef):
-    """coef[0] x^n + ... + coef[n], by Horner, on floats or arrays alike."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def ndtr(a: float) -> float:
     """P(X <= a) for a standard normal X, on one float."""
     return 0.5 * math.erfc(-a * _SQRT1_2)
@@ -61,14 +54,14 @@ def ndtri(y0):
     mid = y > _EXP_M2
     c = y[mid] - 0.5
     c2 = c * c
-    out[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _S2PI
+    out[mid] = (c + c * (c2 * np.polyval(_NDTRI_P0, c2) / np.polyval(_NDTRI_Q0, c2))) * _S2PI
     tail = ~mid & (y > 0.0)
     x = np.sqrt(-2.0 * _log(y[tail]))
     x0 = x - _log(x) / x
     z = 1.0 / x
-    x1 = z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1)
+    x1 = z * np.polyval(_NDTRI_P1, z) / np.polyval(_NDTRI_Q1, z)
     if (far := x >= 8.0).any():  # y < e^-32, which a timing model's uniform almost never is
-        x1[far] = z[far] * _polevl(z[far], _NDTRI_P2) / _polevl(z[far], _NDTRI_Q2)
+        x1[far] = z[far] * np.polyval(_NDTRI_P2, z[far]) / np.polyval(_NDTRI_Q2, z[far])
     x = x0 - x1
     out[tail] = np.where(upper[tail], x, -x)
     out[y0 == 0.0], out[y0 == 1.0] = -np.inf, np.inf

@@ -351,7 +351,8 @@ def upsilon_upper_distribution(params: NetworkParams, timing: TimingModel,
         pmf = np.zeros(n_max + 1)
         pmf[0] = 1.0
     else:
-        logp = counts * math.log(lam) - np.array([math.lgamma(n + 1) for n in counts.tolist()])
+        logp = counts * math.log(lam) - np.fromiter(map(math.lgamma, range(1, n_max + 2)), float,
+                                                    n_max + 1)
         logp -= logp.max()
         pmf = np.exp(logp)
         pmf /= pmf.sum()

@@ -132,10 +132,6 @@ def _symbols(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndarray:
 _QPSK = np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
 
 
-def _qpsk_symbols(rng: np.random.Generator, shape) -> np.ndarray:
-    return _QPSK[rng.integers(0, 4, size=shape)]
-
-
 def _qpsk_indices(words: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """QPSK indices of `shape` per row of raw PCG64 `words`: the top two bits of each 32-bit
     half, low half first, as `integers(0, 4)` reads them on a generator with no buffered
@@ -149,10 +145,6 @@ def _gaussian_pairs(z: np.ndarray, out=None) -> np.ndarray:
     return np.divide(z[..., 0, :] + 1j * z[..., 1, :], np.sqrt(2.0), out=out)
 
 
-def _gaussian_symbols(rng: np.random.Generator, shape) -> np.ndarray:
-    return _gaussian_pairs(rng.standard_normal((*shape[:-1], 2, shape[-1])))
-
-
 # per alphabet, for empirical_power_profile: a group generator's next b trials' draws of
 # (rows, k) symbol blocks, indexed [trial, row], and the map of one such row onto symbols
 _ALPHABETS = {
@@ -163,22 +155,22 @@ _ALPHABETS = {
 }
 
 
-def _stream(draw, config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
+def _stream(draw, config: OfdmConfig, symbol_indices) -> SymbolStream:
     # one draw of shape (symbols, subcarriers) consumes the generator exactly
     # as one draw per symbol, in order, would
     indices = list(symbol_indices)
-    syms = draw(rng, (len(indices), len(config.used)))
-    return SymbolStream(zip(indices, syms))
+    return SymbolStream(zip(indices, draw(len(indices), len(config.used))))
 
 
 def qpsk_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
     """Unit-modulus QPSK symbols, i.i.d. per (subcarrier, symbol), by `integers`: any rng state."""
-    return _stream(_qpsk_symbols, config, symbol_indices, rng)
+    return _stream(lambda m, k: _QPSK[rng.integers(0, 4, size=(m, k))], config, symbol_indices)
 
 
 def gaussian_stream(config: OfdmConfig, symbol_indices, rng: np.random.Generator) -> SymbolStream:
     """Circularly-symmetric complex Gaussian symbols with unit variance."""
-    return _stream(_gaussian_symbols, config, symbol_indices, rng)
+    return _stream(lambda m, k: _gaussian_pairs(rng.standard_normal((m, 2, k))), config,
+                   symbol_indices)
 
 
 def modulate_symbol(config: OfdmConfig, stream: SymbolStream, m: int) -> np.ndarray:

@@ -11,7 +11,7 @@ i on a network snapshot is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,11 +78,8 @@ class NetworkParams:
     def noise_over_e(self) -> float:
         return 0.0 if math.isinf(self.snr) else 1.0 / self.snr
 
-    def with_threshold(self, threshold: float) -> "NetworkParams":
-        return NetworkParams(self.density, self.alpha, self.snr, threshold)
-
     def with_threshold_db(self, threshold_db: float) -> "NetworkParams":
-        return self.with_threshold(db_to_linear(threshold_db))
+        return replace(self, threshold=db_to_linear(threshold_db))
 
 
 def _check_offsets(config: OfdmConfig, d) -> np.ndarray:

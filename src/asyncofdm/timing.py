@@ -34,6 +34,8 @@ class TimingModel:
         if kind not in ("delta", "truncated_gaussian", "uniform"):
             raise ValueError(f"unknown timing model kind {kind!r}")
         _check_finite_positive("half_width", w)
+        if w > 2.0 ** 64:  # n + n_cp < 2^64 for every OfdmConfig; wider, x - lo can overflow
+            raise ValueError(f"half_width {w:g} exceeds 2^64, wider than any OfdmConfig's domain")
         if kind == "delta" and not -w <= self.offset < w:
             raise ValueError(f"offset {self.offset} outside [-{w}, {w})")
         if kind == "truncated_gaussian" and not np.isfinite(sigma):

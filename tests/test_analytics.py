@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -494,7 +496,8 @@ def test_every_statistic_reads_0_where_t_over_1_plus_t_rounds_to_1(cfg):
     models = [tm.delta(0.0, _w(cfg)), tm.delta(80.0, _w(cfg)),
               tm.truncated_gaussian(0.2 * 1024, _w(cfg)), tm.uniform(-100.0, 300.0, _w(cfg))]
     for m in models:
-        assert [lambda_tilde(params.with_threshold(t), m, cfg) for t in grid[1:]] == [0.0] * 3
+        assert [lambda_tilde(dataclasses.replace(params, threshold=t), m, cfg)
+                for t in grid[1:]] == [0.0] * 3
     for each in (analytics.mean_decodable_each, analytics.nearest_decoding_prob_each):
         for m, values in zip(models, each(params, models, cfg, thresholds=grid)):
             assert values[1:].tolist() == [0.0] * 3, (each, m)
@@ -525,6 +528,39 @@ def test_distribution_bernoulli_case(cfg):
     lam = lambda_tilde(params, timing, cfg)
     assert dist.pmf[1] == pytest.approx(lam / (1.0 + lam), rel=1e-10)
     assert dist.counts @ dist.pmf == pytest.approx(dist.pmf[1])
+
+
+def _frozen_list_pmf(params, timing, cfg):
+    """The bound's pmf as it was first written, with log n! through Python lists."""
+    lam = lambda_tilde(params, timing, cfg)
+    counts = np.arange(math.floor((1.0 + params.threshold) / params.threshold) + 1)
+    logp = counts * math.log(lam) - np.array([math.lgamma(n + 1) for n in counts.tolist()])
+    logp -= logp.max()
+    pmf = np.exp(logp)
+    return pmf / pmf.sum()
+
+
+@pytest.mark.parametrize("t_db", [-12.0, -40.0])
+def test_distribution_keeps_the_list_built_bits(cfg, t_db):
+    params = budget_params(1 / 400 ** 2, 3.8, t_db)
+    timing = tm.truncated_gaussian(0.2 * 1024, _w(cfg))
+    got = upsilon_upper_distribution(params, timing, cfg).pmf
+    assert got.tolist() == _frozen_list_pmf(params, timing, cfg).tolist()
+
+
+def test_distribution_memory_is_a_few_arrays_of_its_support(cfg):
+    # at -60 dB the support runs to n = 1,000,001: log n! through two Python lists of that
+    # length peaked at 88 MB, where a few float arrays of it take 8 MB each
+    params = budget_params(1 / 400 ** 2, 3.8, -60.0)
+    timing = tm.truncated_gaussian(0.2 * 1024, _w(cfg))
+    tracemalloc.start()
+    try:
+        dist = upsilon_upper_distribution(params, timing, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.support_max == 1_000_001
+    assert peak < 40e6, peak
 
 
 # ------------------------------------------------------------------ throughput
@@ -1219,8 +1255,8 @@ def test_delta_models_keep_their_bits(offset, hypotheses, statistic, alpha, inte
                                                         thresholds=g),
         "nearest": lambda g: analytics.nearest_decoding_prob_each(params, models, cfg,
                                                                   thresholds=g),
-        "lambda_tilde": lambda g: [lambda_tilde(params.with_threshold(g[0]), m, cfg)
-                                   for m in models]}[statistic]
+        "lambda_tilde": lambda g: [lambda_tilde(dataclasses.replace(params, threshold=g[0]), m,
+                                                cfg) for m in models]}[statistic]
     F = _integrand_of(lambda: public([params.threshold]))
     grid = [db_to_linear(t) for t in grid_db]
     want = _frozen_delta_value(cfg, point, F, grid, hypotheses)

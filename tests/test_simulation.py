@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -236,7 +237,7 @@ def test_results_at_higher_threshold_match_fresh_run(cfg, workers):
     base = run_trials(low, _tg02(cfg), cfg, spec, workers=workers)
     ties = np.sort(base.sinr)[[0, len(base.sinr) // 2]]  # thresholds equal to a kept SINR
     for params in [low.with_threshold_db(t_db) for t_db in (-15.0, -12.0, -6.0, 0.0, 10.0)] + [
-            low.with_threshold(float(t)) for t in ties]:
+            dataclasses.replace(low, threshold=float(t)) for t in ties]:
         got = base.at(params.threshold)
         fresh = run_trials(params, _tg02(cfg), cfg, spec, workers=workers)
         assert got.threshold == fresh.threshold

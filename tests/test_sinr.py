@@ -57,7 +57,6 @@ def test_interference_limited_variant():
 
 def test_threshold_helpers():
     p = NetworkParams(1e-4, 4.0, 100.0, 1.0)
-    assert p.with_threshold(2.0).threshold == 2.0
     assert p.with_threshold_db(3.0).threshold == pytest.approx(db_to_linear(3.0))
 
 

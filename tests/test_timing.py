@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from asyncofdm import _special
+from asyncofdm.link import OfdmConfig
 from asyncofdm.quadrature import integrate
 from asyncofdm.timing import (MAX_SIGMA_OVER_HALF_WIDTH, MIN_UNIFORM_WIDTH_OVER_HALF_WIDTH,
                              TimingModel, delta, truncated_gaussian, uniform)
@@ -130,6 +132,31 @@ def test_constructors_reject_a_bad_half_width(half_width):
             build()
 
 
+def test_constructors_refuse_a_half_width_past_2_to_the_64():
+    # n + n_cp < 2^64 for every OfdmConfig; wider, a uniform's x - lo can overflow in `mass`
+    w = np.nextafter(2.0 ** 64, np.inf)
+    for build in (lambda: delta(0.0, w), lambda: uniform(-w, w, w),
+                  lambda: truncated_gaussian(w, w), lambda: uniform(-1e308, 0.0, 1e308)):
+        with pytest.raises(ValueError, match=r"^half_width \S+ exceeds 2\^64"):
+            build()
+
+
+def test_the_widest_config_admits_every_kind():
+    cfg = OfdmConfig(2**63 - 1, 2**63 - 2, (0,))
+    w = cfg.domain_half_width
+    assert w == 2**64 - 3
+    for m in (delta(0.0, w), truncated_gaussian(float(w), w), uniform(-w, w, w)):
+        assert m.half_width == w
+
+
+def test_mass_at_a_half_width_of_2_to_the_64_does_not_overflow():
+    w = 2.0 ** 64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert uniform(-w, w, w).mass(-w, w) == 1.0
+        assert truncated_gaussian(w, w).mass(-w, w) == 1.0
+
+
 _BUILD = {"delta": lambda f: delta(f.get("offset", 0.0), f["half_width"]),
           "truncated_gaussian": lambda f: truncated_gaussian(f["sigma"], f["half_width"]),
           "uniform": lambda f: uniform(f["lo"], f["hi"], f["half_width"])}
@@ -150,9 +177,10 @@ _VALID = {"delta": delta(0.0, W), "truncated_gaussian": truncated_gaussian(204.8
     ("uniform", dict(half_width=W, lo=-2 * W, hi=0.0)),
     ("uniform", dict(half_width=W, lo=0.0, hi=1e-100)),
     ("uniform", dict(half_width=0.0, lo=-1.0, hi=1.0)),
+    ("uniform", dict(half_width=1e308, lo=-1e308, hi=0.0)),
 ], ids=["delta-outside", "delta-nan-width", "negative-sigma", "zero-sigma", "infinite-sigma",
         "sigma-beyond-bound", "gaussian-negative-width", "reversed-uniform", "uniform-outside",
-        "sub-floor-uniform", "uniform-zero-width"])
+        "sub-floor-uniform", "uniform-zero-width", "uniform-past-2^64"])
 def test_a_model_its_constructor_refuses_is_refused_by_hand_and_by_replace(kind, fields):
     with pytest.raises(ValueError) as by_constructor:
         _BUILD[kind](fields)
