@@ -202,7 +202,7 @@ def load_config(path: str | None) -> RunConfig:
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     """cfg with the run flags over it; a bad value is named by its flag."""
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sim, changes = cfg.sim, {}
     if args.seed is not None:
@@ -363,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sigma-over-n", default=None, metavar="R[,R...]",
                         help="timing sigma values as multiples of N (0 = synchronized)")
     parser.add_argument("--hypotheses", default=None, metavar="N1,N2,DELTA")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="Monte Carlo processes, at most the usable CPUs (default: "
+                             "one per started 1,024 trials where the pool forks, else 1)")
     parser.add_argument("--offset", type=int, default=-6,
                         help="timing offset in samples (link-profile)")
     parser.add_argument("--with-mc", action="store_true",

@@ -6,6 +6,9 @@ only like R^(2-alpha), which biases counts upward for alpha near 2 (open as ROAD
 item 1).
 Each trial draws from its own RNG substream seeded by (master_seed, trial_index),
 so results do not depend on the workers, and every timing model sees the same fields.
+With `workers=None` (the CLI's default) a run takes one process per started 1,024-trial
+seeding chunk where a pool forks, up to the CPUs this process may use; this process runs
+the first chunk itself.  The library's default is one process.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ __all__ = [
 ]
 
 
-# trials per seeding pass in _trial_generators; amortises its ~50 array calls
+# trials per seeding pass in _trial_generators (amortises its ~50 array calls), and the
+# fewest trials that by default get a process of their own in run_trials_each
 _SEED_CHUNK = 1024
 
 
@@ -245,27 +249,48 @@ class TrialResults:
 
 
 def run_trials(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-               spec: SimSpec, workers: int = 1) -> TrialResults:
+               spec: SimSpec, workers: int | None = 1) -> TrialResults:
     """Run all trials, optionally across processes; output independent of workers."""
     return run_trials_each(params, [timing], config, spec, workers)[0]
 
 
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity), or those installed where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forks() -> bool:
+    """Whether a pool started here forks; a spawn or forkserver worker imports numpy and
+    this package afresh, so two processes lose to one up to at least 5,000 trials."""
+    import multiprocessing  # read without fixing the start method
+    return (multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0]) == "fork"
+
+
 def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: OfdmConfig,
-                    spec: SimSpec, workers: int = 1) -> list[TrialResults]:
+                    spec: SimSpec, workers: int | None = 1) -> list[TrialResults]:
     """One `TrialResults` per timing model from one draw-and-screen pass, each the same
-    bits as a pass with that model alone; output independent of workers."""
-    if not (timings and workers >= 1):
+    bits as a pass with that model alone; output independent of workers.  The trials split
+    into one contiguous chunk per process: `workers`, or for `workers=None` one per started
+    `_SEED_CHUNK` trials where a pool forks (else one), at most the usable CPUs and the
+    trials.  This process runs the first chunk, and a pool the rest."""
+    if not timings or workers is not None and workers < 1:
         raise ValueError(f"need a timing model and workers >= 1, got {len(timings)} and {workers}")
     _check_domain(timings, config)
-    bounds = np.linspace(0, spec.trials, min(workers, spec.trials) + 1, dtype=int)
+    if workers is None:
+        workers = -(-spec.trials // _SEED_CHUNK) if _forks() else 1
+    bounds = np.linspace(0, spec.trials, min(workers, _cpus(), spec.trials) + 1, dtype=int)
     jobs = [(params, timings, config, spec, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])]
     if len(jobs) == 1:
         chunks = [_trial_chunk(jobs[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
-        with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-            chunks = list(pool.map(_trial_chunk, jobs))
+        with ProcessPoolExecutor(max_workers=len(jobs) - 1) as pool:
+            rest = pool.map(_trial_chunk, jobs[1:])  # submitted before this process's share
+            chunks = [_trial_chunk(jobs[0]), *rest]
     blocks = [block for chunk in chunks for block in chunk]  # trial order
     return [TrialResults(counts, near, params.threshold, sinr)
             for counts, near, sinr in (map(np.concatenate, zip(*model))
@@ -280,7 +305,7 @@ def _mean_ci(x: np.ndarray) -> Estimate:
 
 
 def estimate_mean_decodable(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                            spec: SimSpec, workers: int = 1) -> Estimate:
+                            spec: SimSpec, workers: int | None = 1) -> Estimate:
     """Mean decodable count at params.threshold over a fresh run."""
     return run_trials(params, timing, config, spec, workers).mean_count(params.threshold)
 
@@ -305,7 +330,7 @@ class EmpiricalDistribution(CountDistribution):
 
 
 def estimate_distribution(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                          spec: SimSpec, workers: int = 1) -> EmpiricalDistribution:
+                          spec: SimSpec, workers: int | None = 1) -> EmpiricalDistribution:
     results = run_trials(params, timing, config, spec, workers)
     hist = np.bincount(results.counts).astype(float)
     return EmpiricalDistribution(np.arange(len(hist)), hist / results.trials,
@@ -313,7 +338,7 @@ def estimate_distribution(params: NetworkParams, timing: TimingModel, config: Of
 
 
 def estimate_nearest_prob(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
-                          spec: SimSpec, workers: int = 1) -> Estimate:
+                          spec: SimSpec, workers: int | None = 1) -> Estimate:
     """Fraction of trials of a fresh run whose nearest transmitter decodes at
     params.threshold; empty trials fail."""
     return run_trials(params, timing, config, spec, workers).nearest_prob(params.threshold)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -507,6 +508,38 @@ def test_one_pass_commands_identical_for_any_workers(tmp_path, argv):
         outs.append((rc, out.read_bytes()))
     assert outs[0][0] in (0, 1)  # validate may flag a scenario at 40 trials
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],
+    ["validate"],
+    ["dist"],
+    ["mean-decodable", "--with-mc", "--sigma-over-n", "0,0.2", "--sweep=-15:10:5"],
+], ids=lambda argv: argv[0])
+def test_default_workers_fork_and_write_the_one_worker_bytes(tmp_path, monkeypatch, argv):
+    # 2,100 trials take three 1,024-trial seeding chunks: with three usable CPUs and a forking
+    # pool the default runs the first chunk here and two in a real pool, and must write
+    # --workers 1's bytes
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulation, "_cpus", lambda: 3)
+    monkeypatch.setattr(simulation, "_forks", lambda: True)
+    outs = []
+    for flags in ([], ["--workers", "1"]):
+        out = tmp_path / f"out{len(outs)}.csv"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main(argv + ["--trials", "2100", "--seed", "6", "--out", str(out)] + flags)
+        outs.append((rc, stdout.getvalue(), out.read_bytes()))
+    assert started == [2]  # the default's pool; --workers 1 starts none
+    assert outs[0][0] in (0, 1)  # validate may flag a scenario
+    assert outs[1] == outs[0]
 
 
 @pytest.mark.parametrize("command, flags", [

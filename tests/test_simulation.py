@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import math
 import os
@@ -145,7 +146,15 @@ def test_truncation_bound_every_trial(cfg):
     assert np.all(res.counts >= 0)
 
 
-def test_worker_count_does_not_change_results(cfg):
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """At least two usable CPUs, so that a run on a 1-CPU machine still splits at a chunk
+    boundary when it asks for two workers or more."""
+    cpus = max(simulation._cpus(), 2)
+    monkeypatch.setattr(simulation, "_cpus", lambda: cpus)
+
+
+def test_worker_count_does_not_change_results(cfg, two_cpus):
     params = budget_params(1 / 400 ** 2, 3.8, -12.0)
     spec = SimSpec(60, 13)
     r1 = run_trials(params, _tg02(cfg), cfg, spec, workers=1)
@@ -231,7 +240,7 @@ def test_trial_csv_schema(cfg, tmp_path):
 # ----------------------------------------------- one pass serves every threshold
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_results_at_higher_threshold_match_fresh_run(cfg, workers):
+def test_results_at_higher_threshold_match_fresh_run(cfg, two_cpus, workers):
     low = budget_params(1 / 400 ** 2, 3.8, -15.0)
     spec = SimSpec(40, 11)
     base = run_trials(low, _tg02(cfg), cfg, spec, workers=workers)
@@ -375,7 +384,7 @@ def _grid_timings(cfg):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("alpha", [2.5, 3.8, 5.0])
-def test_candidate_scoring_matches_full_vector_over_grid(cfg, alpha, workers):
+def test_candidate_scoring_matches_full_vector_over_grid(cfg, two_cpus, alpha, workers):
     spec = SimSpec(6, 31, expected_points=400)
     for snr in (math.inf, 1e6, 1e2):
         for t_db in (-30.0, -12.0, 3.0, 15.0):
@@ -538,7 +547,7 @@ def _model_lists(w, a, b):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_one_pass_matches_separate_runs_across_blocks(cfg, monkeypatch, workers):
+def test_one_pass_matches_separate_runs_across_blocks(cfg, monkeypatch, two_cpus, workers):
     # several scoring blocks in one chunk (1 worker), and a chunk boundary (2 workers); the
     # fields of test_candidate_scoring_across_score_blocks, shown there to cross each limit
     params = NetworkParams(1 / 20 ** 2, 3.8, math.inf, db_to_linear(-25.0))
@@ -577,8 +586,8 @@ def test_workers_below_one_and_no_model_rejected(cfg):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """max_workers of each pool started on a 4-CPU machine, whose chunks run in this process."""
+def pools_started(monkeypatch):
+    """max_workers of each pool started, whose chunks run in this process."""
     started = []
 
     class RecordingPool:
@@ -595,8 +604,14 @@ def pool_sizes(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return started
+
+
+@pytest.fixture
+def pool_sizes(pools_started, monkeypatch):
+    """max_workers of each pool started where 4 CPUs are usable."""
+    monkeypatch.setattr(simulation, "_cpus", lambda: 4)
+    return pools_started
 
 
 def _same_as_one_worker(cfg, trials, workers):
@@ -610,12 +625,12 @@ def _same_as_one_worker(cfg, trials, workers):
 
 def test_pool_sized_to_the_non_empty_chunks(cfg, pool_sizes):
     assert _same_as_one_worker(cfg, 3, 8)
-    assert pool_sizes == [3]  # three one-trial chunks, not eight workers
+    assert pool_sizes == [2]  # three one-trial chunks, the first run here, not eight workers
 
 
 def test_pool_bounded_by_the_cpu_count(cfg, pool_sizes):
     assert _same_as_one_worker(cfg, 64, 64)
-    assert pool_sizes == [4]  # 64 one-trial chunks on no more processes than CPUs
+    assert pool_sizes == [3]  # four 16-trial chunks, one per CPU, the first run here
 
 
 def test_worker_count_beyond_the_trials_costs_no_memory(cfg, pool_sizes):
@@ -625,12 +640,89 @@ def test_worker_count_beyond_the_trials_costs_no_memory(cfg, pool_sizes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20  # five one-trial chunks, not ten million bounds
-    assert pool_sizes == [4]
+    assert peak < 4 * 2 ** 20  # four chunks, not ten million bounds
+    assert pool_sizes == [3]
+
+
+@pytest.mark.parametrize("trials, started, bounds", [
+    (1, [], [(0, 1)]),
+    (1024, [], [(0, 1024)]),
+    (1025, [1], [(0, 512), (512, 1025)]),
+    (3000, [2], [(0, 1000), (1000, 2000), (2000, 3000)]),
+    (10 ** 6, [3], [(0, 250_000), (250_000, 500_000), (500_000, 750_000), (750_000, 10 ** 6)]),
+])
+def test_auto_takes_a_process_per_started_seeding_chunk_where_the_pool_forks(
+        cfg, monkeypatch, pool_sizes, trials, started, bounds):
+    chunks = []
+    monkeypatch.setattr(simulation, "_trial_chunk", lambda job: chunks.append(job[4:]) or [])
+    monkeypatch.setattr(simulation, "_forks", lambda: True)
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    assert simulation.run_trials_each(params, [_tg02(cfg)], cfg, SimSpec(trials, 5), None) == []
+    assert pool_sizes == started
+    assert chunks == bounds  # in trial order: this process runs the first chunk
+
+
+def test_auto_is_one_process_where_the_pool_would_not_fork(cfg, monkeypatch, pool_sizes):
+    # a spawn or forkserver worker imports numpy afresh, which one process beats at these sizes
+    chunks = []
+    monkeypatch.setattr(simulation, "_trial_chunk", lambda job: chunks.append(job[4:]) or [])
+    monkeypatch.setattr(simulation, "_forks", lambda: False)
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    assert simulation.run_trials_each(params, [_tg02(cfg)], cfg, SimSpec(10 ** 6, 5), None) == []
+    assert pool_sizes == []
+    assert chunks == [(0, 10 ** 6)]
+    monkeypatch.setattr(simulation, "_forks", lambda: True)
+    simulation.run_trials_each(params, [_tg02(cfg)], cfg, SimSpec(10 ** 6, 5), workers=3)
+    assert pool_sizes == [2]  # an explicit count does not ask how the pool starts
+
+
+@pytest.mark.parametrize("fixed, methods, forks", [
+    ("fork", ["spawn", "fork"], True),
+    ("spawn", ["fork", "spawn"], False),
+    (None, ["fork", "spawn", "forkserver"], True),  # the first method is the default
+    (None, ["forkserver", "fork", "spawn"], False),  # Linux from Python 3.14
+    (None, ["spawn", "fork", "forkserver"], False),  # macOS
+])
+def test_forks_reads_the_start_method_without_fixing_it(monkeypatch, fixed, methods, forks):
+    import multiprocessing
+    asked = []
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: asked.append(allow_none) or fixed)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    assert simulation._forks() is forks
+    assert asked == [True]
+
+
+def test_library_default_is_one_process(cfg, pool_sizes):
+    # a library caller (an unguarded script, a pool worker, a parameter sweep that
+    # parallelises itself) gets no pool unless it asks; the CLI asks with workers=None
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    run_trials(params, _tg02(cfg), cfg, SimSpec(2100, 5, expected_points=100))
+    assert pool_sizes == []
+    for fn in (run_trials, simulation.run_trials_each, simulation.estimate_mean_decodable,
+               simulation.estimate_distribution, simulation.estimate_nearest_prob):
+        assert inspect.signature(fn).parameters["workers"].default == 1, fn.__name__
+
+
+def test_workers_capped_at_the_cpus_this_process_may_use(cfg, monkeypatch, pools_started):
+    # 8 CPUs installed, 1 usable (as under `taskset -c 0`): --workers 8 starts no pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert simulation._cpus() == 1
+    assert _same_as_one_worker(cfg, 20, 8)
+    assert pools_started == []
+
+
+def test_cpus_are_the_installed_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert simulation._cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert simulation._cpus() == 1
 
 
 try:
-    from hypothesis import example, given, settings
+    from hypothesis import HealthCheck, example, given, settings
     from hypothesis import strategies as st
 
     # A_ROUNDS_UP * 1096 + (1 - A_ROUNDS_UP) * 1096 == 1096.0000000000002
@@ -655,11 +747,13 @@ try:
            t_db=st.floats(-40.0, 25.0),
            models=st.sampled_from(["all-delta", "delta-first", "repeated", "mixed"]),
            a=st.floats(-1.0, 0.999), b=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32))
-    @settings(max_examples=25, deadline=None)
+    # two_cpus patches once for every example, as meant
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(alpha=3.8, snr_db=math.inf, t_db=-12.0, models="mixed", a=A_ROUNDS_UP, b=1.0,
              seed=1)
-    def test_one_pass_matches_separate_runs_property(cfg, workers, alpha, snr_db, t_db, models,
-                                                     a, b, seed):
+    def test_one_pass_matches_separate_runs_property(cfg, two_cpus, workers, alpha, snr_db, t_db,
+                                                     models, a, b, seed):
         params = NetworkParams(1 / 20 ** 2, alpha, db_to_linear(snr_db), db_to_linear(t_db))
         _assert_each_matches_separate_runs(params, _model_lists(_w(cfg), a, b)[models], cfg,
                                            SimSpec(5, seed, expected_points=300), workers)
