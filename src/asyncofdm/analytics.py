@@ -366,9 +366,7 @@ def optimize_threshold(params: NetworkParams, timing: TimingModel, config: OfdmC
 
     Returns (best_db, best_throughput, throughput_per_grid_point).
     """
-    grid_db = list(grid_db)
-    if not grid_db:
-        raise ValueError("threshold grid must be non-empty")
+    grid_db = list(grid_db)  # an empty grid is refused where the means are computed
     if any(b <= a for a, b in zip(grid_db, grid_db[1:])):
         raise ValueError("threshold grid must be strictly increasing")
     thresholds = [db_to_linear(t) for t in grid_db]

@@ -41,15 +41,10 @@ DEFAULTS = {
 THROUGHPUT_GRID_DB = tuple(x * 0.5 for x in range(-30, 21))  # -15..10 dB, when not swept
 MAX_SWEEP_POINTS = 10_001  # most thresholds in a grid; 10,001 take a sweep 1 s and 100 MB
 
-_ALLOWED = {
-    "ofdm": {"n", "n_cp", "used_range"},
-    "network": {"density_per_m2", "alpha", "tx_power_dbm", "bandwidth_hz",
-                "noise_psd_dbm_hz", "noise_figure_db", "snr_db"},
-    "timing": {"kind", "sigma_over_n", "offset", "lo", "hi"},
-    "detection": {"threshold_db", "sweep"},
-    "sim": {"trials", "expected_points", "seed"},
-    "hypotheses": {"n1", "n2", "delta"},
-}
+_NO_DEFAULT = {"network": {"snr_db"}, "timing": {"offset", "lo", "hi"},
+               "detection": {"sweep"}, "hypotheses": {"n1", "n2", "delta"}}  # keys DEFAULTS lacks
+_ALLOWED = {section: {*DEFAULTS.get(section, ()), *_NO_DEFAULT.get(section, ())}
+            for section in {**DEFAULTS, **_NO_DEFAULT}}  # DEFAULTS' order, then hypotheses
 _SWEEP_KEYS = {"lo_db", "hi_db", "step_db"}
 _BUDGET = {"tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz", "noise_figure_db"}
 
@@ -63,8 +58,7 @@ class RunConfig:
     ofdm: OfdmConfig
     network: NetworkParams  # at detection.threshold_db
     timing: timing_mod.TimingModel  # the configured model
-    # (sigma / N, model) per sweep: the configured model's, or one per --sigma-over-n value
-    sweep_timings: tuple[tuple[float, timing_mod.TimingModel], ...]
+    sweep_timings: tuple[timing_mod.TimingModel, ...]  # the configured one, or --sigma-over-n's
     grid_db: tuple[float, ...]  # the threshold sweep in dB, or the configured threshold alone
     sim: SimSpec
     hypotheses: tuple[float, ...] | None
@@ -197,7 +191,7 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"{section}.{exc.args[0]} is required") from None
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from None
-    return RunConfig(ofdm, network, timing, ((timing.sigma / ofdm.n, timing),), grid_db, spec, hyp)
+    return RunConfig(ofdm, network, timing, (timing,), grid_db, spec, hyp)
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
@@ -205,10 +199,11 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     if args.workers is not None and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     sim, changes = cfg.sim, {}
-    if args.seed is not None:
-        sim = replace(sim, master_seed=args.seed)
-    if args.trials is not None:
-        sim = replace(sim, trials=args.trials)
+    for flag, field, value in ("seed", "master_seed", args.seed), ("trials", "trials", args.trials):
+        try:
+            sim = sim if value is None else replace(sim, **{field: value})
+        except ValueError as exc:
+            raise ConfigError(f"--{flag}: {exc}") from None
     if args.sweep is not None:
         parts = args.sweep.split(":")
         if len(parts) != 3:
@@ -223,22 +218,21 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
                               else "--hypotheses expects N1,N2,DELTA") from None
     if args.sigma_over_n is not None:
         try:
-            changes["sweep_timings"] = tuple((s, cfg.timing_model(s))
-                                             for s in map(float, args.sigma_over_n.split(",")))
+            changes["sweep_timings"] = tuple(map(cfg.timing_model,
+                                                 map(float, args.sigma_over_n.split(","))))
         except ValueError as exc:
             raise ConfigError(f"--sigma-over-n: {exc}") from None
     return replace(cfg, sim=sim, **changes)
 
 
 def cmd_link_profile(cfg: RunConfig, args) -> None:
-    profile = empirical_power_profile(cfg.ofdm, args.offset, cfg.sim.trials,
-                                      cfg.sim.master_seed)
+    offset = -6 if args.offset is None else args.offset
+    profile = empirical_power_profile(cfg.ofdm, offset, cfg.sim.trials, cfg.sim.master_seed)
     profile.to_csv(args.out)
 
 
 def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
-    sigmas, models = zip(*cfg.sweep_timings)
-    runs = [None] * len(models)
+    models, runs = cfg.sweep_timings, [None] * len(cfg.sweep_timings)
     if args.with_mc:  # one pass for every model, at the sweep's lowest threshold
         runs = simulation.run_trials_each(cfg.params(min(cfg.grid_db)), models, cfg.ofdm, cfg.sim,
                                           workers=args.workers)
@@ -247,7 +241,8 @@ def _sweep_command(cfg, args, analytic_fn, mc_fn) -> None:
         header += ["mc_value", "mc_ci_half"]
     thresholds, rows, t_strs = cfg.thresholds, [], [_fmt(t_db) for t_db in cfg.grid_db]
     columns = analytic_fn(cfg.network, models, cfg.ofdm, thresholds=thresholds)
-    for sigma, results, values in zip(map(_fmt, sigmas), runs, columns):
+    for model, results, values in zip(models, runs, columns):
+        sigma = _fmt(model.sigma / cfg.ofdm.n)
         for t_str, t, value in zip(t_strs, thresholds, values.tolist()):
             row = [t_str, sigma, _fmt(value)]
             if args.with_mc:
@@ -273,10 +268,11 @@ def cmd_dist(cfg: RunConfig, args) -> None:
 
 def cmd_throughput(cfg: RunConfig, args) -> None:
     grid = cfg.grid_db if len(cfg.grid_db) > 1 else THROUGHPUT_GRID_DB
-    (sigmas, models), rows, t_strs = zip(*cfg.sweep_timings), [], [_fmt(t_db) for t_db in grid]
-    for sigma, mean in zip(map(_fmt, sigmas), analytics.mean_decodable_each(
+    models, rows, t_strs = cfg.sweep_timings, [], [_fmt(t_db) for t_db in grid]
+    for model, mean in zip(models, analytics.mean_decodable_each(
             cfg.network, models, cfg.ofdm, thresholds=[db_to_linear(t) for t in grid])):
         best_db, best_val, values = analytics._best_threshold(grid, mean.tolist())
+        sigma = _fmt(model.sigma / cfg.ofdm.n)
         rows += [["data", t_str, sigma, _fmt(val)] for t_str, val in zip(t_strs, values)]
         rows.append(["optimal", _fmt(best_db), sigma, _fmt(best_val)])
     _write_csv(args.out, ["row_type", "threshold_db", "sigma_over_n", "throughput"], rows)
@@ -366,22 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="Monte Carlo processes, at most the usable CPUs (default: "
                              "one per started 1,024 trials where the pool forks, else 1)")
-    parser.add_argument("--offset", type=int, default=-6,
-                        help="timing offset in samples (link-profile)")
-    parser.add_argument("--with-mc", action="store_true",
+    parser.add_argument("--offset", type=int, default=None,
+                        help="timing offset in samples (link-profile; default: -6)")
+    parser.add_argument("--with-mc", action="store_true", default=None,
                         help="add Monte Carlo columns to sweep outputs")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command, reads = COMMANDS[args.command]
     if args.with_mc:
         reads = reads | _MC
     unread = [flag for flag, value in vars(args).items()
-              if flag not in reads | {"command", "config", "out"}
-              and value != parser.get_default(flag)]
+              if flag not in reads | {"command", "config", "out"} and value is not None]
     out_dir = os.path.dirname(args.out) or "."
     try:
         if unread:

@@ -116,7 +116,8 @@ def _check_positive(least_distance: float, least_fade: float) -> None:
 def _sinr(config: OfdmConfig, offsets, p, total, noise_over_e):
     """SINR of power p at its timing offset when all powers, p included, sum to `total`."""
     g = cp_weight(config, offsets)
-    return g * p / ((1.0 - g) * p + (total - p) + noise_over_e)
+    with np.errstate(divide="ignore"):  # a lone noise-free power inside the CP: +inf is right
+        return g * p / ((1.0 - g) * p + (total - p) + noise_over_e)
 
 
 @dataclass

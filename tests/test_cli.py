@@ -55,6 +55,28 @@ def test_unknown_key_named_in_error(tmp_path):
         load_config(_write(tmp_path, "network:\n  alhpa: 3.0\n"))
 
 
+# Every key a config may hold, by section: DEFAULTS' keys and those without a default.
+ACCEPTED_KEYS = {
+    "ofdm": {"n", "n_cp", "used_range"},
+    "network": {"density_per_m2", "alpha", "tx_power_dbm", "bandwidth_hz",
+                "noise_psd_dbm_hz", "noise_figure_db", "snr_db"},
+    "timing": {"kind", "sigma_over_n", "offset", "lo", "hi"},
+    "detection": {"threshold_db", "sweep"},
+    "sim": {"trials", "expected_points", "seed"},
+    "hypotheses": {"n1", "n2", "delta"},
+}
+
+
+@pytest.mark.parametrize("section", ACCEPTED_KEYS)
+def test_each_section_accepts_exactly_its_keys(tmp_path, section):
+    keys = ACCEPTED_KEYS[section]
+    assert cli._ALLOWED[section] == keys
+    nulls = ", ".join(f"{key}: null" for key in sorted(keys))  # null means the default
+    assert load_config(_write(tmp_path, f"{section}: {{{nulls}}}\n")) == load_config(None)
+    with pytest.raises(ConfigError, match=f"^unknown key '{section}.bogus'$"):
+        load_config(_write(tmp_path, f"{section}: {{bogus: 1}}\n"))
+
+
 def test_alpha_at_convergence_boundary_rejected(tmp_path):
     with pytest.raises(ConfigError, match="alpha"):
         load_config(_write(tmp_path, "network:\n  alpha: 2.0\n"))
@@ -206,7 +228,7 @@ def test_run_config_is_frozen_and_flags_give_a_new_one(tmp_path):
         ["mean-decodable", "--out", "x.csv", "--sweep=-3:-1:1", "--sigma-over-n", "0,0.1",
          "--hypotheses", "1,1,72", "--trials", "5"]))
     assert new.grid_db == (-3.0, -2.0, -1.0)
-    assert [s for s, _ in new.sweep_timings] == [0.0, 0.1]
+    assert [m.sigma / new.ofdm.n for m in new.sweep_timings] == [0.0, 0.1]
     assert new.hypotheses == (-72.0, 0.0, 72.0) and new.sim.trials == 5
     assert cfg == load_config(path)  # the flags changed nothing in place
     out = str(tmp_path / "out.csv")  # the flag's sweep overrides the config's
@@ -392,6 +414,22 @@ def test_link_profile_command(tmp_path):
     assert int(rows[1][0]) == -300
 
 
+def test_link_profile_offset_defaults_to_minus_6(tmp_path):
+    def profile(*flags):
+        out = tmp_path / f"profile{len(flags)}.csv"
+        assert main(["link-profile", "--out", str(out), "--trials", "50", *flags]) == 0
+        return out.read_bytes()
+
+    assert profile() == profile("--offset", "-6")
+
+
+def test_sigma_over_n_column_is_the_models_sigma_over_n(tmp_path):
+    out = tmp_path / "out.csv"  # -0 builds the synchronized model, whose sigma / N is 0
+    assert main(["mean-decodable", "--sweep=-4:0:2", "--sigma-over-n=-0,0.2",
+                 "--out", str(out)]) == 0
+    assert [row[1] for row in _rows(out)[1:]] == ["0"] * 3 + ["0.2"] * 3
+
+
 def test_dist_command(tmp_path):
     out = str(tmp_path / "dist.csv")
     assert main(["dist", "--out", out, "--trials", "100", "--workers", "2"]) == 0
@@ -558,6 +596,13 @@ def test_bad_run_flags_exit_2_before_any_output(tmp_path, command, flags):
     assert err.getvalue().startswith("error:")
 
 
+@pytest.mark.parametrize("flags", [["--trials", "0"], ["--seed", "-1"]])
+def test_bad_seed_or_trials_is_named_by_its_flag(tmp_path, capsys, flags):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]}: ")
+
+
 # The run flags each command reads; --config and --out belong to every command.
 # mean-decodable and nearest read --trials, --seed and --workers only with --with-mc.
 READS = {
@@ -570,19 +615,22 @@ READS = {
     "simulate": {"--trials", "--seed", "--workers"},
     "validate": {"--trials", "--seed", "--workers"},
 }
-FLAG_VALUES = {  # each a valid value other than the default
+FLAG_VALUES = {  # each a valid value; a flag counts as given whatever its value
     "--seed": ["--seed", "5"], "--trials": ["--trials", "50"], "--sweep": ["--sweep=-4:0:2"],
     "--sigma-over-n": ["--sigma-over-n", "0"], "--hypotheses": ["--hypotheses", "1,1,72"],
     "--workers": ["--workers", "2"], "--offset": ["--offset", "5"], "--with-mc": ["--with-mc"],
 }
 
 
-@pytest.mark.parametrize("command, flag", [(command, flag) for command in READS
-                                           for flag in FLAG_VALUES if flag not in READS[command]])
-def test_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+@pytest.mark.parametrize("command, flag, argv", [
+    pytest.param(command, flag, FLAG_VALUES[flag], id=f"{command}-{flag}")
+    for command in READS for flag in FLAG_VALUES if flag not in READS[command]] + [
+    pytest.param(command, "--offset", ["--offset", "-6"], id=f"{command}---offset=-6")
+    for command in READS if "--offset" not in READS[command]])  # link-profile's default
+def test_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag, argv):
     out = tmp_path / "out.csv"
     absent = str(tmp_path / "absent.yaml")  # the flags are checked before the config is read
-    assert main([command, "--config", absent, "--out", str(out)] + FLAG_VALUES[flag]) == 2
+    assert main([command, "--config", absent, "--out", str(out)] + argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {command} does not use {flag}\n")
     assert not out.exists()
 

@@ -237,6 +237,20 @@ def test_trial_csv_schema(cfg, tmp_path):
     assert row[0] == "0" and int(row[1]) >= 0
 
 
+def test_lone_noise_free_transmitters_inside_the_cp_score_inf(cfg, tmp_path):
+    # a 300 m window holds one transmitter or none in most trials; without noise a lone
+    # transmitter at offset 0 has SINR +inf, scored without a warning and written as inf
+    params = NetworkParams(1 / 400 ** 2, 3.8, math.inf, db_to_linear(-12.0))
+    res = run_trials(params, tm.delta(0.0, cfg.domain_half_width), cfg,
+                     SimSpec(200, 1, window_radius=300.0))
+    lone = np.isinf(res.nearest_sinr)
+    assert lone.sum() == 56 and np.isnan(res.nearest_sinr).sum() == 32
+    assert res.nearest_prob(db_to_linear(60.0)).mean == lone.mean()
+    res.to_csv(tmp_path / "trials.csv")
+    rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+    assert sum(row.split(",")[2] == "inf" for row in rows) == 56
+
+
 # ----------------------------------------------- one pass serves every threshold
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -154,6 +154,13 @@ def test_fully_misaligned_transmitter_zero(cfg):
     assert snapshot_sinr_all(snap, cfg)[0] == 0.0
 
 
+@pytest.mark.parametrize("offset", [0.0, 50.0])
+def test_lone_noise_free_transmitter_inside_the_cp_scores_inf(cfg, offset):
+    # g = 1, no interference and no noise: a zero denominator, and +inf without a warning
+    snap = NetworkSnapshot([10.0], [1.0], [offset], 0.0, 4.0)
+    assert snapshot_sinr_all(snap, cfg).tolist() == [math.inf]
+
+
 def test_scale_invariance_without_noise(cfg):
     rng = np.random.default_rng(0)
     r, f = rng.uniform(1, 100, 20), rng.exponential(1.0, 20)
