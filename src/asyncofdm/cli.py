@@ -227,7 +227,8 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
 
 def cmd_link_profile(cfg: RunConfig, args) -> None:
     offset = -6 if args.offset is None else args.offset
-    profile = empirical_power_profile(cfg.ofdm, offset, cfg.sim.trials, cfg.sim.master_seed)
+    profile = empirical_power_profile(cfg.ofdm, offset, cfg.sim.trials, cfg.sim.master_seed,
+                                      workers=args.workers)
     profile.to_csv(args.out)
 
 
@@ -332,7 +333,7 @@ _SWEEP = {"sweep", "sigma_over_n", "with_mc"}
 # command: (function, the run flags it reads); --config and --out belong to every command.
 # The sweep entries look their functions up at call time, where a tracer may have wrapped them.
 COMMANDS = {
-    "link-profile": (cmd_link_profile, {"offset", "trials", "seed"}),
+    "link-profile": (cmd_link_profile, {"offset", "trials", "seed", "workers"}),
     "mean-decodable": (lambda cfg, args: _sweep_command(
         cfg, args, analytics.mean_decodable_each, simulation.TrialResults.mean_count), _SWEEP),
     "nearest": (lambda cfg, args: _sweep_command(cfg, args, analytics.nearest_decoding_prob_each,
@@ -360,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="timing sigma values as multiples of N (0 = synchronized)")
     parser.add_argument("--hypotheses", default=None, metavar="N1,N2,DELTA")
     parser.add_argument("--workers", type=int, default=None,
-                        help="Monte Carlo processes, at most the usable CPUs (default: "
-                             "one per started 1,024 trials where the pool forks, else 1)")
+                        help="link-profile and Monte Carlo processes, at most the usable CPUs "
+                             "(default: one per started 1,024 trials where a pool forks, else 1)")
     parser.add_argument("--offset", type=int, default=None,
                         help="timing offset in samples (link-profile; default: -6)")
     parser.add_argument("--with-mc", action="store_true", default=None,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ _TRIAL_BLOCK = 64
 # trials per transform batch within a group; keeps the FFT work in cache.  A batch takes
 # the group's next draws in one call, so the bits do not depend on it.
 _FFT_BATCH = 8
+# trials per pooled piece of empirical_power_profile, and the fewest that get a process by default
+_PIECE = 16 * _TRIAL_BLOCK
 
 
 def _integer(name: str, value) -> int:
@@ -52,6 +55,43 @@ def _integer(name: str, value) -> int:
     if as_int != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return as_int
+
+
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity), or those installed where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forks() -> bool:
+    """Whether a pool started here forks; a spawn or forkserver worker imports numpy and
+    this package afresh, so two processes lose to one up to at least 5,000 trials."""
+    import multiprocessing  # read without fixing the start method
+    return (multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0]) == "fork"
+
+
+def _processes(workers: int | None, trials: int, most: int) -> int:
+    """Processes for a run of `trials`: `workers`, or for None one per started `_PIECE`
+    trials where a pool forks (else one); at most the usable CPUs and `most`."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    if workers is None:
+        workers = -(-trials // _PIECE) if _forks() else 1
+    return min(workers, _cpus(), most)
+
+
+def _in_rounds(fn, jobs: list, processes: int):
+    """Yield fn(job) for each job, in order, in rounds of `processes` (at least 2) jobs: this
+    process runs each round's first job, and one pool of the others the rest."""
+    from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
+    with ProcessPoolExecutor(max_workers=processes - 1) as pool:  # joined on any exit
+        for at in range(0, len(jobs), processes):
+            first, *rest = jobs[at:at + processes]
+            rest = pool.map(fn, rest)  # submitted before this process's share
+            yield fn(first)
+            yield from rest
 
 
 def _fmt(x: float) -> str:  # the number format of every CSV the package writes
@@ -335,7 +375,7 @@ def _runs(index: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
-                            alphabet: str = "qpsk") -> PowerProfile:
+                            alphabet: str = "qpsk", workers: int | None = 1) -> PowerProfile:
     """Monte Carlo per-subcarrier powers averaged over random symbol streams.
 
     The useful power is |mean Y[l] conj(S[l;m])|^2, the output's correlation with the desired
@@ -346,7 +386,8 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     their frames.  Y' is Y times a unit phase per subcarrier that no trial changes, unseen by
     |Y|^2 and |E[Y conj(S)]|^2; a one-symbol window takes no transform.  Deterministic per
     (seed, 64-trial group): group j draws from `default_rng([seed, j])`, trial after trial,
-    so the first M trials of a run are those of an M-trial run.
+    so the first M trials of a run are those of an M-trial run.  Group sums add up in group
+    order for any `workers` (`_processes`); a one-symbol window runs in this process alone.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
@@ -356,6 +397,30 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)
+    most = -(-trials // _PIECE) if len(_window_pieces(config, d)) > 1 else 1  # 1: no FFTs
+    job, processes = (config, d, alphabet, seed), _processes(workers, trials, most)
+    if processes == 1:  # each group's sums folded as made
+        parts = [_profile_groups(*job, 0, trials)]
+    else:  # this process holds at most one round of pieces' sums
+        parts = _in_rounds(_profile_piece, [(*job, lo, min(lo + _PIECE, trials))
+                                            for lo in range(0, trials, _PIECE)], processes)
+    totals = sum(sums for part in parts for sums in part)  # from 0, in group order
+    total_sum, total_sq, cross_re, cross_im = (totals if len(totals) == 4
+                                               else (*totals, totals[0], 0.0))
+    total = total_sum / trials
+    stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
+    useful = (cross_re / trials) ** 2 + (cross_im / trials) ** 2
+    return PowerProfile(d, config.used_array(), useful, total, stderr)
+
+
+def _profile_piece(job) -> list[np.ndarray]:
+    """The sums of each group of a pooled piece of trials, in group order."""
+    return [sums.copy() for sums in _profile_groups(*job)]
+
+
+def _profile_groups(config: OfdmConfig, d: int, alphabet: str, seed: int, start, stop):
+    """Yield in one reused array empirical_power_profile's sums of each group of the trials
+    start .. stop-1 (start a group's first)."""
     pieces = _window_pieces(config, d)  # in symbol order; rows drawn: m-1 if read, m, m+1 if read
     n, k, at, frames, cur = config.n, len(config.used), 0, [], -min(pieces[0][0], 0)
     for s, p in pieces:  # row of m + s, its window samples, its shift:
@@ -375,9 +440,9 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     # real part is the power bit for bit and its imaginary part ci cr - cr ci is +0.0.
     stats = 2 if base == cur and not spilled else 4
     terms, v = np.empty((stats, 1 + _FFT_BATCH, k)), np.empty((_FFT_BATCH, k))
-    totals, sums = np.zeros((2, stats, k))
-    for first in range(0, trials, _TRIAL_BLOCK):
-        g, sums[:] = min(_TRIAL_BLOCK, trials - first), 0.0
+    sums = np.zeros((stats, k))
+    for first in range(start, stop, _TRIAL_BLOCK):
+        g, sums[:] = min(_TRIAL_BLOCK, stop - first), 0.0
         rng = np.random.default_rng([seed, first // _TRIAL_BLOCK])
         for lo in range(0, g, _FFT_BATCH):
             b = min(_FFT_BATCH, g - lo)
@@ -406,9 +471,4 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
                 np.add(np.multiply(yr, cr, out=re), np.multiply(yi, ci, out=u), out=re)
                 np.subtract(np.multiply(yi, cr, out=im), np.multiply(yr, ci, out=u), out=im)
             np.add.reduce(terms[:, :b + 1], axis=1, out=sums)  # row by row, k the inner loop
-        totals += sums
-    total_sum, total_sq, cross_re, cross_im = totals if stats == 4 else (*totals, totals[0], 0.0)
-    total = total_sum / trials
-    stderr = np.sqrt(np.maximum(total_sq / trials - total ** 2, 0.0) / trials)
-    useful = (cross_re / trials) ** 2 + (cross_im / trials) ** 2
-    return PowerProfile(d, config.used_array(), useful, total, stderr)
+        yield sums

@@ -6,21 +6,20 @@ only like R^(2-alpha), which biases counts upward for alpha near 2 (open as ROAD
 item 1).
 Each trial draws from its own RNG substream seeded by (master_seed, trial_index),
 so results do not depend on the workers, and every timing model sees the same fields.
-With `workers=None` (the CLI's default) a run takes one process per started 1,024-trial
-seeding chunk where a pool forks, up to the CPUs this process may use; this process runs
-the first chunk itself.  The library's default is one process.
+Processes and pool are the link engine's (`link._processes`, `link._in_rounds`): by default
+one, and for `workers=None` (the CLI's) one per started 1,024 trials where a pool forks, up to
+the CPUs this process may use, this process running the first chunk itself.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import CountDistribution
-from .link import OfdmConfig, _fmt, _integer, _write_csv
+from .link import OfdmConfig, _fmt, _in_rounds, _integer, _processes, _write_csv
 from .sinr import NetworkParams, NetworkSnapshot, _check_positive, _sinr, snapshot_sinr_all
 from .timing import TimingModel, _check_domain
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-# trials per seeding pass in _trial_generators (amortises its ~50 array calls), and the
-# fewest trials that by default get a process of their own in run_trials_each
+# trials per seeding pass in _trial_generators (amortises its ~50 array calls)
 _SEED_CHUNK = 1024
 
 
@@ -254,43 +252,20 @@ def run_trials(params: NetworkParams, timing: TimingModel, config: OfdmConfig,
     return run_trials_each(params, [timing], config, spec, workers)[0]
 
 
-def _cpus() -> int:
-    """CPUs this process may run on (its affinity), or those installed where that is unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _forks() -> bool:
-    """Whether a pool started here forks; a spawn or forkserver worker imports numpy and
-    this package afresh, so two processes lose to one up to at least 5,000 trials."""
-    import multiprocessing  # read without fixing the start method
-    return (multiprocessing.get_start_method(allow_none=True)
-            or multiprocessing.get_all_start_methods()[0]) == "fork"
-
-
 def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: OfdmConfig,
                     spec: SimSpec, workers: int | None = 1) -> list[TrialResults]:
     """One `TrialResults` per timing model from one draw-and-screen pass, each the same
     bits as a pass with that model alone; output independent of workers.  The trials split
-    into one contiguous chunk per process: `workers`, or for `workers=None` one per started
-    `_SEED_CHUNK` trials where a pool forks (else one), at most the usable CPUs and the
-    trials.  This process runs the first chunk, and a pool the rest."""
-    if not timings or workers is not None and workers < 1:
-        raise ValueError(f"need a timing model and workers >= 1, got {len(timings)} and {workers}")
+    into one contiguous chunk per process (`link._processes`, at most one per trial), run
+    as one round of `link._in_rounds`: this process runs the first chunk, and a pool the rest."""
+    if not timings:
+        raise ValueError("need a timing model")
+    processes = _processes(workers, spec.trials, spec.trials)
     _check_domain(timings, config)
-    if workers is None:
-        workers = -(-spec.trials // _SEED_CHUNK) if _forks() else 1
-    bounds = np.linspace(0, spec.trials, min(workers, _cpus(), spec.trials) + 1, dtype=int)
-    jobs = [(params, timings, config, spec, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])]
-    if len(jobs) == 1:
-        chunks = [_trial_chunk(jobs[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
-        with ProcessPoolExecutor(max_workers=len(jobs) - 1) as pool:
-            rest = pool.map(_trial_chunk, jobs[1:])  # submitted before this process's share
-            chunks = [_trial_chunk(jobs[0]), *rest]
+    bounds = np.linspace(0, spec.trials, processes + 1, dtype=int)
+    jobs = [(params, timings, config, spec, int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
+    chunks = (map(_trial_chunk, jobs) if processes == 1
+              else _in_rounds(_trial_chunk, jobs, processes))
     blocks = [block for chunk in chunks for block in chunk]  # trial order
     return [TrialResults(counts, near, params.threshold, sinr)
             for counts, near, sinr in (map(np.concatenate, zip(*model))

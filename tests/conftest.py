@@ -1,8 +1,10 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
+from asyncofdm import link
 from asyncofdm.link import OfdmConfig
 from asyncofdm.sinr import NetworkParams, NetworkSnapshot
 
@@ -37,3 +39,46 @@ def frozen_snapshot(params, timing, spec, trial_index):
     fades = rng.exponential(1.0, count)
     u = np.zeros(count) if timing.is_delta else rng.random(count)
     return NetworkSnapshot(distances, fades, timing.quantile(u), params.noise_over_e, params.alpha)
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """max_workers of each pool started, whose jobs run in this process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+@pytest.fixture
+def pool_sizes(pools_started, monkeypatch):
+    """max_workers of each pool started where 4 CPUs are usable."""
+    monkeypatch.setattr(link, "_cpus", lambda: 4)
+    return pools_started
+
+
+@pytest.fixture
+def real_pools(monkeypatch):
+    """max_workers of each real pool started."""
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started

@@ -5,12 +5,13 @@ import dataclasses
 import hashlib
 import io
 import math
+import multiprocessing
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from asyncofdm import analytics, cli, simulation
+from asyncofdm import analytics, cli, link, simulation
 from asyncofdm.quadrature import QuadratureError
 from asyncofdm.cli import (MAX_SWEEP_POINTS, ConfigError, _apply_flags, _sweep, build_parser,
                            load_config, main)
@@ -553,11 +554,12 @@ def test_one_pass_commands_identical_for_any_workers(tmp_path, argv):
     ["validate"],
     ["dist"],
     ["mean-decodable", "--with-mc", "--sigma-over-n", "0,0.2", "--sweep=-15:10:5"],
+    ["link-profile"],
 ], ids=lambda argv: argv[0])
 def test_default_workers_fork_and_write_the_one_worker_bytes(tmp_path, monkeypatch, argv):
-    # 2,100 trials take three 1,024-trial seeding chunks: with three usable CPUs and a forking
-    # pool the default runs the first chunk here and two in a real pool, and must write
-    # --workers 1's bytes
+    # 2,100 trials take three 1,024-trial chunks (link-profile: pieces): with three usable
+    # CPUs and a forking pool the default runs the first here and two in a real pool, and
+    # must write --workers 1's bytes
     started = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -566,8 +568,8 @@ def test_default_workers_fork_and_write_the_one_worker_bytes(tmp_path, monkeypat
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulation, "_cpus", lambda: 3)
-    monkeypatch.setattr(simulation, "_forks", lambda: True)
+    monkeypatch.setattr(link, "_cpus", lambda: 3)
+    monkeypatch.setattr(link, "_forks", lambda: True)
     outs = []
     for flags in ([], ["--workers", "1"]):
         out = tmp_path / f"out{len(outs)}.csv"
@@ -578,6 +580,43 @@ def test_default_workers_fork_and_write_the_one_worker_bytes(tmp_path, monkeypat
     assert started == [2]  # the default's pool; --workers 1 starts none
     assert outs[0][0] in (0, 1)  # validate may flag a scenario
     assert outs[1] == outs[0]
+
+
+_PROFILE_PIECE, _TRIAL_CHUNK = link._profile_piece, simulation._trial_chunk
+
+
+def _piece_failing_here(job):
+    """link._profile_piece, raising in the process that started the pool."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("this process's piece failed")
+    return _PROFILE_PIECE(job)
+
+
+def _chunk_failing_here(job):
+    """simulation._trial_chunk, raising in the process that started the pool."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("this process's chunk failed")
+    return _TRIAL_CHUNK(job)
+
+
+@pytest.mark.parametrize("command, module, name, failing", [
+    ("link-profile", link, "_profile_piece", _piece_failing_here),
+    ("simulate", simulation, "_trial_chunk", _chunk_failing_here),
+], ids=["link-profile", "simulate"])
+def test_a_pooled_run_leaves_no_process_behind(tmp_path, monkeypatch, real_pools, command,
+                                                module, name, failing):
+    # both engines run their pool through link._in_rounds, which joins it when the run
+    # ends, and when this process's own share raises while a worker still runs its own
+    monkeypatch.setattr(link, "_cpus", lambda: 2)
+    monkeypatch.setattr(link, "_forks", lambda: True)
+    argv = [command, "--trials", "2100", "--seed", "6", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(module, name, failing)
+    with pytest.raises(RuntimeError, match="failed"):
+        main(argv)
+    assert multiprocessing.active_children() == []
+    assert real_pools == [1, 1]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -606,7 +645,7 @@ def test_bad_seed_or_trials_is_named_by_its_flag(tmp_path, capsys, flags):
 # The run flags each command reads; --config and --out belong to every command.
 # mean-decodable and nearest read --trials, --seed and --workers only with --with-mc.
 READS = {
-    "link-profile": {"--offset", "--trials", "--seed"},
+    "link-profile": {"--offset", "--trials", "--seed", "--workers"},
     "mean-decodable": {"--sweep", "--sigma-over-n", "--with-mc"},
     "nearest": {"--sweep", "--sigma-over-n", "--with-mc"},
     "dist": {"--trials", "--seed", "--workers"},

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import math
 import pickle
@@ -775,6 +776,8 @@ def test_empirical_profile_validation(cfg):
     (dict(trials=10, seed=1.5), "seed must be an integer"),
     (dict(trials=10, seed=math.inf), "seed must be an integer"),
     (dict(trials=10, seed=-1), "seed must be >= 0, got -1"),
+    (dict(trials=10, seed=1, workers=0), "need workers >= 1, got 0"),
+    (dict(trials=10, seed=1, workers=-3), "need workers >= 1, got -3"),
 ])
 def test_empirical_profile_inputs_checked_at_entry(small_cfg, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -861,6 +864,75 @@ def test_empirical_profile_memory_bounded_by_the_batch(cfg):
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
     assert peaks[1] < 1.5e6, peaks
+
+
+def _profile_bytes(prof):
+    return b"".join(a.tobytes() for a in (prof.useful, prof.total, prof.stderr_total))
+
+
+@pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])
+@pytest.mark.parametrize("d", [-70, -30, 4, 40])  # regimes 1, 2, 3, 4
+def test_empirical_profile_bits_do_not_depend_on_the_workers(monkeypatch, real_pools, alphabet, d):
+    # 1,024-trial pieces in rounds of P processes, their group sums added in group order:
+    # trial counts on both sides of a piece's edge, and of a round's at P = 2 and 3
+    monkeypatch.setattr(link, "_cpus", lambda: 5)
+    monkeypatch.setattr(link, "_forks", lambda: True)
+    config = OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19))
+    for trials in (1, 1024, 1025, 2100, 5000):
+        want = _profile_bytes(empirical_power_profile(config, d, trials, 7, alphabet))
+        for workers in (2, 5, None):
+            prof = empirical_power_profile(config, d, trials, 7, alphabet, workers=workers)
+            assert _profile_bytes(prof) == want, (trials, workers)
+    # one process per piece up to the workers and the 5 CPUs; none for a one-symbol window
+    assert real_pools == ([1, 1, 1, 1, 2, 2, 1, 4, 4] if d in (-30, 40) else [])
+
+
+@pytest.mark.parametrize("forks, workers, trials, d, started, pieces", [
+    (True, None, 1024, -30, [], 0),  # one piece: no pool, each group folded as made
+    (True, None, 2100, -30, [2], 3),  # one process per started piece
+    (False, None, 2100, -30, [], 0),  # a pool that would not fork: one process
+    (False, 2, 2100, -30, [1], 3),  # an explicit count does not ask how the pool starts
+    (True, None, 6000, 40, [3], 6),  # at most the 4 CPUs: rounds of 4 and 2 pieces
+    (True, 8, 6000, 40, [3], 6),
+    (True, None, 6000, -70, [], 0),  # a one-symbol window takes no transform: one process
+    (True, 8, 6000, 4, [], 0),
+])
+def test_empirical_profile_pool_sizes(monkeypatch, pool_sizes, forks, workers, trials, d,
+                                      started, pieces):
+    config, run = OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)), []
+    piece = link._profile_piece
+    monkeypatch.setattr(link, "_profile_piece", lambda job: run.append(job[4:]) or piece(job))
+    monkeypatch.setattr(link, "_forks", lambda: forks)
+    prof = empirical_power_profile(config, d, trials, 7, workers=workers)
+    assert pool_sizes == started
+    bounds = [(lo, min(lo + 1024, trials)) for lo in range(0, trials, 1024)]
+    assert run == bounds[:pieces]  # each round's first here, the rest in the pool, in order
+    assert _profile_bytes(prof) == _profile_bytes(empirical_power_profile(config, d, trials, 7))
+
+
+def test_empirical_profile_library_default_is_one_process(monkeypatch, pool_sizes):
+    # as for run_trials: a library caller gets no pool unless it asks; the CLI asks
+    monkeypatch.setattr(link, "_forks", lambda: True)
+    empirical_power_profile(OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)), -30, 2100, 7)
+    assert pool_sizes == []
+    assert inspect.signature(empirical_power_profile).parameters["workers"].default == 1
+
+
+def test_empirical_profile_pooled_parent_memory_bounded_by_a_round(cfg, monkeypatch):
+    # this process holds one round of pieces' group sums (two 1,024-trial pieces, about
+    # 300 KB each at K = 600), however many rounds; P contiguous chunks would hold about
+    # 300 bytes per trial, 5 MB more at 16,384 trials
+    monkeypatch.setattr(link, "_cpus", lambda: 2)
+    empirical_power_profile(cfg, -300, 2048, seed=1, workers=2)  # the pool's lazy imports
+    peaks = []
+    for trials in (2048, 16_384):
+        tracemalloc.start()
+        try:
+            empirical_power_profile(cfg, -300, trials, seed=1, workers=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 1.5e6, peaks
 
 
 @pytest.mark.parametrize("alphabet", ["qpsk", "gaussian"])

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -12,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asyncofdm import analytics, cli, simulation, timing as tm
+from asyncofdm import analytics, cli, link, simulation, timing as tm
 from asyncofdm.simulation import (
     Estimate,
     SimSpec,
@@ -150,8 +149,8 @@ def test_truncation_bound_every_trial(cfg):
 def two_cpus(monkeypatch):
     """At least two usable CPUs, so that a run on a 1-CPU machine still splits at a chunk
     boundary when it asks for two workers or more."""
-    cpus = max(simulation._cpus(), 2)
-    monkeypatch.setattr(simulation, "_cpus", lambda: cpus)
+    cpus = max(link._cpus(), 2)
+    monkeypatch.setattr(link, "_cpus", lambda: cpus)
 
 
 def test_worker_count_does_not_change_results(cfg, two_cpus):
@@ -599,35 +598,6 @@ def test_workers_below_one_and_no_model_rejected(cfg):
         simulation.run_trials_each(params, [], cfg, SimSpec(3, 1))
 
 
-@pytest.fixture
-def pools_started(monkeypatch):
-    """max_workers of each pool started, whose chunks run in this process."""
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return started
-
-
-@pytest.fixture
-def pool_sizes(pools_started, monkeypatch):
-    """max_workers of each pool started where 4 CPUs are usable."""
-    monkeypatch.setattr(simulation, "_cpus", lambda: 4)
-    return pools_started
-
-
 def _same_as_one_worker(cfg, trials, workers):
     params = budget_params(1 / 400 ** 2, 3.8, -12.0)
     spec = SimSpec(trials, 5)
@@ -669,7 +639,7 @@ def test_auto_takes_a_process_per_started_seeding_chunk_where_the_pool_forks(
         cfg, monkeypatch, pool_sizes, trials, started, bounds):
     chunks = []
     monkeypatch.setattr(simulation, "_trial_chunk", lambda job: chunks.append(job[4:]) or [])
-    monkeypatch.setattr(simulation, "_forks", lambda: True)
+    monkeypatch.setattr(link, "_forks", lambda: True)
     params = budget_params(1 / 400 ** 2, 3.8, -12.0)
     assert simulation.run_trials_each(params, [_tg02(cfg)], cfg, SimSpec(trials, 5), None) == []
     assert pool_sizes == started
@@ -680,12 +650,12 @@ def test_auto_is_one_process_where_the_pool_would_not_fork(cfg, monkeypatch, poo
     # a spawn or forkserver worker imports numpy afresh, which one process beats at these sizes
     chunks = []
     monkeypatch.setattr(simulation, "_trial_chunk", lambda job: chunks.append(job[4:]) or [])
-    monkeypatch.setattr(simulation, "_forks", lambda: False)
+    monkeypatch.setattr(link, "_forks", lambda: False)
     params = budget_params(1 / 400 ** 2, 3.8, -12.0)
     assert simulation.run_trials_each(params, [_tg02(cfg)], cfg, SimSpec(10 ** 6, 5), None) == []
     assert pool_sizes == []
     assert chunks == [(0, 10 ** 6)]
-    monkeypatch.setattr(simulation, "_forks", lambda: True)
+    monkeypatch.setattr(link, "_forks", lambda: True)
     simulation.run_trials_each(params, [_tg02(cfg)], cfg, SimSpec(10 ** 6, 5), workers=3)
     assert pool_sizes == [2]  # an explicit count does not ask how the pool starts
 
@@ -703,7 +673,7 @@ def test_forks_reads_the_start_method_without_fixing_it(monkeypatch, fixed, meth
     monkeypatch.setattr(multiprocessing, "get_start_method",
                         lambda allow_none=False: asked.append(allow_none) or fixed)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    assert simulation._forks() is forks
+    assert link._forks() is forks
     assert asked == [True]
 
 
@@ -722,7 +692,7 @@ def test_workers_capped_at_the_cpus_this_process_may_use(cfg, monkeypatch, pools
     # 8 CPUs installed, 1 usable (as under `taskset -c 0`): --workers 8 starts no pool
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert simulation._cpus() == 1
+    assert link._cpus() == 1
     assert _same_as_one_worker(cfg, 20, 8)
     assert pools_started == []
 
@@ -730,9 +700,9 @@ def test_workers_capped_at_the_cpus_this_process_may_use(cfg, monkeypatch, pools
 def test_cpus_are_the_installed_count_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert simulation._cpus() == 8
+    assert link._cpus() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
-    assert simulation._cpus() == 1
+    assert link._cpus() == 1
 
 
 try:
