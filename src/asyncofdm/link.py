@@ -72,24 +72,33 @@ def _forks() -> bool:
             or multiprocessing.get_all_start_methods()[0]) == "fork"
 
 
-def _processes(workers: int | None, trials: int, most: int) -> int:
+def _processes(workers: int | None, trials: int) -> int:
     """Processes for a run of `trials`: `workers`, or for None one per started `_PIECE`
-    trials where a pool forks (else one); at most the usable CPUs and `most`."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    trials where a pool forks (else one); at most the usable CPUs and `trials`."""
     if workers is None:
         workers = -(-trials // _PIECE) if _forks() else 1
-    return min(workers, _cpus(), most)
+    elif (workers := _integer("workers", workers)) < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    return min(workers, _cpus(), trials)
+
+
+def _listed(fn, job) -> list:
+    """fn(job)'s results in a list, which a pool sends back where a generator cannot go."""
+    return list(fn(job))
 
 
 def _in_rounds(fn, jobs: list, processes: int):
-    """Yield fn(job) for each job, in order, in rounds of `processes` (at least 2) jobs: this
-    process runs each round's first job, and one pool of the others the rest."""
+    """Yield fn(job) for each job, in order, on at most `processes` processes: for one, here;
+    else in rounds of that many jobs, this process running each round's first job, and one
+    pool the others, each job's results listed (`_listed`)."""
+    if (processes := min(processes, len(jobs))) < 2:
+        yield from map(fn, jobs)
+        return
     from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
     with ProcessPoolExecutor(max_workers=processes - 1) as pool:  # joined on any exit
         for at in range(0, len(jobs), processes):
             first, *rest = jobs[at:at + processes]
-            rest = pool.map(fn, rest)  # submitted before this process's share
+            rest = pool.map(functools.partial(_listed, fn), rest)  # before this process's share
             yield fn(first)
             yield from rest
 
@@ -386,8 +395,9 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     their frames.  Y' is Y times a unit phase per subcarrier that no trial changes, unseen by
     |Y|^2 and |E[Y conj(S)]|^2; a one-symbol window takes no transform.  Deterministic per
     (seed, 64-trial group): group j draws from `default_rng([seed, j])`, trial after trial,
-    so the first M trials of a run are those of an M-trial run.  Group sums add up in group
-    order for any `workers` (`_processes`); a one-symbol window runs in this process alone.
+    so the first M trials of a run are those of an M-trial run.  `_PIECE`-trial pieces run
+    by `_in_rounds`, their group sums added up in group order for any `workers`; a one-symbol
+    window is one piece of all its trials, so it never pools.
     """
     trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
@@ -397,13 +407,10 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)
-    most = -(-trials // _PIECE) if len(_window_pieces(config, d)) > 1 else 1  # 1: no FFTs
-    job, processes = (config, d, alphabet, seed), _processes(workers, trials, most)
-    if processes == 1:  # each group's sums folded as made
-        parts = [_profile_groups(*job, 0, trials)]
-    else:  # this process holds at most one round of pieces' sums
-        parts = _in_rounds(_profile_piece, [(*job, lo, min(lo + _PIECE, trials))
-                                            for lo in range(0, trials, _PIECE)], processes)
+    size = _PIECE if len(_window_pieces(config, d)) > 1 else trials  # one symbol: no FFTs
+    jobs = [(config, d, alphabet, seed, lo, min(lo + size, trials))
+            for lo in range(0, trials, size)]
+    parts = _in_rounds(_profile_groups, jobs, _processes(workers, trials))
     totals = sum(sums for part in parts for sums in part)  # from 0, in group order
     total_sum, total_sq, cross_re, cross_im = (totals if len(totals) == 4
                                                else (*totals, totals[0], 0.0))
@@ -413,14 +420,10 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     return PowerProfile(d, config.used_array(), useful, total, stderr)
 
 
-def _profile_piece(job) -> list[np.ndarray]:
-    """The sums of each group of a pooled piece of trials, in group order."""
-    return [sums.copy() for sums in _profile_groups(*job)]
-
-
-def _profile_groups(config: OfdmConfig, d: int, alphabet: str, seed: int, start, stop):
-    """Yield in one reused array empirical_power_profile's sums of each group of the trials
-    start .. stop-1 (start a group's first)."""
+def _profile_groups(job):
+    """Yield, each in a fresh array, empirical_power_profile's sums of each group of the
+    trials start .. stop-1 (start a group's first) of (config, d, alphabet, seed, start, stop)."""
+    config, d, alphabet, seed, start, stop = job
     pieces = _window_pieces(config, d)  # in symbol order; rows drawn: m-1 if read, m, m+1 if read
     n, k, at, frames, cur = config.n, len(config.used), 0, [], -min(pieces[0][0], 0)
     for s, p in pieces:  # row of m + s, its window samples, its shift:
@@ -440,9 +443,8 @@ def _profile_groups(config: OfdmConfig, d: int, alphabet: str, seed: int, start,
     # real part is the power bit for bit and its imaginary part ci cr - cr ci is +0.0.
     stats = 2 if base == cur and not spilled else 4
     terms, v = np.empty((stats, 1 + _FFT_BATCH, k)), np.empty((_FFT_BATCH, k))
-    sums = np.zeros((stats, k))
     for first in range(start, stop, _TRIAL_BLOCK):
-        g, sums[:] = min(_TRIAL_BLOCK, stop - first), 0.0
+        g, sums = min(_TRIAL_BLOCK, stop - first), np.zeros((stats, k))
         rng = np.random.default_rng([seed, first // _TRIAL_BLOCK])
         for lo in range(0, g, _FFT_BATCH):
             b = min(_FFT_BATCH, g - lo)

@@ -8,7 +8,7 @@ Each trial draws from its own RNG substream seeded by (master_seed, trial_index)
 so results do not depend on the workers, and every timing model sees the same fields.
 Processes and pool are the link engine's (`link._processes`, `link._in_rounds`): by default
 one, and for `workers=None` (the CLI's) one per started 1,024 trials where a pool forks, up to
-the CPUs this process may use, this process running the first chunk itself.
+the usable CPUs.  Each chunk of trials yields its scoring blocks; this process runs the first.
 """
 
 from __future__ import annotations
@@ -183,14 +183,14 @@ _BLOCK_CANDIDATES, _BLOCK_TRIALS = 1 << 16, 1024
 
 
 def _trial_chunk(args):
-    """Per block of trials in [start, stop), per timing model: counts, nearest SINRs
+    """Yield per block of trials in [start, stop), per timing model: counts, nearest SINRs
     and kept SINRs.  Only candidates are scored: as g <= 1, SINR >= T needs p >= T/(1+T)
     (total + N0/E); the nearest always is.  Draws and screen run once, with a non-delta
     model if any: all of those draw the same uniforms, and a delta ignores them."""
     params, timings, config, spec, start, stop = args
     cut = (1.0 - 1e-9) * params.threshold / (1.0 + params.threshold)  # 1e-9: rounding slack
     draw_with = next((m for m in timings if not m.is_delta), timings[0])
-    rngs, disk, out = _trial_generators(spec.master_seed, start, stop), _disk(params, spec), []
+    rngs, disk = _trial_generators(spec.master_seed, start, stop), _disk(params, spec)
     for trials in _blocks(_candidates(params, draw_with, rng, disk, cut) for rng in rngs):
         p, u, total, nearest = zip(*trials)
         sizes = np.fromiter(map(len, p), np.int64, len(p))
@@ -203,8 +203,7 @@ def _trial_chunk(args):
             ok = s >= params.threshold
             block.append((np.bincount(trial[ok], minlength=len(sizes)),
                           np.append(s, math.nan)[near_at], s[ok]))
-        out.append(block)
-    return out
+        yield block
 
 
 @dataclass
@@ -257,16 +256,14 @@ def run_trials_each(params: NetworkParams, timings: list[TimingModel], config: O
     """One `TrialResults` per timing model from one draw-and-screen pass, each the same
     bits as a pass with that model alone; output independent of workers.  The trials split
     into one contiguous chunk per process (`link._processes`, at most one per trial), run
-    as one round of `link._in_rounds`: this process runs the first chunk, and a pool the rest."""
+    by `link._in_rounds` here, or as one round in which a pool runs all but the first."""
     if not timings:
         raise ValueError("need a timing model")
-    processes = _processes(workers, spec.trials, spec.trials)
+    processes = _processes(workers, spec.trials)
     _check_domain(timings, config)
     bounds = np.linspace(0, spec.trials, processes + 1, dtype=int)
     jobs = [(params, timings, config, spec, int(a), int(b)) for a, b in zip(bounds, bounds[1:])]
-    chunks = (map(_trial_chunk, jobs) if processes == 1
-              else _in_rounds(_trial_chunk, jobs, processes))
-    blocks = [block for chunk in chunks for block in chunk]  # trial order
+    blocks = [b for chunk in _in_rounds(_trial_chunk, jobs, processes) for b in chunk]  # in order
     return [TrialResults(counts, near, params.threshold, sinr)
             for counts, near, sinr in (map(np.concatenate, zip(*model))
                                        for model in zip(*blocks))]

@@ -582,14 +582,14 @@ def test_default_workers_fork_and_write_the_one_worker_bytes(tmp_path, monkeypat
     assert outs[1] == outs[0]
 
 
-_PROFILE_PIECE, _TRIAL_CHUNK = link._profile_piece, simulation._trial_chunk
+_PROFILE_GROUPS, _TRIAL_CHUNK = link._profile_groups, simulation._trial_chunk
 
 
 def _piece_failing_here(job):
-    """link._profile_piece, raising in the process that started the pool."""
+    """link._profile_groups, raising in the process that started the pool."""
     if multiprocessing.parent_process() is None:
         raise RuntimeError("this process's piece failed")
-    return _PROFILE_PIECE(job)
+    return _PROFILE_GROUPS(job)
 
 
 def _chunk_failing_here(job):
@@ -600,7 +600,7 @@ def _chunk_failing_here(job):
 
 
 @pytest.mark.parametrize("command, module, name, failing", [
-    ("link-profile", link, "_profile_piece", _piece_failing_here),
+    ("link-profile", link, "_profile_groups", _piece_failing_here),
     ("simulate", simulation, "_trial_chunk", _chunk_failing_here),
 ], ids=["link-profile", "simulate"])
 def test_a_pooled_run_leaves_no_process_behind(tmp_path, monkeypatch, real_pools, command,

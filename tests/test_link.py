@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import math
+import multiprocessing
 import pickle
 import tracemalloc
 import warnings
@@ -778,6 +779,10 @@ def test_empirical_profile_validation(cfg):
     (dict(trials=10, seed=-1), "seed must be >= 0, got -1"),
     (dict(trials=10, seed=1, workers=0), "need workers >= 1, got 0"),
     (dict(trials=10, seed=1, workers=-3), "need workers >= 1, got -3"),
+    (dict(trials=10, seed=1, workers=2.5), "workers must be an integer, got 2.5"),
+    (dict(trials=10, seed=1, workers=math.nan), "workers must be an integer, got nan"),
+    (dict(trials=10, seed=1, workers=math.inf), "workers must be an integer, got inf"),
+    (dict(trials=10, seed=1, workers="2"), "workers must be an integer, got '2'"),
 ])
 def test_empirical_profile_inputs_checked_at_entry(small_cfg, kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -853,17 +858,19 @@ def test_empirical_profile_draws_only_the_rows_it_reads(cfg, monkeypatch, alphab
 
 def test_empirical_profile_memory_bounded_by_the_batch(cfg):
     # the working set is one 8-trial batch, each folded into its group's sums as it is
-    # made: not the trial count, nor 64-row buffers for the group (2.6 MB at d = -300)
-    peaks = []
-    for trials in (64, 2000):
-        tracemalloc.start()
-        try:
-            empirical_power_profile(cfg, -300, trials, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0], peaks
-    assert peaks[1] < 1.5e6, peaks
+    # made: not the trial count, nor 64-row buffers for the group (2.6 MB at d = -300);
+    # offset 50 reads one symbol, whose run is one piece of all its trials
+    for d in (-300, 50):
+        peaks = []
+        for trials in (64, 2000):
+            tracemalloc.start()
+            try:
+                empirical_power_profile(cfg, d, trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], (d, peaks)
+        assert peaks[1] < 1.5e6, (d, peaks)
 
 
 def _profile_bytes(prof):
@@ -887,27 +894,46 @@ def test_empirical_profile_bits_do_not_depend_on_the_workers(monkeypatch, real_p
     assert real_pools == ([1, 1, 1, 1, 2, 2, 1, 4, 4] if d in (-30, 40) else [])
 
 
-@pytest.mark.parametrize("forks, workers, trials, d, started, pieces", [
-    (True, None, 1024, -30, [], 0),  # one piece: no pool, each group folded as made
-    (True, None, 2100, -30, [2], 3),  # one process per started piece
-    (False, None, 2100, -30, [], 0),  # a pool that would not fork: one process
-    (False, 2, 2100, -30, [1], 3),  # an explicit count does not ask how the pool starts
-    (True, None, 6000, 40, [3], 6),  # at most the 4 CPUs: rounds of 4 and 2 pieces
-    (True, 8, 6000, 40, [3], 6),
-    (True, None, 6000, -70, [], 0),  # a one-symbol window takes no transform: one process
-    (True, 8, 6000, 4, [], 0),
+@pytest.mark.parametrize("forks, workers, trials, d, started", [
+    (True, None, 1024, -30, []),  # one piece: no pool
+    (True, None, 2100, -30, [2]),  # one process per started piece
+    (False, None, 2100, -30, []),  # a pool that would not fork: one process
+    (False, 2, 2100, -30, [1]),  # an explicit count does not ask how the pool starts
+    (True, None, 6000, 40, [3]),  # at most the 4 CPUs: rounds of 4 and 2 pieces
+    (True, 8, 6000, 40, [3]),
+    (True, None, 6000, -70, []),  # a one-symbol window takes no transform: one piece
+    (True, 8, 6000, 4, []),
 ])
 def test_empirical_profile_pool_sizes(monkeypatch, pool_sizes, forks, workers, trials, d,
-                                      started, pieces):
+                                      started):
     config, run = OfdmConfig(64, 8, (-20, -3, 0, 1, 7, 19)), []
-    piece = link._profile_piece
-    monkeypatch.setattr(link, "_profile_piece", lambda job: run.append(job[4:]) or piece(job))
+    groups = link._profile_groups
+    monkeypatch.setattr(link, "_profile_groups", lambda job: run.append(job[4:]) or groups(job))
     monkeypatch.setattr(link, "_forks", lambda: forks)
     prof = empirical_power_profile(config, d, trials, 7, workers=workers)
     assert pool_sizes == started
     bounds = [(lo, min(lo + 1024, trials)) for lo in range(0, trials, 1024)]
-    assert run == bounds[:pieces]  # each round's first here, the rest in the pool, in order
+    # each round's first here, the rest in the pool, in order
+    assert run == (bounds if d in (-30, 40) else [(0, trials)])
     assert _profile_bytes(prof) == _profile_bytes(empirical_power_profile(config, d, trials, 7))
+
+
+def _yields(job):  # a generator function at module level, which a pool can pickle
+    yield job
+    yield from range(job)
+
+
+@pytest.mark.parametrize("processes, started", [(1, []), (2, [1]), (3, [2])])
+def test_in_rounds_yields_each_jobs_results_in_job_order(real_pools, processes, started):
+    # a pool lists each job's results, which no generator could carry back; one process,
+    # or one job, starts no pool
+    jobs = [3, 0, 4, 1, 2]
+    want = [list(_yields(job)) for job in jobs]
+    assert [list(part) for part in link._in_rounds(_yields, jobs, processes)] == want
+    assert real_pools == started  # min(processes, jobs) - 1 workers
+    assert [list(part) for part in link._in_rounds(_yields, [4], processes)] == want[2:3]
+    assert real_pools == started
+    assert multiprocessing.active_children() == []
 
 
 def test_empirical_profile_library_default_is_one_process(monkeypatch, pool_sizes):

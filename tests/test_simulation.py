@@ -697,6 +697,16 @@ def test_workers_capped_at_the_cpus_this_process_may_use(cfg, monkeypatch, pools
     assert pools_started == []
 
 
+def test_workers_checked_to_be_an_integer_whatever_the_cpus(cfg, pool_sizes):
+    # checked where it enters: else 2.5 fails on 4 usable CPUs and runs as 2 on 2
+    params = budget_params(1 / 400 ** 2, 3.8, -12.0)
+    with pytest.raises(ValueError, match="workers must be an integer, got 2.5"):
+        run_trials(params, _tg02(cfg), cfg, SimSpec(20, 5), workers=2.5)
+    assert pool_sizes == []
+    assert _same_as_one_worker(cfg, 20, True)  # as trials take it, True is 1
+    assert pool_sizes == []
+
+
 def test_cpus_are_the_installed_count_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
