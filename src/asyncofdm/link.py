@@ -47,13 +47,15 @@ _FFT_BATCH = 8
 _PIECE = 16 * _TRIAL_BLOCK
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as an int, refused unless it is integral and, given `least`, at least that."""
     try:
-        as_int = int(value)
+        if (as_int := int(value)) != value:
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if as_int != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and as_int < least:
+        raise ValueError(f"{name} must be >= {least}, got {as_int}")
     return as_int
 
 
@@ -77,9 +79,7 @@ def _processes(workers: int | None, trials: int) -> int:
     trials where a pool forks (else one); at most the usable CPUs and `trials`."""
     if workers is None:
         workers = -(-trials // _PIECE) if _forks() else 1
-    elif (workers := _integer("workers", workers)) < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
-    return min(workers, _cpus(), trials)
+    return min(_integer("workers", workers, 1), _cpus(), trials)
 
 
 def _listed(fn, job) -> list:
@@ -123,13 +123,11 @@ class OfdmConfig:
     used: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer("n", self.n))
-        object.__setattr__(self, "n_cp", _integer("n_cp", self.n_cp))
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
+        object.__setattr__(self, "n_cp", _integer("n_cp", self.n_cp, 1))
         used = self.used
         if not (ranged := type(used) is range and used.step == 1):  # else sorted ints, each once
             used = sorted(_integer("subcarrier", k) for k in used)
-        if self.n <= 0 or self.n_cp <= 0:
-            raise ValueError("n and n_cp must be positive")
         if self.n > np.iinfo(np.int64).max:  # past it, every used_array() % n overflows
             raise ValueError(f"n = {self.n} exceeds the largest 64-bit index")
         if self.n_cp >= self.n:
@@ -399,11 +397,7 @@ def empirical_power_profile(config: OfdmConfig, d: int, trials: int, seed: int,
     by `_in_rounds`, their group sums added up in group order for any `workers`; a one-symbol
     window is one piece of all its trials, so it never pools.
     """
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    trials, seed = _integer("trials", trials, 1), _integer("seed", seed, 0)
     if alphabet not in _ALPHABETS:
         raise ValueError(f"unknown alphabet {alphabet!r}")
     d = _sample_offset(config, d)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .analytics import CountDistribution
 from .link import OfdmConfig, _fmt, _in_rounds, _integer, _processes, _write_csv
-from .sinr import NetworkParams, NetworkSnapshot, _check_positive, _sinr, snapshot_sinr_all
+from .sinr import (NetworkParams, NetworkSnapshot, _check_finite_positive, _check_positive, _sinr,
+                   snapshot_sinr_all)
 from .timing import TimingModel, _check_domain
 
 __all__ = [
@@ -39,6 +40,8 @@ __all__ = [
 
 # trials per seeding pass in _trial_generators (amortises its ~50 array calls)
 _SEED_CHUNK = 1024
+# most expected points on the default disk: about 24 B each; a 3-trial run peaks at 267 MB
+MAX_EXPECTED_POINTS = 10_000_000
 
 
 def _hashmix(v: np.ndarray, k: int, rows: int, c: int = 0x43b0d7e5, mult: int = 0x931e8875):
@@ -91,16 +94,13 @@ class SimSpec:
     window_radius: float | None = None
 
     def __post_init__(self):
-        for name in ("trials", "master_seed", "expected_points"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-        if self.window_radius is None and self.expected_points < 100:
-            raise ValueError("expected_points < 100 makes window edge effects significant")
-        if self.window_radius is not None and not 0 < self.window_radius < math.inf:
-            raise ValueError(f"window_radius must be finite and positive, not {self.window_radius}")
+        for name, least in ("trials", 1), ("master_seed", 0), ("expected_points", None):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        if self.window_radius is not None:
+            _check_finite_positive("window_radius", self.window_radius)
+        elif not 100 <= self.expected_points <= MAX_EXPECTED_POINTS:
+            raise ValueError(f"expected_points must be in [100, {MAX_EXPECTED_POINTS}], got "
+                             f"{self.expected_points}: window edge effects below, memory above")
 
     def radius(self, density: float) -> float:
         if self.window_radius is not None:
@@ -133,10 +133,7 @@ def _draw(rng: np.random.Generator, radius: float, mean: float):
 def sample_snapshot(params: NetworkParams, timing: TimingModel, spec: SimSpec,
                     trial_index: int) -> NetworkSnapshot:
     """One PPP realization on the observation disk, deterministic per (seed, trial)."""
-    t = _integer("trial_index", trial_index)
-    if t < 0:
-        raise ValueError(f"trial_index must be >= 0, got {t}")
-    rng = np.random.default_rng([spec.master_seed, t])
+    rng = np.random.default_rng([spec.master_seed, _integer("trial_index", trial_index, 0)])
     distances, fades = _draw(rng, *_disk(params, spec))
     offsets = timing.sample(rng, len(distances))
     return NetworkSnapshot(distances, fades, offsets, params.noise_over_e, params.alpha)

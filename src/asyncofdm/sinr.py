@@ -155,9 +155,8 @@ def snapshot_sinr_all(snapshot: NetworkSnapshot, config: OfdmConfig) -> np.ndarr
 
 def hypothesis_set(n1: int, n2: int, delta: float) -> tuple[float, ...]:
     """Receiver timing hypotheses -n1*delta, ..., 0, ..., n2*delta, at most MAX_HYPOTHESES."""
-    n1, n2 = _integer("n1", n1), _integer("n2", n2)
-    if n1 < 0 or n2 < 0 or not 0 < delta < math.inf:
-        raise ValueError("need n1, n2 >= 0 and finite delta > 0")
+    n1, n2 = _integer("n1", n1, 0), _integer("n2", n2, 0)
+    _check_finite_positive("delta", delta)
     if n1 + n2 + 1 > MAX_HYPOTHESES:  # checked before the tuple is built
         raise ValueError(f"{n1 + n2 + 1} hypotheses exceed MAX_HYPOTHESES = {MAX_HYPOTHESES}")
     return tuple(k * delta for k in range(-n1, n2 + 1))

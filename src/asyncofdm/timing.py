@@ -38,10 +38,8 @@ class TimingModel:
             raise ValueError(f"half_width {w:g} exceeds 2^64, wider than any OfdmConfig's domain")
         if kind == "delta" and not -w <= self.offset < w:
             raise ValueError(f"offset {self.offset} outside [-{w}, {w})")
-        if kind == "truncated_gaussian" and not np.isfinite(sigma):
-            raise ValueError(f"sigma must be finite, got {sigma}")
-        if kind == "truncated_gaussian" and sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if kind == "truncated_gaussian":
+            _check_finite_positive("sigma", sigma)
         if kind == "truncated_gaussian" and sigma > MAX_SIGMA_OVER_HALF_WIDTH * w:
             raise ValueError(f"sigma {sigma:g} exceeds {MAX_SIGMA_OVER_HALF_WIDTH:g} half-widths; "
                              f"the limit is uniform(-{w}, {w}, {w})")

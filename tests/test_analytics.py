@@ -245,7 +245,8 @@ def test_timing_model_for_another_domain_rejected(cfg, model):
 @pytest.mark.parametrize("build, message", [
     (lambda: tm.TimingModel("uniform", 1096, lo=5.0, hi=1.0), r"\[5.0, 1.0\) must be non-empty"),
     (lambda: tm.TimingModel("uniform", 1096, lo=0.0, hi=1e-100), "narrower than MIN_UNIFORM_WIDTH"),
-    (lambda: tm.TimingModel("truncated_gaussian", 1096, sigma=-3.0), "sigma must be positive"),
+    (lambda: tm.TimingModel("truncated_gaussian", 1096, sigma=-3.0),
+     "sigma must be finite and positive, got -3.0"),
     (lambda: tm.TimingModel("gaussian", 1096, sigma=200.0), "unknown timing model kind 'gaussian'"),
 ], ids=["reversed-uniform", "sub-floor-uniform", "negative-sigma", "unknown-kind"])
 def test_hand_built_models_are_refused_where_built(build, message):

@@ -207,6 +207,17 @@ def test_malformed_config_exits_2_naming_its_section(tmp_path, capsys, text, sec
     assert not out.exists()
 
 
+def test_expected_points_past_the_cap_exits_2_before_any_draw(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    config = _write(tmp_path, "sim: {expected_points: 10000000000000}\n")
+    argv = ["simulate", "--config", config, "--trials", "2", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: sim: expected_points must be in [100, {simulation.MAX_EXPECTED_POINTS}], got "
+        "10000000000000: window edge effects below, memory above\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("- 5", "top-level config must be a mapping"),
     ("5", "top-level config must be a mapping"),
@@ -276,9 +287,13 @@ def test_grid_thresholds_equal_the_per_point_params_bit_for_bit(monkeypatch):
 
 @pytest.mark.parametrize("value", ["1,1", "1,1,72,3", "a,1,72", "1,1,x", "-1,1,72", "1,1,0"])
 def test_malformed_hypotheses_flag_exits_2(tmp_path, capsys, value):
+    # a string that parses is named by the flag and refused by hypothesis_set in its words
+    refused = {"-1,1,72": ": n1 must be >= 0, got -1",
+               "1,1,0": ": delta must be finite and positive, got 0.0"}
     out = tmp_path / "out.csv"
     assert main(["hypotheses", f"--hypotheses={value}", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --hypotheses expects N1,N2,DELTA\n"
+    assert capsys.readouterr().err == (
+        f"error: --hypotheses{refused.get(value, ' expects N1,N2,DELTA')}\n")
     assert not out.exists()
 
 

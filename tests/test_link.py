@@ -248,8 +248,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OfdmConfig(64, 8, (32,))  # outside [-32, 32)
     for n in (0, -64):
-        with pytest.raises(ValueError, match="n and n_cp must be positive"):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             OfdmConfig(n, 8, (0,))
+    for n_cp in (0, -8):
+        with pytest.raises(ValueError, match=f"^n_cp must be >= 1, got {n_cp}$"):
+            OfdmConfig(64, n_cp, (0,))
     c = OfdmConfig(64, 8, (3, -1, 0))
     assert c.used == (-1, 0, 3)  # sorted
     assert c.domain_half_width == 72
@@ -777,8 +780,8 @@ def test_empirical_profile_validation(cfg):
     (dict(trials=10, seed=1.5), "seed must be an integer"),
     (dict(trials=10, seed=math.inf), "seed must be an integer"),
     (dict(trials=10, seed=-1), "seed must be >= 0, got -1"),
-    (dict(trials=10, seed=1, workers=0), "need workers >= 1, got 0"),
-    (dict(trials=10, seed=1, workers=-3), "need workers >= 1, got -3"),
+    (dict(trials=10, seed=1, workers=0), "workers must be >= 1, got 0"),
+    (dict(trials=10, seed=1, workers=-3), "workers must be >= 1, got -3"),
     (dict(trials=10, seed=1, workers=2.5), "workers must be an integer, got 2.5"),
     (dict(trials=10, seed=1, workers=math.nan), "workers must be an integer, got nan"),
     (dict(trials=10, seed=1, workers=math.inf), "workers must be an integer, got inf"),

@@ -202,6 +202,11 @@ def test_hypothesis_set_layout():
     for bad in (math.nan, math.inf):  # 0 * inf would be a NaN hypothesis
         with pytest.raises(ValueError, match="finite"):
             hypothesis_set(1, 1, bad)
+    for args, message in (((-1, 0, 10.0), "n1 must be >= 0, got -1"),
+                          ((0, -2, 10.0), "n2 must be >= 0, got -2"),
+                          ((1, 1, -72.0), "delta must be finite and positive, got -72.0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hypothesis_set(*args)
 
 
 def test_hypothesis_sets_are_capped():
